@@ -1,24 +1,24 @@
 """Fans of strictly convex cones, fan maps, subdivisions, and refinements.
 
 A fan stores its maximal cones canonically; the face closure is derived.
-Support comparisons that decide the subdivision predicate are done exactly,
-by slicing every cone with a positive functional and summing rational
-section volumes, so there is no sampling anywhere on the decision path.
-The completion and resolution routines are rank-2 only, and the refinement
-search is a plain bounded breadth-first search over star subdivision moves.
+One exact wall test (_tiles) decides every covering question: whether the
+mapped cones of a fan map fill each target cone, whether two fans have the
+same support, and whether a fan is complete.  It pairs up the facets of the
+pieces and checks a single point, in integer arithmetic, so there is no
+sampling anywhere on the decision path.  The completion and resolution
+routines are rank-2 only, and the refinement search is a plain bounded
+breadth-first search over star subdivision moves.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from types import SimpleNamespace
 
-from .cone import Cone, _dot, _simplicial_pieces, hilbert_basis, intersect, is_face_of, is_smooth
+from .cone import Cone, _dot, hilbert_basis, intersect, is_face_of, is_smooth
 from .cone import faces as cone_faces
-from .lattice import IntMatrix, express_in_rows, is_unimodular, saturate_row_lattice
+from .lattice import IntMatrix, is_unimodular
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,13 @@ def validate(fan: Fan) -> SimpleNamespace:
 def support_query(fan: Fan) -> SimpleNamespace:
   """Point containment test and exact completeness flag for the support.
 
-  Completeness is decided by the wall criterion: nonempty, every maximal
-  cone full-dimensional, and every facet of a maximal cone shared by
-  exactly two of them.  A positive answer is cross-checked against a
-  deterministic sample of 500 points.
+  The support is complete when every maximal cone is full-dimensional and
+  the maximal cones tile the whole space by the wall test of _tiles, with
+  no container facets: each facet is shared with exactly one cone on its
+  other side, and an interior point of the first cone lies in no other.
+  A True answer is always right.  False is exact for a fan; a collection
+  of cones that fails validate may read False over a complete support,
+  for instance when it covers the space twice.
   """
   d = fan.ambient_rank
 
@@ -109,36 +112,29 @@ def support_query(fan: Fan) -> SimpleNamespace:
       raise ValueError("point length %d does not match rank %d" % (len(v), d))
     return any(c.contains(v) for c in fan.max_cones)
 
-  if d == 0:
-    complete = bool(fan.max_cones)
-  else:
-    complete = bool(fan.max_cones) and all(c.dim == d for c in fan.max_cones)
-    if complete:
-      ridge_count = {}
-      for c in fan.max_cones:
-        for f in cone_faces(c):
-          if f.dim == d - 1:
-            ridge_count[f] = ridge_count.get(f, 0) + 1
-      complete = all(n == 2 for n in ridge_count.values())
-  if complete and d:
-    rng = random.Random(0)
-    for _ in range(500):
-      p = tuple(rng.randint(-40, 40) for _ in range(d))
-      assert contains(p), "wall criterion disagrees with sampling at %s" % (p,)
+  complete = (all(c.dim == d for c in fan.max_cones)
+              and _tiles(fan.max_cones))
   return SimpleNamespace(contains=contains, is_complete=complete)
 
 
-def is_fan_map(matrix: IntMatrix, source: Fan, target: Fan) -> bool:
-  """Whether the lattice map sends every source cone into some target cone."""
+def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
+  """For each maximal source cone, its image rays and the indices of the
+  maximal target cones that contain them."""
   if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
     raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
                      % (matrix.rows, matrix.cols, source.ambient_rank,
                         target.ambient_rank))
+  out = []
   for c in source.max_cones:
     imgs = [matrix.apply(r) for r in c.rays]
-    if not any(all(t.contains(v) for v in imgs) for t in target.max_cones):
-      return False
-  return True
+    out.append((imgs, [i for i, t in enumerate(target.max_cones)
+                       if all(t.contains(v) for v in imgs)]))
+  return out
+
+
+def is_fan_map(matrix: IntMatrix, source: Fan, target: Fan) -> bool:
+  """Whether the lattice map sends every source cone into some target cone."""
+  return all(held for _, held in _holders(matrix, source, target))
 
 
 @dataclass(frozen=True)
@@ -154,68 +150,48 @@ class FanMap:
       raise ValueError("matrix does not carry every source cone into the target fan")
 
 
-def _frac_det(rows) -> Fraction:
-  k = len(rows)
-  m = [list(r) for r in rows]
-  out = Fraction(1)
-  for col in range(k):
-    piv = None
-    for r in range(col, k):
-      if m[r][col]:
-        piv = r
-        break
-    if piv is None:
-      return Fraction(0)
-    if piv != col:
-      m[col], m[piv] = m[piv], m[col]
-      out = -out
-    out *= m[col][col]
-    for r in range(col + 1, k):
-      f = Fraction(m[r][col], 1) / m[col][col]
-      if f:
-        m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-  return out
+def _tiles(pieces, container: Cone | None = None) -> bool:
+  """Whether full-dimensional cones inside a cone tile it exactly.
 
+  The pieces must lie in the container and have its dimension; a container
+  of None stands for the whole ambient space, which has no facets.  The
+  test passes when both of these hold:
 
-def _section_volume(sigma: Cone, ell) -> Fraction:
-  """Total rational volume of the slice {x in sigma : <ell, x> = 1}.
+  1. every facet of a piece either lies in a facet of the container, or is
+     a facet of exactly one other piece, which lies on its other side;
+  2. an interior point of the first piece lies in no other piece.
 
-  ell must be strictly positive on sigma minus the origin.  Additive across
-  cones that tile a region, because all sections live in one hyperplane.
+  A facet is read off its normal: its rays are the piece's rays on which
+  the normal vanishes, and its lineality is the piece's.
+
+  Why this suffices: remove from the relative interior of the container
+  every codimension-2 face of a piece and every meeting of two facets in
+  different hyperplanes.  What is left is still connected, since only
+  codimension-2 sets were removed.  Count the pieces over each of its
+  points off the facets.  Crossing a facet there changes no count, because
+  by 1 the pieces that end at that facet are matched with pieces that begin
+  on its other side.  So the pieces cover the container with a constant
+  number of sheets, and the point of 2 pins that number to one.  Conversely
+  the cones of a fan that tile the container pass both conditions.
   """
-  if sigma.dim == 0:
-    return Fraction(0)
-  total = Fraction(0)
-  for piece in _simplicial_pieces(sigma):
-    w = [tuple(Fraction(x, _dot(ell, r)) for x in r) for r in piece]
-    total += abs(_frac_det(w))
-  return total
-
-
-def _covers(pieces, container: Cone) -> bool:
-  """Whether cones known to sit inside the container jointly fill it."""
-  k = container.dim
-  if k == 0:
-    return True
-  basis = saturate_row_lattice([list(r) for r in container.rays],
-                               container.ambient_rank)
-  coords = {}
-  for c in list(pieces) + [container]:
-    rs = []
-    for r in c.rays:
-      e = express_in_rows(basis, r)
-      assert e is not None
-      rs.append(tuple(e))
-    coords[c] = rs
-  big = Cone.from_rays(coords[container], k)
-  ell = [sum(nu[i] for nu in big.facet_normals) for i in range(k)]
-  want = _section_volume(big, ell)
-  got = Fraction(0)
-  for c in pieces:
-    if c.dim == k:
-      got += _section_volume(Cone.from_rays(coords[c], k), ell)
-  assert got <= want
-  return got == want
+  if not pieces:
+    return False
+  walls = container.facet_normals if container is not None else ()
+  sides = {}
+  for i, p in enumerate(pieces):
+    for nu in p.facet_normals:
+      key = (tuple(r for r in p.rays if _dot(nu, r) == 0), p.lineality_basis)
+      sides.setdefault(key, []).append((i, nu))
+  for (rays, lin), owners in sides.items():
+    if any(all(_dot(mu, r) == 0 for r in rays + lin) for mu in walls):
+      continue
+    if len(owners) != 2:
+      return False
+    (_, nu), (j, _) = owners
+    if _dot(nu, pieces[j].interior_point()) >= 0:
+      return False
+  x = pieces[0].interior_point()
+  return not any(p.contains(x) for p in pieces[1:])
 
 
 def subdivision_predicates(matrix: IntMatrix, source: Fan,
@@ -223,25 +199,31 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
   """Partial-subdivision and subdivision flags for a fan map.
 
   Partial means the lattice map is an isomorphism; full subdivision
-  additionally needs support equality, decided exactly by rational section
-  volumes of the pieces cut inside each maximal target cone.
+  additionally needs the mapped source cones to fill every maximal target
+  cone t, decided by the wall test of _tiles.
+
+  Precondition: source and target are fans (see validate).  Then the pieces
+  of t are the mapped source cones of t's dimension that t contains: if a
+  mapped cone m meets t in a cone of t's dimension and m lies in the
+  maximal target cone t', then t and t' meet in a common face of t's
+  dimension, so t = t'.  Without the precondition a True answer still
+  holds, since the wall test shows that every target cone is tiled by
+  mapped cones, but a False answer may be wrong.  The proof of the wall
+  test is in the docstring of _tiles.
   """
-  if not is_fan_map(matrix, source, target):
+  holders = _holders(matrix, source, target)
+  if not all(held for _, held in holders):
     raise ValueError("not a fan map")
   partial = is_unimodular(matrix)
   full = False
   if partial:
     if target.ambient_rank > 4:
       raise ValueError("support comparison is only guaranteed up to rank 4")
-    full = True
-    mapped = [Cone.from_rays([matrix.apply(r) for r in c.rays],
-                             target.ambient_rank)
-              for c in source.max_cones]
-    for t in target.max_cones:
-      pieces = [intersect(m, t) for m in mapped]
-      if not _covers([p for p in pieces if p.dim == t.dim], t):
-        full = False
-        break
+    d = target.ambient_rank
+    mapped = [(Cone.from_rays(imgs, d), held) for imgs, held in holders]
+    full = all(_tiles([m for m, held in mapped
+                       if i in held and m.dim == t.dim], t)
+               for i, t in enumerate(target.max_cones))
   return SimpleNamespace(is_partial_subdivision=partial, is_subdivision=full)
 
 
@@ -425,14 +407,14 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
 
 
 def _support_equal(f1: Fan, f2: Fan) -> bool:
-  for t in f2.max_cones:
-    pieces = [intersect(s, t) for s in f1.max_cones]
-    if not _covers([p for p in pieces if p.dim == t.dim], t):
-      return False
-  for t in f1.max_cones:
-    pieces = [intersect(s, t) for s in f2.max_cones]
-    if not _covers([p for p in pieces if p.dim == t.dim], t):
-      return False
+  """Whether two fans have the same support: the full-dimensional
+  intersections with each maximal cone of either fan tile that cone."""
+  for a, b in ((f1, f2), (f2, f1)):
+    for t in b.max_cones:
+      pieces = [p for p in (intersect(s, t) for s in a.max_cones)
+                if p.dim == t.dim]
+      if not _tiles(pieces, t):
+        return False
   return True
 
 
@@ -443,9 +425,19 @@ def search_refinement(fan: Fan, goal: Fan, depth: int = 4):
   if some sequence of at most depth moves makes the result a subdivision
   of goal, and None when the search space is exhausted first.  None means
   "not found within depth", never a proof of impossibility.
+
+  Raises:
+    ValueError: if either input fails validate (the message names which),
+      has a singular cone, or the two supports differ.
   """
   if fan.ambient_rank != goal.ambient_rank:
     raise ValueError("ambient ranks differ")
+  for label, f in (("fan to refine", fan), ("goal fan", goal)):
+    report = validate(f)
+    if not report.ok:
+      kind, first, second = report.violations[0]
+      raise ValueError("the %s is not a fan: %s -- %s vs %s"
+                       % (label, kind, first, second))
   for c in list(fan.max_cones) + list(goal.max_cones):
     if not is_smooth(c):
       raise ValueError("search requires smooth fans on both sides")

@@ -1,0 +1,111 @@
+"""Test-only reference oracles for the covering questions of logfan.fan.
+
+The library decides "do these cones tile that cone" by a wall test.  This
+module keeps the earlier, independent mechanism as a differential oracle:
+it slices every cone with a positive functional, after a lattice change of
+coordinates into the container's span, and compares sums of rational
+section volumes.  It also keeps the 500-point sampling check that once
+guarded the completeness flag of support_query.
+"""
+
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
+from logfan.cone import Cone, _dot, _simplicial_pieces, intersect
+from logfan.fan import is_fan_map
+from logfan.lattice import express_in_rows, is_unimodular, saturate_row_lattice
+
+
+def _frac_det(rows) -> Fraction:
+  k = len(rows)
+  m = [list(r) for r in rows]
+  out = Fraction(1)
+  for col in range(k):
+    piv = None
+    for r in range(col, k):
+      if m[r][col]:
+        piv = r
+        break
+    if piv is None:
+      return Fraction(0)
+    if piv != col:
+      m[col], m[piv] = m[piv], m[col]
+      out = -out
+    out *= m[col][col]
+    for r in range(col + 1, k):
+      f = Fraction(m[r][col], 1) / m[col][col]
+      if f:
+        m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+  return out
+
+
+def _section_volume(sigma: Cone, ell) -> Fraction:
+  """Total rational volume of the slice {x in sigma : <ell, x> = 1}.
+
+  ell must be strictly positive on sigma minus the origin.  Additive across
+  cones that tile a region, because all sections live in one hyperplane.
+  """
+  if sigma.dim == 0:
+    return Fraction(0)
+  total = Fraction(0)
+  for piece in _simplicial_pieces(sigma):
+    w = [tuple(Fraction(x, _dot(ell, r)) for x in r) for r in piece]
+    total += abs(_frac_det(w))
+  return total
+
+
+def _covers(pieces, container: Cone) -> bool:
+  """Whether cones known to sit inside the container jointly fill it."""
+  k = container.dim
+  if k == 0:
+    return True
+  basis = saturate_row_lattice([list(r) for r in container.rays],
+                               container.ambient_rank)
+  coords = {}
+  for c in list(pieces) + [container]:
+    rs = []
+    for r in c.rays:
+      e = express_in_rows(basis, r)
+      assert e is not None
+      rs.append(tuple(e))
+    coords[c] = rs
+  big = Cone.from_rays(coords[container], k)
+  ell = [sum(nu[i] for nu in big.facet_normals) for i in range(k)]
+  want = _section_volume(big, ell)
+  got = Fraction(0)
+  for c in pieces:
+    if c.dim == k:
+      got += _section_volume(Cone.from_rays(coords[c], k), ell)
+  assert got <= want
+  return got == want
+
+
+def reference_subdivision_predicates(matrix, source, target) -> SimpleNamespace:
+  """subdivision_predicates by intersections and section volumes."""
+  if not is_fan_map(matrix, source, target):
+    raise ValueError("not a fan map")
+  partial = is_unimodular(matrix)
+  full = False
+  if partial:
+    full = True
+    mapped = [Cone.from_rays([matrix.apply(r) for r in c.rays],
+                             target.ambient_rank)
+              for c in source.max_cones]
+    for t in target.max_cones:
+      pieces = [intersect(m, t) for m in mapped]
+      if not _covers([p for p in pieces if p.dim == t.dim], t):
+        full = False
+        break
+  return SimpleNamespace(is_partial_subdivision=partial, is_subdivision=full)
+
+
+def sampled_completeness(fan) -> bool:
+  """Whether 500 seeded points of the box [-40, 40]^d all lie in the support."""
+  d = fan.ambient_rank
+  rng = random.Random(0)
+  for _ in range(500):
+    p = tuple(rng.randint(-40, 40) for _ in range(d))
+    if not any(c.contains(p) for c in fan.max_cones):
+      return False
+  return True

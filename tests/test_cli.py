@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import logfan
 from logfan.cli import (
     CliError,
     FanDocument,
@@ -167,6 +169,31 @@ def test_subdivide_refine_finds_two_step_path(tmp_path):
                       "--refine", str(goal_path)])
   assert code == 0
   assert parse_document(out).fan() == goal.fan()
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+def test_subdivide_refine_rejects_a_fan_that_overlaps_itself(tmp_path, optimize):
+  overlapping = FanDocument(2, (((1, 0), (0, 1)), ((1, 1), (-1, 0))), None,
+                            "overlapping smooth cones")
+  upper = FanDocument(2, (((1, 0), (0, 1)), ((0, 1), (-1, 0))), None,
+                      "upper half plane")
+  paths = []
+  for name, doc in (("overlapping", overlapping), ("upper", upper)):
+    paths.append(tmp_path / ("%s.json" % name))
+    paths[-1].write_text(serialize_document(doc))
+  env = dict(os.environ)
+  src = str(pathlib.Path(logfan.__file__).parent.parent)
+  env["PYTHONPATH"] = os.pathsep.join(
+      p for p in (src, env.get("PYTHONPATH")) if p)
+  proc = subprocess.run(
+      [sys.executable] + optimize
+      + ["-m", "logfan", "subdivide", str(paths[0]), "--refine", str(paths[1])],
+      capture_output=True, text=True, env=env)
+  assert proc.returncode == 2
+  assert proc.stdout == ""
+  assert proc.stderr.startswith("error: the fan to refine is not a fan: "
+                                "intersection not a common face")
+  assert "Traceback" not in proc.stderr
 
 
 def test_subdivide_refine_respects_depth_env(tmp_path, monkeypatch):

@@ -1,0 +1,164 @@
+"""The wall test of logfan.fan against independent covering oracles.
+
+subdivision_predicates is compared with the section-volume algorithm kept
+in covering_reference, on seeded rank-2 and rank-3 fan pairs whose answers
+include both "subdivision" and "partial subdivision only".  The exact
+completeness flag of support_query is compared with a 500-point sample of
+the support, on the gallery's fans and on seeded complete and incomplete
+fans of ranks 2 to 4.
+"""
+
+import math
+import random
+
+from covering_reference import reference_subdivision_predicates, sampled_completeness
+from logfan.cone import Cone, is_smooth
+from logfan.fan import (
+    Fan,
+    _insert_ray_2d,
+    complete_2d,
+    resolve_2d,
+    star_subdivision,
+    subdivision_predicates,
+    support_query,
+)
+from logfan.gallery import run_gallery
+from logfan.lattice import IntMatrix
+
+
+def _outcome(predicate, src, dst):
+  try:
+    got = predicate(IntMatrix.identity(src.ambient_rank), src, dst)
+  except ValueError:
+    return "not a fan map"
+  return got.is_partial_subdivision, got.is_subdivision
+
+
+def _projective(n):
+  e = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+  minus_all = tuple(-1 for _ in range(n))
+  gens = e + [minus_all]
+  return Fan.make([Cone.from_rays(gens[:i] + gens[i + 1:], n)
+                   for i in range(n + 1)], n)
+
+
+def _random_stars(rng, n, moves):
+  """The projective fan of rank n after random star subdivisions at cones
+  of dimension at least two, with the fan before each move."""
+  chain = [_projective(n)]
+  for _ in range(moves):
+    cur = chain[-1]
+    centers = sorted((c for c in cur.all_cones if c.dim >= 2),
+                     key=lambda c: (c.dim, c.rays))
+    chain.append(star_subdivision(cur, centers[rng.randrange(len(centers))]))
+  return chain
+
+
+def _drop_one(rng, fan):
+  cones = list(fan.max_cones)
+  del cones[rng.randrange(len(cones))]
+  return Fan.make(cones, fan.ambient_rank)
+
+
+def _criterion_11_fans(rng, count):
+  """Singular rank-2 fans drawn as acceptance criterion 11 draws them."""
+  out = []
+  while len(out) < count:
+    rays = set()
+    while len(rays) < 4:
+      v = (rng.randint(-9, 9), rng.randint(-9, 9))
+      if v == (0, 0):
+        continue
+      g = math.gcd(abs(v[0]), abs(v[1]))
+      rays.add((v[0] // g, v[1] // g))
+    ordered = sorted(rays, key=lambda r: math.atan2(r[1], r[0]))
+    cones = [Cone.from_rays(ordered[:2], 2), Cone.from_rays(ordered[2:], 2)]
+    if any(not c.is_strictly_convex for c in cones):
+      continue
+    fan = Fan.make(cones, 2)
+    if len(fan.max_cones) != 2:
+      continue
+    if len(out) % 2 == 0:
+      try:
+        fan = complete_2d(fan)
+      except ValueError:
+        continue
+    if all(is_smooth(c) for c in fan.max_cones):
+      continue
+    out.append(fan)
+  return out
+
+
+def _differential_pairs():
+  rng = random.Random(20)
+  pairs = []
+  for case in run_gallery():
+    for _, src, dst in case.fixtures.get("subdivisions", []):
+      if src.ambient_rank in (2, 3):
+        pairs += [(src, dst), (dst, src)]
+  for fan in _criterion_11_fans(rng, 12):
+    resolved, steps = resolve_2d(fan)
+    pairs += [(resolved, fan), (fan, resolved)]
+    cur = fan
+    for ray in steps:
+      nxt = _insert_ray_2d(cur, ray)
+      pairs.append((nxt, cur))
+      cur = nxt
+    if not support_query(fan).is_complete:
+      pairs.append((fan, complete_2d(fan)))
+  for n in (2, 3):
+    for _ in range(4):
+      chain = _random_stars(rng, n, 3)
+      for coarse, fine in zip(chain, chain[1:]):
+        pairs += [(fine, coarse), (coarse, fine)]
+      pairs.append((_drop_one(rng, chain[-1]), chain[0]))
+  return pairs
+
+
+def test_wall_test_agrees_with_section_volumes():
+  outcomes = set()
+  for src, dst in _differential_pairs():
+    got = _outcome(subdivision_predicates, src, dst)
+    want = _outcome(reference_subdivision_predicates, src, dst)
+    assert got == want, ([c.rays for c in src.max_cones],
+                         [c.rays for c in dst.max_cones])
+    outcomes.add(got)
+  assert {(True, True), (True, False), "not a fan map"} <= outcomes
+
+
+def _gallery_fans():
+  seen = []
+
+  def walk(x):
+    if isinstance(x, Fan):
+      if x not in seen:
+        seen.append(x)
+    elif isinstance(x, dict):
+      for y in x.values():
+        walk(y)
+    elif isinstance(x, (list, tuple)):
+      for y in x:
+        walk(y)
+
+  for case in run_gallery():
+    walk(case.fixtures)
+  return seen
+
+
+def test_completeness_of_gallery_fans_agrees_with_sampling():
+  fans = _gallery_fans()
+  flags = [support_query(f).is_complete for f in fans]
+  assert flags == [sampled_completeness(f) for f in fans]
+  assert True in flags and False in flags
+
+
+def test_completeness_of_seeded_fans_agrees_with_sampling():
+  rng = random.Random(5)
+  for n in (2, 3, 4):
+    for moves in range(3):
+      fan = _random_stars(rng, n, moves)[-1]
+      assert support_query(fan).is_complete
+      assert sampled_completeness(fan)
+      holed = _drop_one(rng, fan)
+      assert not support_query(holed).is_complete
+      assert not sampled_completeness(holed)

@@ -18,6 +18,7 @@ from logfan.fan import (
     Fan,
     FanMap,
     _insert_ray_2d,
+    _tiles,
     complete_2d,
     fiber_product,
     is_fan_map,
@@ -189,6 +190,51 @@ def test_partial_subdivision_without_support_equality():
   assert not ps.is_subdivision
 
 
+@pytest.mark.parametrize("src", [
+    mk([[(1, 0), (1, 2)], [(2, 1), (0, 1)]], 2),
+    # built directly: Fan.make would drop one cone of each sheet, since
+    # each lies inside a cone of the other sheet
+    Fan(2, tuple(cone2(*rs) for rs in [[(1, 0), (1, 1)], [(1, 1), (0, 1)],
+                                       [(1, 0), (1, 2)], [(1, 2), (0, 1)]])),
+], ids=["overlapping-pair", "two-sheet-cover"])
+def test_source_that_is_not_a_fan_is_no_subdivision(src):
+  assert not validate(src).ok
+  ps = subdivision_predicates(I2, src, ORTHANT)
+  assert ps.is_partial_subdivision
+  assert not ps.is_subdivision
+
+
+Q1, Q2 = cone2((1, 0), (0, 1)), cone2((0, 1), (-1, 0))
+Q3, Q4 = cone2((-1, 0), (0, -1)), cone2((0, -1), (1, 0))
+TILING_CASES = {
+    # name: (pieces, container, whether they tile it)
+    "quadrants": ([Q3, Q1, Q2, Q4], None, True),
+    "quadrant-gap": ([Q3, Q1, Q2], None, False),
+    # two complete fans with no ray in common: every wall is paired, but
+    # each point is covered twice
+    "double-cover": (list(P2.max_cones)
+                     + [cone2((1, 1), (-1, 2)), cone2((-1, 2), (0, -1)),
+                        cone2((0, -1), (1, 1))], None, False),
+    # a fold over part of Q1: the walls at (1, 1) and (1, 3) are each shared
+    # by two pieces on the same side, so part of Q1 is covered three times
+    "fold": ([Q3, Q1, Q2, Q4, cone2((1, 1), (1, 3)), cone2((1, 1), (1, 2)),
+              cone2((1, 2), (1, 3))], None, False),
+    # the walls at (1, 0) and (0, 1) are each shared by three pieces
+    "three-on-a-wall": ([Q3, Q2, Q4, Q1, cone2((1, 0), (1, 1)),
+                         cone2((1, 1), (0, 1))], None, False),
+    "split-quadrant": ([cone2((1, 0), (1, 1)), cone2((1, 1), (0, 1))], Q1, True),
+    "half-quadrant": ([cone2((1, 0), (1, 1))], Q1, False),
+    "ray-in-a-ray": ([cone2((1, 1))], cone2((1, 1)), True),
+    "no-pieces": ([], Q1, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILING_CASES))
+def test_wall_test_on_hand_made_configurations(name):
+  pieces, container, tiles = TILING_CASES[name]
+  assert _tiles(pieces, container) is tiles
+
+
 def test_subdivision_requires_fan_map():
   shifted = mk([[(1, 0), (-1, 2)]], 2)
   with pytest.raises(ValueError):
@@ -331,6 +377,15 @@ def test_search_refinement_depth_exhaustion_is_none():
 def test_search_refinement_rejects_unequal_support():
   with pytest.raises(ValueError):
     search_refinement(ORTHANT, P1XP1)
+
+
+def test_search_refinement_rejects_a_fan_that_overlaps_itself():
+  overlapping = mk([[(1, 0), (0, 1)], [(1, 1), (-1, 0)]], 2)
+  upper = mk([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]], 2)
+  with pytest.raises(ValueError, match="fan to refine is not a fan"):
+    search_refinement(overlapping, upper)
+  with pytest.raises(ValueError, match="goal fan is not a fan"):
+    search_refinement(upper, overlapping)
 
 
 def test_search_refinement_rejects_singular_input():

@@ -13,17 +13,18 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from types import SimpleNamespace
 
 from . import _kernels
-from .lattice import IntMatrix, det, kernel_basis, primitive, snf
+from .lattice import IntMatrix, det, kernel_basis, primitive
 
 MAX_DUAL_RANK = 4
 MAX_AMBIENT_RANK = 6
 
 
 def _dot(a, b):
-  return sum(x * y for x, y in zip(a, b))
+  return sum(map(mul, a, b))
 
 
 def _neg(v):
@@ -184,8 +185,13 @@ class Cone:
     if len(v) != self.ambient_rank:
       raise ValueError("vector length %d does not match ambient rank %d"
                        % (len(v), self.ambient_rank))
-    return (all(_dot(s, v) == 0 for s in self.span_normals)
-            and all(_dot(n, v) >= 0 for n in self.facet_normals))
+    for s in self.span_normals:
+      if _dot(s, v):
+        return False
+    for n in self.facet_normals:
+      if _dot(n, v) < 0:
+        return False
+    return True
 
   def contains_relative_interior(self, v) -> bool:
     """Whether v lies in the relative interior of the cone."""
@@ -201,9 +207,13 @@ class Cone:
     return tuple(out)
 
   def contains_cone(self, other: "Cone") -> bool:
-    return (all(self.contains(r) for r in other.rays)
-            and all(self.contains(b) and self.contains(_neg(b))
-                    for b in other.lineality_basis))
+    for r in other.rays:
+      if not self.contains(r):
+        return False
+    for b in other.lineality_basis:
+      if not (self.contains(b) and self.contains(_neg(b))):
+        return False
+    return True
 
 
 def _zero_cone(d: int) -> Cone:
@@ -433,18 +443,22 @@ def _intersect_cached(sigma: Cone, tau: Cone) -> Cone:
 def is_smooth(sigma: Cone) -> bool:
   """Whether the rays extend to a basis of the ambient lattice.
 
-  True iff the rays are linearly independent and the Smith form of the ray
-  matrix has all invariant factors 1.  The zero cone is smooth.
+  For k rays in rank d, the gcd of the k x k minors of the ray matrix (its
+  k-th determinantal divisor) is the product of its invariant factors, and
+  0 when the rays are dependent.  So the rays extend to a basis exactly when
+  that gcd is 1; the loop stops at the first partial gcd of 1.  More rays
+  than the rank leave no minor, gcd 0.  The zero cone has one empty minor,
+  of determinant 1, and is smooth.
   """
   if not sigma.is_strictly_convex:
     raise ValueError("smoothness is defined here for strictly convex cones")
-  if sigma.is_zero:
-    return True
-  rows = [list(r) for r in sigma.rays]
-  if _rank_small(rows, sigma.ambient_rank) != len(rows):
-    return False
-  D, _, _ = snf(IntMatrix.from_rows(rows))
-  return all(D.entry(i, i) == 1 for i in range(len(rows)))
+  rays = sigma.rays
+  g = 0
+  for cols in itertools.combinations(range(sigma.ambient_rank), len(rays)):
+    g = gcd(g, det(IntMatrix.from_rows([[r[c] for c in cols] for r in rays])))
+    if g == 1:
+      return True
+  return False
 
 
 def queries(sigma: Cone) -> SimpleNamespace:

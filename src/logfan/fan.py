@@ -34,19 +34,18 @@ class Fan:
 
     No fan axioms are checked here; run validate for that.
     """
-    pool = []
+    pool = {}
     for c in cones:
       if c.ambient_rank != ambient_rank:
         raise ValueError("cone of ambient rank %d in a rank-%d fan"
                          % (c.ambient_rank, ambient_rank))
-      if c not in pool:
-        pool.append(c)
+      pool[c] = None
     if not pool:
-      pool = [Cone.from_rays([], ambient_rank)]
-    keep = []
-    for c in pool:
-      if not any(o is not c and o.contains_cone(c) for o in pool):
-        keep.append(c)
+      pool = {Cone.from_rays([], ambient_rank): None}
+    # a cone lies only in cones of at least its dimension
+    keep = [c for c in pool
+            if not any(o is not c and o.dim >= c.dim and o.contains_cone(c)
+                       for o in pool)]
     keep.sort(key=lambda c: (c.dim, c.rays))
     return Fan(ambient_rank, tuple(keep))
 
@@ -217,8 +216,6 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
   partial = is_unimodular(matrix)
   full = False
   if partial:
-    if target.ambient_rank > 4:
-      raise ValueError("support comparison is only guaranteed up to rank 4")
     d = target.ambient_rank
     mapped = [(Cone.from_rays(imgs, d), held) for imgs, held in holders]
     full = all(_tiles([m for m, held in mapped
@@ -388,22 +385,34 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
   """Make every cone of a rank-2 fan smooth by inserting Hilbert basis rays.
 
   Returns the resolved fan and the rays inserted, in order.  Each step
-  picks the smallest non-ray Hilbert basis element of the first singular
-  cone, so the run is deterministic.
+  picks the smallest non-ray Hilbert basis element of the singular 2-cone
+  with the smallest rays, so the run is deterministic.  The singular
+  2-cones are kept as a set: an insertion drops the cones it split, and
+  only the cones it created are tested, so each cone is tested once.
+
+  Raises:
+    ValueError: if the fan is not of rank 2, or a 2-cone has lineality.
+    RuntimeError: if a singular 2-cone has no Hilbert basis element off its
+      rays, which cannot happen for a strictly convex one.
   """
   if fan.ambient_rank != 2:
     raise ValueError("resolution rule is specific to rank 2")
   cur = fan
   steps = []
-  while True:
-    bad = [c for c in cur.max_cones if c.dim == 2 and not is_smooth(c)]
-    if not bad:
-      return cur, steps
-    c = bad[0]
+  bad = {c for c in cur.max_cones if c.dim == 2 and not is_smooth(c)}
+  while bad:
+    c = min(bad, key=lambda b: b.rays)
     extra = sorted(h for h in hilbert_basis(c) if h not in c.rays)
-    assert extra, "singular rank-2 cone with no interior Hilbert element"
-    cur = _insert_ray_2d(cur, extra[0])
+    if not extra:
+      raise RuntimeError("singular rank-2 cone %s has no interior Hilbert "
+                         "basis element" % (c.rays,))
+    nxt = _insert_ray_2d(cur, extra[0])
+    born = set(nxt.max_cones).difference(cur.max_cones)
+    bad.intersection_update(nxt.max_cones)
+    bad.update(b for b in born if b.dim == 2 and not is_smooth(b))
+    cur = nxt
     steps.append(extra[0])
+  return cur, steps
 
 
 def _support_equal(f1: Fan, f2: Fan) -> bool:

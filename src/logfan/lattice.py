@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class IntMatrix:
     """Matrix-vector product A*v with v a length-cols sequence."""
     if len(v) != self.cols:
       raise ValueError("vector length %d does not match cols %d" % (len(v), self.cols))
-    return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols))
-                 for i in range(self.rows))
+    return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
 
   def is_identity(self) -> bool:
     return self.rows == self.cols and self == IntMatrix.identity(self.rows)

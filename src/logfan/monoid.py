@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .cone import Cone, hilbert_basis
+from .cone import Cone, _dot, _neg, hilbert_basis
 from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
@@ -29,14 +29,6 @@ from .lattice import (
 
 MAX_AMBIENT_RANK = 6
 MAX_GENERATORS = 16
-
-
-def _dot(a, b):
-  return sum(x * y for x, y in zip(a, b))
-
-
-def _neg(v):
-  return tuple(-x for x in v)
 
 
 @dataclass(frozen=True)

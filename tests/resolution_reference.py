@@ -1,0 +1,81 @@
+"""Test-only reference code for the rank-2 resolution of logfan.fan.
+
+The library decides smoothness by the gcd of maximal minors and resolves a
+rank-2 fan by testing each new cone once.  This module keeps the earlier
+code as a differential oracle: smoothness by a rank check plus the Smith
+normal form of the ray matrix, and a resolution loop that re-tests every
+maximal cone after each inserted ray.  It also draws the singular rank-2
+fans of acceptance criterion 11.
+"""
+
+import math
+
+from logfan.cone import Cone, _rank_small, hilbert_basis
+from logfan.fan import Fan, _insert_ray_2d, complete_2d
+from logfan.lattice import IntMatrix, snf
+
+
+def reference_is_smooth(sigma: Cone) -> bool:
+  """Whether the rays extend to a basis of the ambient lattice.
+
+  True iff the rays are linearly independent and the Smith form of the ray
+  matrix has all invariant factors 1.  The zero cone is smooth.
+  """
+  if not sigma.is_strictly_convex:
+    raise ValueError("smoothness is defined here for strictly convex cones")
+  if sigma.is_zero:
+    return True
+  rows = [list(r) for r in sigma.rays]
+  if _rank_small(rows, sigma.ambient_rank) != len(rows):
+    return False
+  D, _, _ = snf(IntMatrix.from_rows(rows))
+  return all(D.entry(i, i) == 1 for i in range(len(rows)))
+
+
+def reference_resolve_2d(fan: Fan) -> tuple[Fan, list]:
+  """The resolution loop that re-tests every maximal cone after each
+  inserted ray, and takes the first singular 2-cone in max_cones order."""
+  if fan.ambient_rank != 2:
+    raise ValueError("resolution rule is specific to rank 2")
+  cur = fan
+  steps = []
+  while True:
+    bad = [c for c in cur.max_cones
+           if c.dim == 2 and not reference_is_smooth(c)]
+    if not bad:
+      return cur, steps
+    c = bad[0]
+    extra = sorted(h for h in hilbert_basis(c) if h not in c.rays)
+    assert extra, "singular rank-2 cone with no interior Hilbert element"
+    cur = _insert_ray_2d(cur, extra[0])
+    steps.append(extra[0])
+
+
+def criterion_11_fans(rng, count):
+  """Singular rank-2 fans drawn as acceptance criterion 11 draws them:
+  two cones on four random primitive rays, every other fan completed."""
+  out = []
+  while len(out) < count:
+    rays = set()
+    while len(rays) < 4:
+      v = (rng.randint(-9, 9), rng.randint(-9, 9))
+      if v == (0, 0):
+        continue
+      g = math.gcd(abs(v[0]), abs(v[1]))
+      rays.add((v[0] // g, v[1] // g))
+    ordered = sorted(rays, key=lambda r: math.atan2(r[1], r[0]))
+    cones = [Cone.from_rays(ordered[:2], 2), Cone.from_rays(ordered[2:], 2)]
+    if any(not c.is_strictly_convex for c in cones):
+      continue
+    fan = Fan.make(cones, 2)
+    if len(fan.max_cones) != 2:
+      continue
+    if len(out) % 2 == 0:
+      try:
+        fan = complete_2d(fan)
+      except ValueError:
+        continue
+    if all(reference_is_smooth(c) for c in fan.max_cones):
+      continue
+    out.append(fan)
+  return out

@@ -8,11 +8,11 @@ the support, on the gallery's fans and on seeded complete and incomplete
 fans of ranks 2 to 4.
 """
 
-import math
 import random
 
 from covering_reference import reference_subdivision_predicates, sampled_completeness
-from logfan.cone import Cone, is_smooth
+from resolution_reference import criterion_11_fans
+from logfan.cone import Cone
 from logfan.fan import (
     Fan,
     _insert_ray_2d,
@@ -60,35 +60,6 @@ def _drop_one(rng, fan):
   return Fan.make(cones, fan.ambient_rank)
 
 
-def _criterion_11_fans(rng, count):
-  """Singular rank-2 fans drawn as acceptance criterion 11 draws them."""
-  out = []
-  while len(out) < count:
-    rays = set()
-    while len(rays) < 4:
-      v = (rng.randint(-9, 9), rng.randint(-9, 9))
-      if v == (0, 0):
-        continue
-      g = math.gcd(abs(v[0]), abs(v[1]))
-      rays.add((v[0] // g, v[1] // g))
-    ordered = sorted(rays, key=lambda r: math.atan2(r[1], r[0]))
-    cones = [Cone.from_rays(ordered[:2], 2), Cone.from_rays(ordered[2:], 2)]
-    if any(not c.is_strictly_convex for c in cones):
-      continue
-    fan = Fan.make(cones, 2)
-    if len(fan.max_cones) != 2:
-      continue
-    if len(out) % 2 == 0:
-      try:
-        fan = complete_2d(fan)
-      except ValueError:
-        continue
-    if all(is_smooth(c) for c in fan.max_cones):
-      continue
-    out.append(fan)
-  return out
-
-
 def _differential_pairs():
   rng = random.Random(20)
   pairs = []
@@ -96,7 +67,7 @@ def _differential_pairs():
     for _, src, dst in case.fixtures.get("subdivisions", []):
       if src.ambient_rank in (2, 3):
         pairs += [(src, dst), (dst, src)]
-  for fan in _criterion_11_fans(rng, 12):
+  for fan in criterion_11_fans(rng, 12):
     resolved, steps = resolve_2d(fan)
     pairs += [(resolved, fan), (fan, resolved)]
     cur = fan

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logfan.cone import Cone, intersect
+from logfan.cone import faces as cone_faces
 from logfan.fan import (
     Fan,
     FanMap,
@@ -54,6 +55,24 @@ def test_make_drops_non_maximal_cones():
   f = Fan.make([cone2((1, 0)), cone2((1, 0), (0, 1))], 2)
   assert f == ORTHANT
   assert len(f.max_cones) == 1
+  # a cone inside another of the same dimension goes, whichever comes
+  # first, and so does one inside a cone with lineality
+  inner = cone2((1, 0), (1, 1))
+  assert Fan.make([inner, ORTHANT.max_cones[0]], 2) == ORTHANT
+  assert Fan.make([ORTHANT.max_cones[0], inner], 2) == ORTHANT
+  half = cone2((1, 0), (0, 1), (0, -1))
+  assert Fan.make([inner, half, cone2((0, -1))], 2).max_cones == (half,)
+
+
+def test_make_collapses_duplicates_and_ignores_order():
+  cones = [c for m in P2.max_cones for c in cone_faces(m)] + list(P2.max_cones)
+  assert Fan.make(cones + cones, 2) == P2
+  rng = random.Random(4)
+  for _ in range(5):
+    rng.shuffle(cones)
+    f = Fan.make(cones, 2)
+    assert f == P2
+    assert f.max_cones == P2.max_cones
 
 
 def test_make_of_nothing_is_the_zero_fan():
@@ -233,6 +252,22 @@ TILING_CASES = {
 def test_wall_test_on_hand_made_configurations(name):
   pieces, container, tiles = TILING_CASES[name]
   assert _tiles(pieces, container) is tiles
+
+
+def test_subdivision_predicates_above_rank_four():
+  lines5 = product_fan(product_fan(P1XP1, P1XP1), P1)
+  assert lines5.ambient_rank == 5
+  assert support_query(lines5).is_complete
+  I5 = IntMatrix.identity(5)
+  ps = subdivision_predicates(I5, lines5, lines5)
+  assert (ps.is_partial_subdivision, ps.is_subdivision) == (True, True)
+  tau = Cone.from_rays([(1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)], 5)
+  star = star_subdivision(lines5, tau)
+  assert len(star.max_cones) == len(lines5.max_cones) + 8
+  ps = subdivision_predicates(I5, star, lines5)
+  assert (ps.is_partial_subdivision, ps.is_subdivision) == (True, True)
+  with pytest.raises(ValueError):
+    subdivision_predicates(I5, lines5, star)
 
 
 def test_subdivision_requires_fan_map():

@@ -1,27 +1,5 @@
-"""Build script. The compiled kernel is optional: when Cython or a C compiler
-is unavailable the package installs anyway and falls back to the pure-Python
-kernels at import time."""
-
-import sys
+"""Build script; the package is pure Python."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/logfan/_speed.pyx"],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except Exception as exc:  # pragma: no cover - depends on build environment
-    sys.stderr.write(
-        "logfan: skipping compiled kernels (%s); pure-Python fallback will be used\n" % exc
-    )
-
-setup(ext_modules=ext_modules)
+setup()

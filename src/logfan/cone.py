@@ -3,8 +3,12 @@
 A cone is stored canonically: primitive extreme rays (sorted), a Hermite
 basis of its lineality space (empty when strictly convex), plus derived facet
 normals and span normals that cut the cone out of its linear span.  All
-computations are integer-exact; extreme rays come from exhaustive active-set
-enumeration, which is why ambient ranks are capped at desk scale.
+computations are integer-exact, and each enumeration makes only the objects
+of its answer: rays and facets convert into each other by double
+description, faces come from closing the facets' ray sets under
+intersection, and Hilbert-basis candidates from the group of the lattice
+modulo the rays of each simplicial piece.  Hilbert bases have a work budget,
+MAX_HILBERT_INDEX.
 """
 
 from __future__ import annotations
@@ -16,11 +20,17 @@ from math import gcd
 from operator import mul
 from types import SimpleNamespace
 
-from . import _kernels
 from .lattice import IntMatrix, det, kernel_basis, primitive
 
 MAX_DUAL_RANK = 4
 MAX_AMBIENT_RANK = 6
+# hilbert_basis refuses a cone whose simplicial pieces have a total index
+# (|det| per piece, in the span lattice) above this: the index is the number
+# of candidate points, and reducing them takes up to one containment test per
+# candidate and basis element.  The largest total index met in the test
+# suite, the gallery and the three benchmark workloads is 145; at 1 927 a
+# rank-3 cone with 986 basis elements takes 1.4 s.
+MAX_HILBERT_INDEX = 2000
 
 
 def _dot(a, b):
@@ -97,34 +107,95 @@ def _rank_small(rows, d):
   return r
 
 
+def _independent(echelon, row) -> bool:
+  """Add row to the echelon rows when it is independent of them.
+
+  echelon is a list of (pivot column, row), each row zero at the pivot
+  columns of the rows before it; reducing in that order leaves a new row
+  zero at every pivot column, so it is independent iff something remains.
+  """
+  row = list(row)
+  for c, p in echelon:
+    x = row[c]
+    if x:
+      row = [a * p[c] - b * x for a, b in zip(row, p)]
+  for c, x in enumerate(row):
+    if x:
+      echelon.append((c, row))
+      return True
+  return False
+
+
 def _pointed_extreme_rays(ineqs, eqs, d):
   """Extreme rays and lineality of {x : ineqs.x >= 0, eqs.x == 0}.
 
   Returns (rays, lineality_basis): the rays are the primitive extreme rays of
   the cone intersected with the orthogonal complement of its lineality space,
   sorted; the lineality basis is the Hermite basis of the saturated lineality
-  lattice.  Exhaustive over active sets, so intended for desk-scale d.
+  lattice.
+
+  Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  Inside
+  W = {x : eqs.x == 0, x orthogonal to the lineality}, of dimension m, the
+  inequalities have rank m.  The first m independent ones cut out a
+  simplicial cone (m kernel solves); every other inequality a then keeps the
+  rays with a.x >= 0 and adds primitive((a.p) q - (a.q) p) for each adjacent
+  pair with a.p > 0 > a.q.  Each ray carries its zero set over the rows
+  processed so far as an int bitset; p and q are adjacent iff their common
+  zero set Z has at least m - 2 rows and lies in the zero set of no third
+  ray, since Z cuts out the smallest face holding both.
   """
-  ineqs = [list(r) for r in ineqs]
-  lin = _kernel_canonical(list(ineqs) + [list(e) for e in eqs], d)
-  eqs2 = [list(e) for e in eqs] + [list(b) for b in lin]
-  re = _rank_small(eqs2, d)
-  size = d - 1 - re
-  if size < 0 or size > len(ineqs):
+  ineqs = list(ineqs)
+  lin = _kernel_canonical(ineqs + list(eqs), d)
+  eqs2 = list(eqs) + lin
+  echelon = []
+  for e in eqs2:
+    _independent(echelon, e)
+  start = []
+  for i, a in enumerate(ineqs):
+    if len(echelon) == d:
+      break
+    if _independent(echelon, a):
+      start.append(i)
+  m = len(start)
+  if m == 0:
     return [], lin
-  found = set()
-  for sub in itertools.combinations(range(len(ineqs)), size):
-    stack = eqs2 + [ineqs[i] for i in sub]
-    ker = _kernel_small(stack, d)
-    if len(ker) != 1:
+  rays = []
+  zeros = []
+  all_start = sum(1 << i for i in start)
+  for i in start:
+    v = _kernel_small(eqs2 + [ineqs[j] for j in start if j != i], d)[0]
+    rays.append(tuple(v) if _dot(ineqs[i], v) > 0 else _neg(v))
+    zeros.append(all_start & ~(1 << i))
+  done = set(start)
+  for i, a in enumerate(ineqs):
+    if i in done:
       continue
-    v = ker[0]
-    evals = [_dot(row, v) for row in ineqs]
-    if all(e >= 0 for e in evals):
-      found.add(tuple(v))
-    elif all(e <= 0 for e in evals):
-      found.add(_neg(v))
-  return sorted(found), lin
+    bit = 1 << i
+    vals = [_dot(a, r) for r in rays]
+    neg = [j for j, s in enumerate(vals) if s < 0]
+    if not neg:
+      zeros = [z | bit if s == 0 else z for z, s in zip(zeros, vals)]
+      continue
+    pos = [j for j, s in enumerate(vals) if s > 0]
+    new_rays = []
+    new_zeros = []
+    for p in pos:
+      for q in neg:
+        z = zeros[p] & zeros[q]
+        if z.bit_count() < m - 2:
+          continue
+        if any(zeros[t] & z == z for t in range(len(rays)) if t != p and t != q):
+          continue
+        sp, sq = vals[p], vals[q]
+        new_rays.append(primitive([sp * y - sq * x
+                                   for x, y in zip(rays[p], rays[q])]))
+        new_zeros.append(z | bit)
+    for j, s in enumerate(vals):
+      if s >= 0:
+        new_rays.append(rays[j])
+        new_zeros.append(zeros[j] | bit if s == 0 else zeros[j])
+    rays, zeros = new_rays, new_zeros
+  return sorted(rays), lin
 
 
 @dataclass(frozen=True)
@@ -235,10 +306,10 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
     for i in range(len(gens)):
       rest = [gen_rows[j] for j in range(len(gens)) if j != i]
       ker = _kernel_small(rest + [list(s) for s in span_normals], d)
-      assert len(ker) == 1
+      e = _dot(ker[0], gens[i]) if len(ker) == 1 else 0
+      if e == 0:
+        raise RuntimeError("no facet normal opposite generator %s" % (gens[i],))
       nu = ker[0]
-      e = _dot(nu, gens[i])
-      assert e != 0
       if e < 0:
         nu = [-x for x in nu]
       normals.append(tuple(nu))
@@ -246,7 +317,8 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
                 facet_normals=tuple(sorted(normals)),
                 span_normals=tuple(span_normals), _dim=len(gens))
   normals, dual_lin = _pointed_extreme_rays(gen_rows, [], d)
-  assert dual_lin == span_normals
+  if dual_lin != span_normals:
+    raise RuntimeError("dual lineality differs from the span normals")
   rays, lin = _pointed_extreme_rays(normals, span_normals, d)
   dim = _rank_small([list(r) for r in rays] + [list(b) for b in lin], d)
   return Cone(ambient_rank=d, rays=tuple(rays), lineality_basis=tuple(lin),
@@ -305,44 +377,94 @@ def _simplicial_pieces(sigma: Cone):
       yield (r0,) + piece
 
 
-def _parallelepiped_points(rays, d, force=None):
-  """Nonzero lattice points of the half-open box sum(t_i * r_i), t in [0,1)."""
-  k = len(rays)
-  mat = [[rays[j][i] for j in range(k)] for i in range(d)]  # columns are rays
-  sub = []
-  chosen = []
-  for i in range(d):
-    if _rank_small(chosen + [mat[i]], k) > len(sub):
-      sub.append(i)
-      chosen.append(mat[i])
-    if len(sub) == k:
-      break
-  assert len(sub) == k
-  sq = [mat[i] for i in sub]
-  dd = det(IntMatrix.from_rows(sq))
-  adj = _adjugate(sq)
+def _span_coordinates(sigma: Cone) -> dict:
+  """Coordinates of each ray of sigma in a basis of its span lattice.
+
+  The span lattice is the integer kernel of the span normals; its Hermite
+  basis is echelon, so every ray is solved for by one pass over the pivots.
+  A full-dimensional cone keeps its rays as coordinates.
+  """
+  if not sigma.span_normals:
+    return {r: r for r in sigma.rays}
+  basis = kernel_basis(IntMatrix.from_rows([list(s) for s in sigma.span_normals]))
+  pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+  out = {}
+  for r in sigma.rays:
+    rem = list(r)
+    coords = []
+    for b, p in zip(basis, pivots):
+      c = rem[p] // b[p]
+      coords.append(c)
+      rem = [x - c * y for x, y in zip(rem, b)]
+    if any(rem):
+      raise RuntimeError("ray %s is outside the span lattice" % (r,))
+    out[r] = tuple(coords)
+  return out
+
+
+def _subgroup(gens, n: int) -> list:
+  """Elements of the subgroup of (Z/n)^k generated by gens, zero first.
+
+  Coset closure: with H the group of the generators so far, adding g gives
+  the disjoint union of H + j*g for 0 <= j < o, where o is the least j > 0
+  with j*g in H.  Every element is made exactly once.
+  """
+  k = len(gens)
+  elems = [(0,) * k]
+  seen = {elems[0]}
+  for g in gens:
+    g = tuple(x % n for x in g)
+    base = list(elems)
+    step = g
+    while step not in seen:
+      for h in base:
+        e = tuple((x + y) % n for x, y in zip(h, step))
+        seen.add(e)
+        elems.append(e)
+      step = tuple((x + y) % n for x, y in zip(step, g))
+  return elems
+
+
+def _parallelepiped_points(rays, coords) -> list:
+  """Nonzero lattice points of the half-open box sum(t_i * r_i), t in [0,1).
+
+  rays are k independent vectors and coords their coordinates in a basis of
+  the lattice of their span, the rows of a k x k matrix R with D = |det R|.
+  A lattice point x = t R has t = x adj(R) / det(R), so with the sign of
+  det(R) folded into adj the points are a R / D, where a runs over the
+  subgroup of (Z/D)^k generated by the rows of adj: exactly D points, the
+  zero point among them, found without a bounding box.
+
+  Raises:
+    ValueError: if the rays are dependent.
+  """
+  k = len(coords)
+  adj = _adjugate(coords)
+  dd = sum(coords[0][j] * adj[j][0] for j in range(k))
+  if dd == 0:
+    raise ValueError("parallelepiped rays %s are dependent" % (list(rays),))
   if dd < 0:
     dd = -dd
     adj = [[-x for x in row] for row in adj]
-  lo = [sum(min(0, mat[i][j]) for j in range(k)) for i in range(d)]
-  hi = [sum(max(0, mat[i][j]) for j in range(k)) for i in range(d)]
-  flat_adj = [x for row in adj for x in row]
-  flat_mat = [x for row in mat for x in row]
-  pts = _kernels.parallelepiped_points(lo, hi, sub, flat_adj, dd, flat_mat, d, k,
-                                       force=force)
-  return [p for p in pts if any(p)]
+  cols = list(zip(*rays))
+  return [tuple(_dot(c, a) // dd for c in cols)
+          for a in _subgroup(adj, dd)[1:]]
 
 
-def hilbert_basis(sigma: Cone, force_kernel=None) -> list:
+def hilbert_basis(sigma: Cone) -> list:
   """Unique minimal generating set of the monoid of lattice points of sigma.
 
-  Args:
-    sigma: a strictly convex cone.
-    force_kernel: optional "py"/"c" to pin the enumeration kernel (used by
-      the benchmark; normal callers leave it None).
+  The candidates are the rays and the lattice points of the parallelepipeds
+  of a triangulation, enumerated per simplicial piece as the group of the
+  span lattice modulo the piece's rays (Bruns & Koch 2001); the basis is
+  the candidates that are not sums of two nonzero lattice points of sigma,
+  decided in order of grading against the basis found so far.  The
+  work is the total index of the pieces (|det| each, in the span lattice),
+  which is checked against MAX_HILBERT_INDEX before anything is enumerated.
 
   Raises:
-    ValueError: if the cone has lineality or the ambient rank is too large.
+    ValueError: if the cone has lineality, the ambient rank is too large or
+      the total index of the pieces is above MAX_HILBERT_INDEX.
   """
   if not sigma.is_strictly_convex:
     raise ValueError("Hilbert basis requires a strictly convex cone")
@@ -350,14 +472,21 @@ def hilbert_basis(sigma: Cone, force_kernel=None) -> list:
     raise ValueError("Hilbert basis capped at ambient rank %d" % MAX_AMBIENT_RANK)
   if sigma.is_zero:
     return []
+  coords = _span_coordinates(sigma)
+  pieces = [(piece, [coords[r] for r in piece])
+            for piece in _simplicial_pieces(sigma)]
+  index = sum(abs(det(IntMatrix.from_rows(c))) for _, c in pieces)
+  if index > MAX_HILBERT_INDEX:
+    raise ValueError("Hilbert basis capped at a total simplicial index of %d; "
+                     "this cone needs %d" % (MAX_HILBERT_INDEX, index))
   candidates = set(sigma.rays)
-  for piece in _simplicial_pieces(sigma):
-    candidates.update(_parallelepiped_points(piece, sigma.ambient_rank,
-                                             force=force_kernel))
+  for piece, c in pieces:
+    candidates.update(_parallelepiped_points(piece, c))
   grade = {}
   for x in candidates:
     grade[x] = sum(_dot(nu, x) for nu in sigma.facet_normals)
-    assert grade[x] > 0
+    if grade[x] <= 0:
+      raise RuntimeError("candidate %s has grading %d" % (x, grade[x]))
   basis = []
   for x in sorted(candidates, key=lambda v: (grade[v], v)):
     if not _representable(x, basis, grade, grade[x], sigma):
@@ -366,47 +495,46 @@ def hilbert_basis(sigma: Cone, force_kernel=None) -> list:
 
 
 def _representable(x, elems, grade, gx, sigma):
-  """Whether x is a nonnegative integer combination of the elements of
-  strictly smaller grading."""
-  usable = [e for e in elems if grade[e] < gx]
-  memo = {}
+  """Whether x is a sum of two nonzero lattice points of sigma.
 
-  def rec(v):
-    if not any(v):
-      return True
-    if v in memo:
-      return memo[v]
-    ok = False
-    for e in usable:
-      w = tuple(a - b for a, b in zip(v, e))
-      if sigma.contains(w) and rec(w):
-        ok = True
-        break
-    memo[v] = ok
-    return ok
-
-  return rec(x)
+  elems holds every Hilbert-basis element of grading below gx, so every
+  lattice point of sigma of grading below gx is a sum of them; hence x is
+  such a sum iff x - e lies in sigma for one of them.
+  """
+  return any(sigma.contains(tuple(a - b for a, b in zip(x, e)))
+             for e in elems if grade[e] < gx)
 
 
 def faces(sigma: Cone) -> list:
   """All faces of the cone, including the minimal face and the cone itself.
 
-  Sorted by (dimension, rays) so the output is deterministic.
+  A face's rays are those of the whole cone cut by some set of facets, so
+  the ray sets of the faces are the full set closed under intersection with
+  each facet's vanishing set (Kaibel & Pfetsch 2002); the sets are int
+  bitsets over the rays, and each closed set makes one cone.  Sorted by
+  (dimension, rays) so the output is deterministic.
   """
-  out = {}
-  n = len(sigma.facet_normals)
+  rays = sigma.rays
   lin_gens = []
   for b in sigma.lineality_basis:
     lin_gens.append(b)
     lin_gens.append(_neg(b))
-  for r in range(n + 1):
-    for js in itertools.combinations(range(n), r):
-      sel = [sigma.facet_normals[j] for j in js]
-      keep = [ray for ray in sigma.rays
-              if all(_dot(nu, ray) == 0 for nu in sel)]
-      f = Cone.from_rays(list(keep) + lin_gens, sigma.ambient_rank)
-      out[(f.rays, f.lineality_basis)] = f
-  return sorted(out.values(), key=lambda c: (c.dim, c.rays))
+  facet_sets = {sum(1 << j for j, r in enumerate(rays) if _dot(nu, r) == 0)
+                for nu in sigma.facet_normals}
+  full = (1 << len(rays)) - 1
+  closed = {full}
+  todo = [full]
+  while todo:
+    x = todo.pop()
+    for v in facet_sets:
+      y = x & v
+      if y not in closed:
+        closed.add(y)
+        todo.append(y)
+  out = [Cone.from_rays([r for j, r in enumerate(rays) if y >> j & 1] + lin_gens,
+                        sigma.ambient_rank)
+         for y in closed]
+  return sorted(out, key=lambda c: (c.dim, c.rays))
 
 
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:

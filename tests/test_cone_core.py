@@ -1,0 +1,304 @@
+"""The output-sensitive cone enumerations against their exhaustive oracles.
+
+Conversion (double description), faces (incidence closure) and
+parallelepiped points (group enumeration) are compared with the earlier
+exhaustive code kept in cone_reference.py, on seeded inputs.  Work-count
+guards check, without timing, that each enumeration makes only the objects
+of its answer; the Hilbert-basis budget and the behaviour under python -O
+are checked last.
+"""
+
+import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import time
+
+import pytest
+
+import logfan
+from logfan import cone as cone_module
+from logfan.cli import execute
+from logfan.cone import (
+    MAX_HILBERT_INDEX,
+    Cone,
+    _dot,
+    _parallelepiped_points,
+    _pointed_extreme_rays,
+    _simplicial_pieces,
+    _span_coordinates,
+    faces,
+    hilbert_basis,
+)
+from logfan.lattice import IntMatrix, det
+
+from cone_reference import (
+    reference_faces,
+    reference_hilbert_basis,
+    reference_parallelepiped_points,
+    reference_pointed_extreme_rays,
+)
+from resolution_reference import criterion_11_fans
+
+# a rank-5 cone with 13 rays and 40 facets, and the cone over the cyclic
+# polytope C(8, 4)
+REACH_13_RAYS = [
+    (1, -3, -2, -2, 1), (1, -3, -1, -2, 0), (1, -3, 2, 2, 2),
+    (1, -2, -2, -3, -2), (1, -2, 1, -3, 0), (1, -2, 3, 2, -2),
+    (1, -1, 1, 1, 3), (1, 0, -2, 1, 3), (1, 0, 1, 2, -2), (1, 1, 1, 2, 0),
+    (1, 2, 2, -3, 0), (1, 3, 0, -1, 2), (1, 3, 2, -1, 2),
+]
+CYCLIC_8 = [(1, t, t * t, t ** 3, t ** 4) for t in range(8)]
+# simplicial, |det| = 97 * 101 * 103 * 107, about 1.08e8
+DET_1E8 = [(1, 0, 0, 0, 0), (1, 97, 0, 0, 0), (1, 5, 101, 0, 0),
+           (1, 3, 7, 103, 0), (1, 2, 9, 11, 107)]
+
+
+def _vec(rng, d, lo=-3, hi=3):
+  return [rng.randint(lo, hi) for _ in range(d)]
+
+
+def _random_system(rng, d, kind):
+  """Inequalities and equations of one of the kinds the conversion meets."""
+  rows = [_vec(rng, d) for _ in range(rng.randint(d, d + 4))]
+  eqs = []
+  if kind == "halfspace":
+    # small rows in an open half-space: a pointed cone with many rays, and
+    # degenerate, so that some pairs of rays share d - 3 zero rows yet are
+    # not adjacent
+    rows = [[1] + _vec(rng, d - 1, -1, 1) for _ in range(rng.randint(d + 2, d + 6))]
+  elif kind == "equations":
+    eqs = [_vec(rng, d, -2, 2) for _ in range(rng.randint(1, d))]
+  elif kind == "lineality":
+    line = _vec(rng, d, -2, 2)
+    ll = _dot(line, line)
+    if ll:
+      rows = [[x * ll - _dot(r, line) * y for x, y in zip(r, line)]
+              for r in rows]
+  elif kind == "redundant":
+    rows += [[a + b for a, b in zip(rows[0], rows[1])], list(rows[0]),
+             [2 * x for x in rows[1]], [0] * d]
+  elif kind == "contradictory":
+    rows += [[-x for x in rows[0]], [-a - b for a, b in zip(rows[1], rows[-1])]]
+  elif kind == "zero":
+    rows = [[int(i == j) for j in range(d)] for i in range(d)] + [[-1] * d]
+  return rows, eqs
+
+
+KINDS = ["plain", "halfspace", "equations", "lineality", "redundant",
+         "contradictory", "zero"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_conversion_matches_exhaustive_reference(d):
+  rng = random.Random(100 + d)
+  for n in range(60):
+    rows, eqs = _random_system(rng, d, KINDS[n % len(KINDS)])
+    assert (_pointed_extreme_rays(rows, eqs, d)
+            == reference_pointed_extreme_rays(rows, eqs, d)), (rows, eqs)
+
+
+def test_conversion_of_the_zero_cone_and_of_no_constraints():
+  for d in (1, 3, 5):
+    assert _pointed_extreme_rays([], [], d) == reference_pointed_extreme_rays([], [], d)
+    rows, _ = _random_system(random.Random(d), d, "zero")
+    rays, lin = _pointed_extreme_rays(rows, [], d)
+    assert rays == [] and lin == []
+
+
+def _random_gens(rng, d):
+  lo, hi = (-1, 2) if d >= 4 else (-3, 3)
+  return [_vec(rng, d, lo, hi) for _ in range(rng.randint(1, d + 3))]
+
+
+def _check_pieces(sigma):
+  """Parallelepiped points of every piece, and the Hilbert basis."""
+  coords = _span_coordinates(sigma)
+  for piece in _simplicial_pieces(sigma):
+    got = _parallelepiped_points(piece, [coords[r] for r in piece])
+    assert sorted(got) == sorted(
+        reference_parallelepiped_points(piece, sigma.ambient_rank)), piece
+  assert hilbert_basis(sigma) == reference_hilbert_basis(sigma)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_from_rays_faces_and_pieces_match_references(d):
+  rng = random.Random(200 + d)
+  for _ in range(25):
+    gens = _random_gens(rng, d)
+    sigma = Cone.from_rays(gens, d)
+    if math.comb(len(sigma.facet_normals), d - 1) > 3000:
+      continue  # keeps the exhaustive second conversion small
+    normals, span = reference_pointed_extreme_rays(gens, [], d)
+    rays, lin = reference_pointed_extreme_rays(normals, span, d)
+    assert sigma.rays == tuple(rays) and sigma.lineality_basis == tuple(lin)
+    assert sorted(sigma.facet_normals) == normals
+    assert list(sigma.span_normals) == span
+    assert faces(sigma) == reference_faces(sigma)
+    if sigma.is_strictly_convex and not sigma.is_zero:
+      _check_pieces(sigma)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pieces_of_cones_that_are_not_full_dimensional(d):
+  rng = random.Random(300 + d)
+  seen = 0
+  while seen < 20:
+    k = rng.randint(1, d - 1)
+    basis = [_vec(rng, d, -1, 1) for _ in range(k)]
+    gens = [[sum(rng.randint(0, 1) * b[i] for b in basis) for i in range(d)]
+            for _ in range(k + rng.randint(0, 2))]
+    sigma = Cone.from_rays(gens, d)
+    if sigma.is_zero or not sigma.is_strictly_convex or sigma.dim == d:
+      continue
+    seen += 1
+    _check_pieces(sigma)
+    assert faces(sigma) == reference_faces(sigma)
+
+
+def test_criterion_11_cones_match_references():
+  for fan in criterion_11_fans(random.Random(11), 20):
+    for sigma in fan.max_cones:
+      assert faces(sigma) == reference_faces(sigma)
+      _check_pieces(sigma)
+      gens = list(sigma.rays)
+      assert (_pointed_extreme_rays(gens, [], 2)
+              == reference_pointed_extreme_rays(gens, [], 2))
+
+
+def test_hilbert_basis_of_a_cone_with_a_long_reduction_chain():
+  # 999 steps of (1, 1) lead from (999, 1000) towards (0, 1), outside the
+  # cone: a search that recursed once per step would run out of stack
+  sigma = Cone.from_rays([(1, 0), (999, 1000)], 2)
+  assert hilbert_basis(sigma) == [(1, 0), (1, 1), (999, 1000)]
+
+
+# ------------------------------------------------------------ work counts
+
+def _count_calls(monkeypatch, owner, name, static=False):
+  calls = []
+  orig = getattr(owner, name)
+
+  def counted(*args, **kwargs):
+    calls.append(1)
+    return orig(*args, **kwargs)
+
+  monkeypatch.setattr(owner, name, staticmethod(counted) if static else counted)
+  return calls
+
+
+@pytest.mark.parametrize("rays", [REACH_13_RAYS, CYCLIC_8],
+                         ids=["13-ray-40-facet", "cyclic-8"])
+def test_one_conversion_solves_at_most_d_kernels(monkeypatch, rays):
+  sigma = Cone.from_rays(rays, 5)
+  calls = _count_calls(monkeypatch, cone_module, "_kernel_small")
+  for ineqs, eqs in [(rays, []), (sigma.facet_normals, sigma.span_normals)]:
+    del calls[:]
+    _pointed_extreme_rays(ineqs, eqs, 5)
+    assert 0 < len(calls) <= 5
+  rng = random.Random(7)
+  for n in range(30):
+    d = 2 + n % 4
+    rows, eqs = _random_system(rng, d, KINDS[n % len(KINDS)])
+    del calls[:]
+    _pointed_extreme_rays(rows, eqs, d)
+    assert len(calls) <= d
+
+
+def test_reach_cones_convert_and_list_faces():
+  sigma = Cone.from_rays(REACH_13_RAYS, 5)
+  assert len(sigma.rays) == 13 and len(sigma.facet_normals) == 40
+  cyclic = Cone.from_rays(CYCLIC_8, 5)
+  # f-vector of C(8, 4) is (8, 28, 40, 20), plus the apex and the cone
+  assert len(faces(cyclic)) == 1 + 8 + 28 + 40 + 20 + 1
+
+
+@pytest.mark.parametrize("gens", [
+    CYCLIC_8,
+    REACH_13_RAYS,
+    [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1, 1), (0, 1, 2)],
+    [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 1)],
+], ids=["cyclic-8", "13-ray", "lineality-3", "lineality-4"])
+def test_faces_builds_one_cone_per_face(monkeypatch, gens):
+  sigma = Cone.from_rays(gens, len(gens[0]))
+  calls = _count_calls(monkeypatch, Cone, "from_rays", static=True)
+  out = faces(sigma)
+  assert len(calls) <= len(out)
+
+
+def test_enumeration_yields_index_minus_one_points_per_piece():
+  rng = random.Random(5)
+  checked = 0
+  while checked < 60:
+    d = rng.randint(2, 5)
+    sigma = Cone.from_rays([_vec(rng, d, -4, 4) for _ in range(rng.randint(1, d))], d)
+    if not sigma.is_strictly_convex or sigma.is_zero:
+      continue
+    checked += 1
+    coords = _span_coordinates(sigma)
+    for piece in _simplicial_pieces(sigma):
+      rows = [coords[r] for r in piece]
+      pts = _parallelepiped_points(piece, rows)
+      assert len(pts) == abs(det(IntMatrix.from_rows(rows))) - 1
+      assert len(set(pts)) == len(pts) and all(any(p) for p in pts)
+
+
+# ------------------------------------------------------------- budget, -O
+
+def test_hilbert_budget_refuses_the_det_1e8_cone_quickly():
+  sigma = Cone.from_rays(DET_1E8, 5)
+  t0 = time.perf_counter()
+  with pytest.raises(ValueError, match="capped at a total simplicial index of %d"
+                     % MAX_HILBERT_INDEX):
+    hilbert_basis(sigma)
+  assert time.perf_counter() - t0 < 1.0
+
+
+def test_hilbert_budget_adds_up_the_pieces():
+  n = MAX_HILBERT_INDEX // 2 + 1
+  # two simplicial pieces of index n each, together above the budget
+  square = Cone.from_rays([(1, 0, 0), (1, 1, 0), (1, 0, n), (1, 1, n)], 3)
+  with pytest.raises(ValueError, match="this cone needs %d" % (2 * n)):
+    hilbert_basis(square)
+  # a cone at the budget gets its answer
+  edge = Cone.from_rays([(1, 0), (1, MAX_HILBERT_INDEX)], 2)
+  assert hilbert_basis(edge) == [(1, k) for k in range(MAX_HILBERT_INDEX + 1)]
+
+
+def test_cli_exits_two_with_the_budget_message(capsys):
+  n = MAX_HILBERT_INDEX + 1
+  gens = "1,0;1,%d;1,1" % n
+  code = execute(["hom", "--src=" + gens, "--dst=" + gens, "--matrix=1,0;0,1"])
+  assert code == 2
+  assert ("Hilbert basis capped at a total simplicial index of %d; "
+          "this cone needs %d" % (MAX_HILBERT_INDEX, n)) in capsys.readouterr().err
+
+
+_O_SCRIPT = """
+from logfan.cone import Cone, faces, hilbert_basis
+for gens, d in [([(1, 0, 0), (1, 2, 0), (1, 1, 3), (1, 0, 2)], 3),
+                ([(1, 2, 0, 1), (0, 1, 1, 1), (2, 1, -1, 1)], 4),
+                ([(1, 0), (1, 5)], 2),
+                ([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 3)]:
+  c = Cone.from_rays(gens, d)
+  print([(f.rays, f.lineality_basis) for f in faces(c)])
+  if c.is_strictly_convex:
+    print(hilbert_basis(c))
+"""
+
+
+def test_faces_and_hilbert_basis_agree_under_optimize():
+  env = dict(os.environ)
+  src = str(pathlib.Path(logfan.__file__).parent.parent)
+  env["PYTHONPATH"] = os.pathsep.join(
+      p for p in (src, env.get("PYTHONPATH")) if p)
+  outs = []
+  for optimize in ([], ["-O"]):
+    proc = subprocess.run([sys.executable] + optimize + ["-c", _O_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    outs.append(proc.stdout)
+  assert outs[0] == outs[1]
+  assert outs[0].count("\n") == 7

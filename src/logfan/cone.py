@@ -7,7 +7,12 @@ computations are integer-exact, and each enumeration makes only the objects
 of its answer: rays and facets convert into each other by double
 description, faces come from closing the facets' ray sets under
 intersection, and Hilbert-basis candidates from the group of the lattice
-modulo the rays of each simplicial piece.  Hilbert bases have a work budget,
+modulo the rays of each simplicial piece.  The lattice work is only what
+the answer needs: a Hermite kernel (for span normals or lineality) is taken
+only when the rank shows the kernel is not {0}, each simplicial piece gets
+its adjugate and determinant from one fraction-free elimination, and the
+triangulation and the face test work on the rays' incidence bitsets without
+building a cone per face.  Hilbert bases have a work budget,
 MAX_HILBERT_INDEX.
 """
 
@@ -18,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from types import SimpleNamespace
 
 from .lattice import IntMatrix, det, kernel_basis, primitive
 
@@ -132,7 +136,9 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   Returns (rays, lineality_basis): the rays are the primitive extreme rays of
   the cone intersected with the orthogonal complement of its lineality space,
   sorted; the lineality basis is the Hermite basis of the saturated lineality
-  lattice.
+  lattice.  The lineality is the kernel of all the rows, so it is {0} when
+  the echelon of the equations and the inequalities reaches rank d, and only
+  otherwise is it computed as a Hermite kernel (_kernel_canonical).
 
   Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  Inside
   W = {x : eqs.x == 0, x orthogonal to the lineality}, of dimension m, the
@@ -145,10 +151,8 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   ray, since Z cuts out the smallest face holding both.
   """
   ineqs = list(ineqs)
-  lin = _kernel_canonical(ineqs + list(eqs), d)
-  eqs2 = list(eqs) + lin
   echelon = []
-  for e in eqs2:
+  for e in eqs:
     _independent(echelon, e)
   start = []
   for i, a in enumerate(ineqs):
@@ -156,6 +160,11 @@ def _pointed_extreme_rays(ineqs, eqs, d):
       break
     if _independent(echelon, a):
       start.append(i)
+  # The lineality is orthogonal to every row, so adding it to the echelon
+  # first would select the same start rows: its span meets the rows' span
+  # only in 0.
+  lin = [] if len(echelon) == d else _kernel_canonical(ineqs + list(eqs), d)
+  eqs2 = list(eqs) + lin
   m = len(start)
   if m == 0:
     return [], lin
@@ -298,9 +307,9 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
   if not gens:
     return _zero_cone(d)
   gen_rows = [list(g) for g in gens]
-  span_normals = _kernel_canonical(gen_rows, d)
-  span_dim = d - len(span_normals)
-  if _rank_small(gen_rows, d) == len(gens):
+  dim = _rank_small(gen_rows, d)
+  span_normals = _kernel_canonical(gen_rows, d) if dim < d else []
+  if dim == len(gens):
     # simplicial: every generator is extreme, facets drop one generator each
     normals = []
     for i in range(len(gens)):
@@ -320,7 +329,6 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
   if dual_lin != span_normals:
     raise RuntimeError("dual lineality differs from the span normals")
   rays, lin = _pointed_extreme_rays(normals, span_normals, d)
-  dim = _rank_small([list(r) for r in rays] + [list(b) for b in lin], d)
   return Cone(ambient_rank=d, rays=tuple(rays), lineality_basis=tuple(lin),
               facet_normals=tuple(normals), span_normals=tuple(span_normals),
               _dim=dim)
@@ -342,39 +350,68 @@ def dual_cone(sigma: Cone) -> Cone:
 
 
 def _adjugate(rows):
-  """Adjugate of a square integer matrix given as a list of rows."""
+  """Adjugate and determinant of a square integer matrix given as rows.
+
+  Returns (adj, det), adj as a list of rows, or (None, 0) for a singular
+  matrix.  One fraction-free Gauss-Jordan elimination (Bareiss 1968) on
+  [R | I]: every division by the previous pivot is exact, and at the end
+  the left block is det(PR) I and the right block adj(PR) = det(PR) (PR)^-1
+  for the row permutation P of the pivot swaps; folding P's sign into both
+  gives det(R) and adj(R).  A column with no nonzero pivot means det = 0.
+  """
   k = len(rows)
-  if k == 0:
-    return []
-  if k == 1:
-    return [[1]]
-  adj = [[0] * k for _ in range(k)]
-  for i in range(k):
-    for j in range(k):
-      minor = [[rows[r][c] for c in range(k) if c != j]
-               for r in range(k) if r != i]
-      cof = det(IntMatrix.from_rows(minor))
-      if (i + j) % 2:
-        cof = -cof
-      adj[j][i] = cof
-  return adj
+  w = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+  sign = 1
+  prev = 1
+  for c in range(k):
+    piv = next((i for i in range(c, k) if w[i][c]), None)
+    if piv is None:
+      return None, 0
+    if piv != c:
+      w[c], w[piv] = w[piv], w[c]
+      sign = -sign
+    p = w[c]
+    a = p[c]
+    for i in range(k):
+      if i != c:
+        b = w[i][c]
+        w[i] = [(x * a - y * b) // prev for x, y in zip(w[i], p)]
+    prev = a
+  return [[sign * x for x in row[k:]] for row in w], sign * prev
 
 
 def _simplicial_pieces(sigma: Cone):
   """Triangulate a strictly convex cone by fanning out from its first extreme
   ray.  Yields tuples of independent rays covering sigma without overlap of
-  interiors."""
-  if len(sigma.rays) == sigma.dim:
-    yield sigma.rays
-    return
-  r0 = sigma.rays[0]
-  for nu in sigma.facet_normals:
-    if _dot(nu, r0) == 0:
-      continue
-    facet_rays = [r for r in sigma.rays if _dot(nu, r) == 0]
-    facet = Cone.from_rays(facet_rays, sigma.ambient_rank)
-    for piece in _simplicial_pieces(facet):
-      yield (r0,) + piece
+  interiors.
+
+  The recursion runs on faces as int bitsets over sigma's rays.  The facets
+  of a face F are its maximal proper intersections with sigma's facet ray
+  sets (the sets that faces closes over): each is a face of F, and a facet
+  G of F is F cut by a facet of sigma that holds G but not F.  A face of
+  dimension k with k rays is simplicial; otherwise its first ray r0 is
+  coned over the pieces of each facet of F that misses r0.  No cone is
+  built per face.  The maximality test is needed from rank 6 on, where a
+  smaller intersection can have as many rays as a facet of F has dimension,
+  and would be taken for a simplicial piece.
+  """
+  rays = sigma.rays
+  facet_sets = [sum(1 << j for j, r in enumerate(rays) if _dot(nu, r) == 0)
+                for nu in sigma.facet_normals]
+
+  def pieces(face, dim):
+    if face.bit_count() == dim:
+      yield tuple(r for j, r in enumerate(rays) if face >> j & 1)
+      return
+    low = face & -face
+    cuts = {face & s for s in facet_sets} - {face}
+    for x in cuts:
+      if x & low or any(x != y and x & y == x for y in cuts):
+        continue
+      for piece in pieces(x, dim - 1):
+        yield (rays[low.bit_length() - 1],) + piece
+
+  yield from pieces((1 << len(rays)) - 1, sigma.dim)
 
 
 def _span_coordinates(sigma: Cone) -> dict:
@@ -425,22 +462,20 @@ def _subgroup(gens, n: int) -> list:
   return elems
 
 
-def _parallelepiped_points(rays, coords) -> list:
+def _parallelepiped_points(rays, adj, dd) -> list:
   """Nonzero lattice points of the half-open box sum(t_i * r_i), t in [0,1).
 
-  rays are k independent vectors and coords their coordinates in a basis of
-  the lattice of their span, the rows of a k x k matrix R with D = |det R|.
-  A lattice point x = t R has t = x adj(R) / det(R), so with the sign of
-  det(R) folded into adj the points are a R / D, where a runs over the
-  subgroup of (Z/D)^k generated by the rows of adj: exactly D points, the
-  zero point among them, found without a bounding box.
+  rays are k independent vectors; adj and dd are the adjugate and the
+  determinant (from _adjugate) of the k x k matrix R whose rows are their
+  coordinates in a basis of the lattice of their span.  A lattice point
+  x = t R has t = x adj(R) / det(R), so with the sign of det(R) folded into
+  adj the points are a R / D, D = |det R|, where a runs over the subgroup of
+  (Z/D)^k generated by the rows of adj: exactly D points, the zero point
+  among them, found without a bounding box.
 
   Raises:
-    ValueError: if the rays are dependent.
+    ValueError: if the rays are dependent (dd == 0).
   """
-  k = len(coords)
-  adj = _adjugate(coords)
-  dd = sum(coords[0][j] * adj[j][0] for j in range(k))
   if dd == 0:
     raise ValueError("parallelepiped rays %s are dependent" % (list(rays),))
   if dd < 0:
@@ -460,7 +495,8 @@ def hilbert_basis(sigma: Cone) -> list:
   the candidates that are not sums of two nonzero lattice points of sigma,
   decided in order of grading against the basis found so far.  The
   work is the total index of the pieces (|det| each, in the span lattice),
-  which is checked against MAX_HILBERT_INDEX before anything is enumerated.
+  which is checked against MAX_HILBERT_INDEX before anything is enumerated;
+  each piece's determinant is taken once, with its adjugate, for both.
 
   Raises:
     ValueError: if the cone has lineality, the ambient rank is too large or
@@ -473,15 +509,15 @@ def hilbert_basis(sigma: Cone) -> list:
   if sigma.is_zero:
     return []
   coords = _span_coordinates(sigma)
-  pieces = [(piece, [coords[r] for r in piece])
+  pieces = [(piece,) + _adjugate([coords[r] for r in piece])
             for piece in _simplicial_pieces(sigma)]
-  index = sum(abs(det(IntMatrix.from_rows(c))) for _, c in pieces)
+  index = sum(abs(dd) for _, _, dd in pieces)
   if index > MAX_HILBERT_INDEX:
     raise ValueError("Hilbert basis capped at a total simplicial index of %d; "
                      "this cone needs %d" % (MAX_HILBERT_INDEX, index))
   candidates = set(sigma.rays)
-  for piece, c in pieces:
-    candidates.update(_parallelepiped_points(piece, c))
+  for piece, adj, dd in pieces:
+    candidates.update(_parallelepiped_points(piece, adj, dd))
   grade = {}
   for x in candidates:
     grade[x] = sum(_dot(nu, x) for nu in sigma.facet_normals)
@@ -538,7 +574,14 @@ def faces(sigma: Cone) -> list:
 
 
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:
-  """Whether gamma is a face of the strictly convex cone sigma."""
+  """Whether gamma is a face of the strictly convex cone sigma.
+
+  The smallest face of sigma holding gamma's rays is cut out by the facets
+  that vanish on them, and its rays are the rays of sigma on those facets,
+  sorted.  gamma is that face iff its rays are exactly these: both cones
+  are strictly convex and every kept ray is an extreme ray of sigma, so no
+  cone needs to be built to compare them.
+  """
   if gamma.ambient_rank != sigma.ambient_rank:
     raise ValueError("ambient rank mismatch")
   if gamma.lineality_basis or sigma.lineality_basis:
@@ -548,7 +591,7 @@ def is_face_of(gamma: Cone, sigma: Cone) -> bool:
   cut = [nu for nu in sigma.facet_normals
          if all(_dot(nu, r) == 0 for r in gamma.rays)]
   keep = [r for r in sigma.rays if all(_dot(nu, r) == 0 for nu in cut)]
-  return Cone.from_rays(keep, sigma.ambient_rank) == gamma
+  return tuple(keep) == gamma.rays
 
 
 def intersect(sigma: Cone, tau: Cone) -> Cone:
@@ -588,8 +631,3 @@ def is_smooth(sigma: Cone) -> bool:
       return True
   return False
 
-
-def queries(sigma: Cone) -> SimpleNamespace:
-  """Bundle of the point-level queries on a cone."""
-  return SimpleNamespace(contains=sigma.contains, dim=sigma.dim,
-                         interior_point=sigma.interior_point())

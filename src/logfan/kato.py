@@ -54,7 +54,9 @@ def _gp_map(theta: MonoidHom) -> IntMatrix:
   for b in src:
     img = theta.gp_matrix.apply(list(b))
     coords = express_in_rows(dst, list(img))
-    assert coords is not None
+    if coords is None:
+      raise RuntimeError("image %s of %s is outside the target group"
+                         % (img, b))
     cols.append(coords)
   m, k = len(dst), len(cols)
   return IntMatrix(m, k, tuple(cols[j][i] for i in range(m) for j in range(k)))

@@ -72,21 +72,16 @@ class IntMatrix:
     if self.cols != other.rows:
       raise ValueError("shape mismatch %dx%d @ %dx%d"
                        % (self.rows, self.cols, other.rows, other.cols))
-    out = []
-    for i in range(self.rows):
-      ri = self.row(i)
-      for j in range(other.cols):
-        out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-    return IntMatrix(self.rows, other.cols, tuple(out))
+    rows = [self.row(i) for i in range(self.rows)]
+    cols = [other.entries[j::other.cols] for j in range(other.cols)]
+    return IntMatrix(self.rows, other.cols,
+                     tuple(sum(map(mul, r, c)) for r in rows for c in cols))
 
   def apply(self, v) -> tuple[int, ...]:
     """Matrix-vector product A*v with v a length-cols sequence."""
     if len(v) != self.cols:
       raise ValueError("vector length %d does not match cols %d" % (len(v), self.cols))
     return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
-
-  def is_identity(self) -> bool:
-    return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
 
 @dataclass(frozen=True)
@@ -152,16 +147,14 @@ def _xgcd(a: int, b: int):
   return a, x0, y0
 
 
-def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-  """Row Hermite normal form.
+def _hnf_rows(a, m: int, n: int) -> tuple[list, list]:
+  """Row Hermite normal form of an m x n matrix given as a list of rows.
 
-  Returns (H, U) with U unimodular and H = U*A.  Convention: pivots are
-  positive and leftmost per row, entries above a pivot are reduced into
-  [0, pivot), zero rows are at the bottom.
+  Returns (H, U) as lists of rows, with U unimodular and H = U*A; see hnf
+  for the convention.  The self-check U*A == H is computed on the lists.
   """
-  m, n = A.rows, A.cols
-  rows = A.row_list()
-  urows = IntMatrix.identity(m).row_list()
+  rows = [list(r) for r in a]
+  urows = [[int(i == j) for j in range(m)] for i in range(m)]
   r = 0
   for c in range(n):
     piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
@@ -184,10 +177,23 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     r += 1
     if r == m:
       break
-  H = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(m, n)
-  U = IntMatrix.from_rows(urows) if urows else IntMatrix.identity(m)
-  assert U @ A == H
-  return H, U
+  cols = [[row[j] for row in a] for j in range(n)]
+  assert [[sum(map(mul, u, c)) for c in cols] for u in urows] == rows
+  return rows, urows
+
+
+def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+  """Row Hermite normal form.
+
+  Returns (H, U) with U unimodular and H = U*A.  Convention: pivots are
+  positive and leftmost per row, entries above a pivot are reduced into
+  [0, pivot), zero rows are at the bottom.  The elimination runs on row
+  lists (_hnf_rows); only the result is wrapped into matrices.
+  """
+  m, n = A.rows, A.cols
+  H, U = _hnf_rows(A.row_list(), m, n)
+  return (IntMatrix(m, n, tuple(x for r in H for x in r)),
+          IntMatrix(m, m, tuple(x for r in U for x in r)))
 
 
 def rank(A: IntMatrix) -> int:
@@ -291,16 +297,21 @@ def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def kernel_basis(A: IntMatrix) -> list:
   """Basis of the right kernel {x in Z^cols : A*x = 0}.
 
-  The basis is returned in row Hermite normal form, so it is canonical.
+  The basis is returned in row Hermite normal form, so it is canonical: the
+  rows of U that _hnf_rows(A^T) maps to zero span the kernel, and a second
+  _hnf_rows makes their basis canonical.  Both run on row lists, and the
+  self-check A*x == 0 is made on the result.
   """
-  H, U = hnf(A.transpose())
-  vecs = [list(U.row(i)) for i in range(H.rows) if not any(H.row(i))]
+  m, n = A.rows, A.cols
+  rows = A.row_list()
+  H, U = _hnf_rows([[r[j] for r in rows] for j in range(n)], n, m)
+  vecs = [u for h, u in zip(H, U) if not any(h)]
   if not vecs:
     return []
-  K, _ = hnf(IntMatrix.from_rows(vecs))
-  out = [list(K.row(i)) for i in range(K.rows) if any(K.row(i))]
+  K, _ = _hnf_rows(vecs, len(vecs), n)
+  out = [k for k in K if any(k)]
   for x in out:
-    assert all(s == 0 for s in A.apply(x))
+    assert not any(sum(map(mul, r, x)) for r in rows)
   return out
 
 
@@ -340,18 +351,6 @@ def det(A: IntMatrix) -> int:
 
 def is_unimodular(A: IntMatrix) -> bool:
   return A.rows == A.cols and det(A) in (1, -1)
-
-
-def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-  """Inverse of a unimodular matrix, computed over the integers."""
-  d = det(U)
-  if d not in (1, -1):
-    raise ValueError("matrix is not unimodular")
-  n = U.rows
-  H, W = hnf(U)
-  # H must be the identity for a unimodular matrix with positive pivots
-  assert H == IntMatrix.identity(n)
-  return W
 
 
 def row_lattice_basis(vectors: list, dim: int) -> list:
@@ -399,17 +398,6 @@ def express_in_rows(basis: list, v) -> list | None:
   # v = coeffs_h * H = coeffs_h * U * B
   return [sum(coeffs_h[i] * U.entry(i, k) for i in range(B.rows))
           for k in range(B.rows)]
-
-
-def in_row_span(basis: list, v) -> bool:
-  """Whether v lies in the rational span of the basis rows."""
-  if not any(v):
-    return True
-  if not basis:
-    return False
-  r0 = rank(IntMatrix.from_rows(basis))
-  r1 = rank(IntMatrix.from_rows(list(basis) + [list(v)]))
-  return r0 == r1
 
 
 def complement_projection(sub_basis: list, dim: int) -> IntMatrix:

@@ -109,11 +109,14 @@ def _member(P: AffineMonoid, v: tuple) -> bool:
   pi = complement_projection([list(b) for b in units], P.ambient_rank)
   pgens = [pi.apply(r) for r in rest]
   pc = Cone.from_rays(pgens, pi.rows)
-  assert pc.is_strictly_convex
+  if not pc.is_strictly_convex:
+    raise RuntimeError("the cone of the non-unit generators modulo the units "
+                       "has lineality")
   w = pi.apply(v)
   grade_vec = [sum(nu[i] for nu in pc.facet_normals) for i in range(pi.rows)]
   gr = {i: _dot(grade_vec, pg) for i, pg in enumerate(pgens)}
-  assert all(g > 0 for g in gr.values())
+  if not all(g > 0 for g in gr.values()):
+    raise RuntimeError("a non-unit generator has grading <= 0: %s" % (gr,))
   ubasis = [list(b) for b in units]
   memo = {}
 
@@ -179,8 +182,10 @@ def _cone_lattice_generators(ineqs, eqs, basis_rows, d) -> list:
     img = Cone.from_rays([pi.apply(r) for r in C.rays], pi.rows)
     for h in hilbert_basis(img):
       c = solve(pi, h)
-      assert c is not None
-      assert C.contains(c)
+      if c is None:
+        raise RuntimeError("Hilbert-basis element %s has no preimage" % (h,))
+      if not C.contains(c):
+        raise RuntimeError("preimage %s of %s is outside the cone" % (c, h))
       gens_c.append(c)
   out = []
   for c in gens_c:

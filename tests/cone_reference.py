@@ -11,22 +11,59 @@ as a differential oracle:
 - parallelepiped points by a walk over every integer point of the bounding
   box;
 - Hilbert bases reduced by a recursive search for a way to write each
-  candidate as a sum of basis elements.
+  candidate as a sum of basis elements;
+- adjugates by one cofactor (a minor's determinant) per entry;
+- the triangulation by building one cone per facet and recursing on it;
+- the face test by building the smallest face holding a cone as a cone.
 """
 
 import itertools
 
 from logfan.cone import (
     Cone,
-    _adjugate,
     _dot,
     _kernel_canonical,
     _kernel_small,
     _neg,
     _rank_small,
-    _simplicial_pieces,
 )
 from logfan.lattice import IntMatrix, det
+
+
+def reference_adjugate(rows):
+  """Adjugate of a square integer matrix given as a list of rows."""
+  k = len(rows)
+  if k == 0:
+    return []
+  if k == 1:
+    return [[1]]
+  adj = [[0] * k for _ in range(k)]
+  for i in range(k):
+    for j in range(k):
+      minor = [[rows[r][c] for c in range(k) if c != j]
+               for r in range(k) if r != i]
+      cof = det(IntMatrix.from_rows(minor))
+      if (i + j) % 2:
+        cof = -cof
+      adj[j][i] = cof
+  return adj
+
+
+def reference_simplicial_pieces(sigma: Cone):
+  """Triangulate a strictly convex cone by fanning out from its first extreme
+  ray.  Yields tuples of independent rays covering sigma without overlap of
+  interiors."""
+  if len(sigma.rays) == sigma.dim:
+    yield sigma.rays
+    return
+  r0 = sigma.rays[0]
+  for nu in sigma.facet_normals:
+    if _dot(nu, r0) == 0:
+      continue
+    facet_rays = [r for r in sigma.rays if _dot(nu, r) == 0]
+    facet = Cone.from_rays(facet_rays, sigma.ambient_rank)
+    for piece in reference_simplicial_pieces(facet):
+      yield (r0,) + piece
 
 
 def reference_pointed_extreme_rays(ineqs, eqs, d):
@@ -147,7 +184,7 @@ def reference_parallelepiped_points(rays, d):
   assert len(sub) == k
   sq = [mat[i] for i in sub]
   dd = det(IntMatrix.from_rows(sq))
-  adj = _adjugate(sq)
+  adj = reference_adjugate(sq)
   if dd < 0:
     dd = -dd
     adj = [[-x for x in row] for row in adj]
@@ -185,7 +222,7 @@ def reference_representable(x, elems, grade, gx, sigma):
 def reference_hilbert_basis(sigma: Cone) -> list:
   """Hilbert basis from box-walk candidates and the recursive reduction."""
   candidates = set(sigma.rays)
-  for piece in _simplicial_pieces(sigma):
+  for piece in reference_simplicial_pieces(sigma):
     candidates.update(reference_parallelepiped_points(piece, sigma.ambient_rank))
   grade = {x: sum(_dot(nu, x) for nu in sigma.facet_normals) for x in candidates}
   basis = []
@@ -193,3 +230,17 @@ def reference_hilbert_basis(sigma: Cone) -> list:
     if not reference_representable(x, basis, grade, grade[x], sigma):
       basis.append(x)
   return sorted(basis)
+
+
+def reference_is_face_of(gamma: Cone, sigma: Cone) -> bool:
+  """Whether gamma is a face of the strictly convex cone sigma."""
+  if gamma.ambient_rank != sigma.ambient_rank:
+    raise ValueError("ambient rank mismatch")
+  if gamma.lineality_basis or sigma.lineality_basis:
+    raise ValueError("face test implemented for strictly convex cones")
+  if not all(sigma.contains(r) for r in gamma.rays):
+    return False
+  cut = [nu for nu in sigma.facet_normals
+         if all(_dot(nu, r) == 0 for r in gamma.rays)]
+  keep = [r for r in sigma.rays if all(_dot(nu, r) == 0 for nu in cut)]
+  return Cone.from_rays(keep, sigma.ambient_rank) == gamma

@@ -12,9 +12,11 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from logfan.cone import Cone, _dot, _simplicial_pieces, intersect
+from logfan.cone import Cone, _dot, intersect
 from logfan.fan import is_fan_map
 from logfan.lattice import express_in_rows, is_unimodular, saturate_row_lattice
+
+from cone_reference import reference_simplicial_pieces
 
 
 def _frac_det(rows) -> Fraction:
@@ -49,7 +51,7 @@ def _section_volume(sigma: Cone, ell) -> Fraction:
   if sigma.dim == 0:
     return Fraction(0)
   total = Fraction(0)
-  for piece in _simplicial_pieces(sigma):
+  for piece in reference_simplicial_pieces(sigma):
     w = [tuple(Fraction(x, _dot(ell, r)) for x in r) for r in piece]
     total += abs(_frac_det(w))
   return total

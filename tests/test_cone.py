@@ -18,7 +18,6 @@ from logfan.cone import (
     intersect,
     is_face_of,
     is_smooth,
-    queries,
 )
 from logfan.lattice import IntMatrix, det
 
@@ -196,10 +195,6 @@ def test_smoothness_matches_determinant_for_full_dim_simplicial():
 
 def test_queries_bundle():
   sigma = Cone.from_rays([(1, 0), (1, 2)], 2)
-  q = queries(sigma)
-  assert q.dim == 2
-  assert q.contains((1, 1)) and not q.contains((-1, 0))
-  assert q.interior_point == (2, 2)
   assert sigma.contains_relative_interior((2, 2))
   assert not sigma.contains_relative_interior((1, 0))
 

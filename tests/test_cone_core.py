@@ -1,11 +1,12 @@
 """The output-sensitive cone enumerations against their exhaustive oracles.
 
-Conversion (double description), faces (incidence closure) and
-parallelepiped points (group enumeration) are compared with the earlier
-exhaustive code kept in cone_reference.py, on seeded inputs.  Work-count
-guards check, without timing, that each enumeration makes only the objects
-of its answer; the Hilbert-basis budget and the behaviour under python -O
-are checked last.
+Conversion (double description), faces (incidence closure), parallelepiped
+points (group enumeration), adjugates (one fraction-free elimination), the
+triangulation and the face test (incidence bitsets) are compared with the
+earlier code kept in cone_reference.py, on seeded inputs.  Work-count guards
+check, without timing, that each enumeration makes only the objects of its
+answer and that no Hermite kernel is taken where the rank shows it is {0};
+the Hilbert-basis budget and the behaviour under python -O are checked last.
 """
 
 import math
@@ -24,6 +25,7 @@ from logfan.cli import execute
 from logfan.cone import (
     MAX_HILBERT_INDEX,
     Cone,
+    _adjugate,
     _dot,
     _parallelepiped_points,
     _pointed_extreme_rays,
@@ -31,14 +33,19 @@ from logfan.cone import (
     _span_coordinates,
     faces,
     hilbert_basis,
+    intersect,
+    is_face_of,
 )
 from logfan.lattice import IntMatrix, det
 
 from cone_reference import (
+    reference_adjugate,
     reference_faces,
     reference_hilbert_basis,
+    reference_is_face_of,
     reference_parallelepiped_points,
     reference_pointed_extreme_rays,
+    reference_simplicial_pieces,
 )
 from resolution_reference import criterion_11_fans
 
@@ -115,9 +122,11 @@ def _random_gens(rng, d):
 
 def _check_pieces(sigma):
   """Parallelepiped points of every piece, and the Hilbert basis."""
+  assert (sorted(_simplicial_pieces(sigma))
+          == sorted(reference_simplicial_pieces(sigma))), sigma
   coords = _span_coordinates(sigma)
   for piece in _simplicial_pieces(sigma):
-    got = _parallelepiped_points(piece, [coords[r] for r in piece])
+    got = _parallelepiped_points(piece, *_adjugate([coords[r] for r in piece]))
     assert sorted(got) == sorted(
         reference_parallelepiped_points(piece, sigma.ambient_rank)), piece
   assert hilbert_basis(sigma) == reference_hilbert_basis(sigma)
@@ -168,6 +177,72 @@ def test_criterion_11_cones_match_references():
               == reference_pointed_extreme_rays(gens, [], 2))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_adjugate_and_determinant_match_cofactors(k):
+  rng = random.Random(400 + k)
+  dets = []
+  for n in range(40):
+    rows = [_vec(rng, k, -4, 4) for _ in range(k)]
+    if n % 4 == 1:
+      # singular: the last row is a combination of the others
+      rows[-1] = ([0] if k == 1 else
+                  [3 * a - b for a, b in zip(rows[0], rows[k // 2 - 1])])
+    elif n % 4 == 2 and k > 1:
+      rows[0][0] = 0  # the first pivot needs a row swap
+    adj, dd = _adjugate(rows)
+    assert dd == det(IntMatrix.from_rows(rows)), rows
+    if dd:
+      assert adj == reference_adjugate(rows), rows
+    else:
+      assert adj is None
+    dets.append(dd)
+  assert min(dets) < 0 < max(dets) and 0 in dets
+
+
+# rank 6, 13 vertices of the 0/1 cube: a facet F meets another facet in a
+# 3-dimensional face with 4 rays that is not a facet of F, so only the
+# maximality test keeps it out of the triangulation
+CUBE_13 = [(1, 0, 1, 1, 1, 0), (1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1),
+           (1, 0, 1, 0, 0, 1), (1, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 1),
+           (1, 1, 0, 0, 0, 1), (1, 1, 0, 1, 0, 0), (1, 0, 0, 0, 1, 1),
+           (1, 0, 0, 1, 0, 1), (1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 0, 0),
+           (1, 1, 0, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("rays", [REACH_13_RAYS, CYCLIC_8, CUBE_13],
+                         ids=["13-ray-40-facet", "cyclic-8", "cube-13-rank6"])
+def test_pieces_of_the_reach_cones_match_reference(rays):
+  sigma = Cone.from_rays(rays, len(rays[0]))
+  got = sorted(_simplicial_pieces(sigma))
+  assert got == sorted(reference_simplicial_pieces(sigma))
+  assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_is_face_of_matches_reference(d):
+  rng = random.Random(500 + d)
+  seen = 0
+  while seen < 15:
+    sigma = Cone.from_rays(_random_gens(rng, d), d)
+    if not sigma.is_strictly_convex or sigma.is_zero:
+      continue
+    seen += 1
+    fs = faces(sigma)
+    others = [Cone.from_rays([sigma.interior_point()], d),
+              Cone.from_rays([[-x for x in sigma.rays[0]]], d)]
+    for _ in range(6):
+      sub = [r for r in sigma.rays if rng.random() < 0.5]
+      others.append(Cone.from_rays(sub + [_vec(rng, d, -1, 1)]
+                                   * rng.randint(0, 1), d))
+    for gamma in fs + others:
+      if gamma.lineality_basis:
+        continue
+      assert (is_face_of(gamma, sigma)
+              == reference_is_face_of(gamma, sigma)), (gamma, sigma)
+    assert all(is_face_of(f, sigma) for f in fs)
+    assert is_face_of(others[0], sigma) == (sigma.dim == 1)
+
+
 def test_hilbert_basis_of_a_cone_with_a_long_reduction_chain():
   # 999 steps of (1, 1) lead from (999, 1000) towards (0, 1), outside the
   # cone: a search that recursed once per step would run out of stack
@@ -207,6 +282,93 @@ def test_one_conversion_solves_at_most_d_kernels(monkeypatch, rays):
     assert len(calls) <= d
 
 
+def _pointed_full_cones(rng, d, count):
+  """Seeded pointed full-dimensional cones, simplicial ones among them."""
+  out = []
+  while len(out) < count:
+    gens = [[1] + _vec(rng, d - 1, -2, 2) for _ in range(rng.randint(d, d + 4))]
+    sigma = Cone.from_rays(gens, d)
+    if sigma.dim == d:
+      out.append((gens, sigma))
+  return out
+
+
+def _count_kernels(monkeypatch):
+  cone_module._cone_from_gens.cache_clear()
+  cone_module._intersect_cached.cache_clear()
+  return _count_calls(monkeypatch, cone_module, "kernel_basis")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pointed_full_dimensional_cones_take_no_hermite_kernel(monkeypatch, d):
+  cones = _pointed_full_cones(random.Random(600 + d), d, 12)
+  if d == 5:
+    cones += [(rays, Cone.from_rays(rays, 5))
+              for rays in (REACH_13_RAYS, CYCLIC_8)]
+  pairs = []
+  for (_, a), (_, b) in zip(cones, cones[1:]):
+    if intersect(a, b).dim == d:
+      pairs.append((a, b, intersect(a, b)))
+  assert len(pairs) >= 3
+  calls = _count_kernels(monkeypatch)
+  for gens, sigma in cones:
+    assert Cone.from_rays(gens, d) == sigma
+    assert Cone.from_inequalities(sigma.facet_normals, [], d) == sigma
+  for a, b, both in pairs:
+    assert intersect(a, b) == both
+  assert calls == []
+
+
+def test_every_hermite_kernel_left_is_nonempty(monkeypatch):
+  cone_module._cone_from_gens.cache_clear()
+  cone_module._intersect_cached.cache_clear()
+  sizes = []
+  orig = cone_module._kernel_canonical
+
+  def counted(rows, d):
+    out = orig(rows, d)
+    sizes.append(len(out))
+    return out
+
+  monkeypatch.setattr(cone_module, "_kernel_canonical", counted)
+  rng = random.Random(8)
+  for n in range(80):
+    d = 2 + n % 4
+    rows, eqs = _random_system(rng, d, KINDS[n % len(KINDS)])
+    _pointed_extreme_rays(rows, eqs, d)
+    sigma = Cone.from_rays(_random_gens(rng, d), d)
+    faces(sigma)
+  assert sizes and min(sizes) > 0
+
+
+def test_triangulation_and_face_test_build_no_cones(monkeypatch):
+  rng = random.Random(9)
+  # a square cone of dimension 3 in rank 4, a pentagon cone of dimension 3
+  # in rank 5
+  square = [(1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)]
+  pentagon = [(1, a, b, a + b, 0)
+              for a, b in [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)]]
+  cones = [Cone.from_rays(g, len(g[0]))
+           for g in (REACH_13_RAYS, CYCLIC_8, square, pentagon)]
+  while len(cones) < 30:
+    d = rng.randint(3, 5)
+    sigma = Cone.from_rays(_random_gens(rng, d), d)
+    if sigma.is_strictly_convex and len(sigma.rays) > sigma.dim:
+      cones.append(sigma)
+  assert any(c.dim < c.ambient_rank for c in cones)
+  work = [(c, faces(c)) for c in cones]
+  calls = _count_calls(monkeypatch, Cone, "from_rays", static=True)
+  for sigma, fs in work:
+    for f in fs:
+      assert is_face_of(f, sigma)
+    assert not is_face_of(Cone(sigma.ambient_rank, (sigma.interior_point(),)),
+                          sigma)
+    if sigma.ambient_rank < 5:
+      hilbert_basis(sigma)
+    list(_simplicial_pieces(sigma))
+  assert calls == []
+
+
 def test_reach_cones_convert_and_list_faces():
   sigma = Cone.from_rays(REACH_13_RAYS, 5)
   assert len(sigma.rays) == 13 and len(sigma.facet_normals) == 40
@@ -240,7 +402,7 @@ def test_enumeration_yields_index_minus_one_points_per_piece():
     coords = _span_coordinates(sigma)
     for piece in _simplicial_pieces(sigma):
       rows = [coords[r] for r in piece]
-      pts = _parallelepiped_points(piece, rows)
+      pts = _parallelepiped_points(piece, *_adjugate(rows))
       assert len(pts) == abs(det(IntMatrix.from_rows(rows))) - 1
       assert len(set(pts)) == len(pts) and all(any(p) for p in pts)
 

@@ -128,7 +128,7 @@ def test_kummer_cover_wild_degree():
 def test_kummer_cover_degree_one_is_identity():
   k = kummer_cover_chart(N1, 1, CharParam(7))
   assert k.log_etale
-  assert k.hom.gp_matrix.is_identity()
+  assert k.hom.gp_matrix == IntMatrix.identity(1)
   assert k.hom.source == k.hom.target
 
 

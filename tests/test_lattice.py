@@ -7,7 +7,6 @@ for the Smith form.
 
 import itertools
 import math
-import random
 
 import pytest
 import sympy
@@ -22,7 +21,6 @@ from logfan.lattice import (
     det,
     express_in_rows,
     hnf,
-    in_row_span,
     is_unimodular,
     kernel_basis,
     primitive,
@@ -30,7 +28,6 @@ from logfan.lattice import (
     row_lattice_basis,
     saturate_row_lattice,
     snf,
-    unimodular_inverse,
 )
 
 
@@ -203,23 +200,6 @@ def test_det_matches_sympy(A):
   assert det(A) == int(sy(A).det())
 
 
-def test_unimodular_inverse_roundtrip():
-  rng = random.Random(11)
-  for _ in range(40):
-    n = rng.randint(1, 4)
-    # build a unimodular matrix from random elementary operations
-    rows = IntMatrix.identity(n).row_list()
-    for _ in range(12):
-      i, j = rng.randrange(n), rng.randrange(n)
-      if i != j:
-        c = rng.randint(-3, 3)
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    U = IntMatrix.from_rows(rows)
-    assert is_unimodular(U)
-    W = unimodular_inverse(U)
-    assert (W @ U).is_identity() and (U @ W).is_identity()
-
-
 def test_saturation_examples():
   assert saturate_row_lattice([[2, 4]], 2) == [[1, 2]]
   assert saturate_row_lattice([[2, 0], [0, 2]], 2) == [[1, 0], [0, 1]]
@@ -273,13 +253,6 @@ def test_express_in_rows_roundtrip():
   assert express_in_rows(basis, [1, 0, 0]) is None
   assert express_in_rows([], [0, 0]) == []
   assert express_in_rows([], [1, 0]) is None
-
-
-def test_in_row_span():
-  assert in_row_span([[1, 0, 0], [0, 1, 0]], (3, -5, 0))
-  assert not in_row_span([[1, 0, 0], [0, 1, 0]], (0, 0, 1))
-  assert in_row_span([], (0, 0))
-  assert not in_row_span([], (1, 0))
 
 
 def test_primitive():

@@ -9,11 +9,16 @@ Kummer-implies-exact implication on saturated instances).
 
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logfan
 from logfan.lattice import IntMatrix
 from logfan.monoid import (
     AffineMonoid,
@@ -344,7 +349,7 @@ def test_nth_root_of_quadrant():
 def test_nth_root_identity_refinement():
   root, ref = nth_root(N2, 1)
   assert root == N2
-  assert ref.is_identity()
+  assert ref == IntMatrix.identity(2)
 
 
 def test_nth_root_on_skew_cone_by_definition_check():
@@ -506,3 +511,46 @@ def test_kummer_implies_exact_on_saturated_instances(vs, rows):
   th = MonoidHom(src, tgt, m)
   if is_kummer(th):
     assert is_exact(th)
+
+
+_O_SCRIPT = """
+import itertools
+from logfan.monoid import AffineMonoid, membership, saturation
+for gens, d in [([(2,), (3,)], 1),
+                ([(1, 0), (1, 2), (1, 3)], 2),
+                ([(1, 0), (-1, 0), (0, 2), (1, 1)], 2),
+                ([(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 1, -1), (1, 2, 0)], 3)]:
+  p = AffineMonoid.make(gens, d)
+  print(saturation(p).gens)
+  print([v for v in itertools.product(range(-2, 3), repeat=d)
+         if membership(p, v)])
+"""
+
+_O_HOMS = [
+    ["--src=1,0;0,1", "--dst=1,0;1,2;0,1", "--matrix=1,0;0,1"],
+    ["--src=1,0;-1,0;0,1", "--dst=1,0;-1,0;1,2", "--matrix=1,0;0,2",
+     "--char", "2"],
+    ["--src=1", "--dst=1", "--matrix=3", "--char", "3"],
+]
+
+
+def test_membership_saturation_and_hom_agree_under_optimize():
+  # the invariants on these paths raise RuntimeError, not assert, so
+  # python -O must print the same
+  env = dict(os.environ)
+  src = str(pathlib.Path(logfan.__file__).parent.parent)
+  env["PYTHONPATH"] = os.pathsep.join(
+      p for p in (src, env.get("PYTHONPATH")) if p)
+  outs = []
+  for optimize in ([], ["-O"]):
+    runs = [["-c", _O_SCRIPT]] + [["-m", "logfan", "hom"] + a for a in _O_HOMS]
+    out = []
+    for argv in runs:
+      proc = subprocess.run([sys.executable] + optimize + argv,
+                            capture_output=True, text=True, env=env)
+      assert proc.returncode == 0, proc.stderr
+      out.append(proc.stdout)
+    outs.append(out)
+  assert outs[0] == outs[1]
+  assert outs[0][0].count("\n") == 8
+  assert all("kummer: " in o for o in outs[0][1:])

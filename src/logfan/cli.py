@@ -219,7 +219,7 @@ def _cmd_check(args) -> int:
   fan = doc.fan()
   report = validate(fan)
   support = support_query(fan)
-  smooth = all(is_smooth(c) for c in fan.max_cones)
+  smooth = all(c.is_strictly_convex and is_smooth(c) for c in fan.max_cones)
   name = doc.metadata or args.file
   print("fan %s: rank %d, %d maximal cones"
         % (name, doc.rank, len(fan.max_cones)))
@@ -458,11 +458,18 @@ def _build_parser() -> argparse.ArgumentParser:
   return parser
 
 
+# built on the first execute and kept for the process: building it costs
+# more than many commands, and parse_args leaves it unchanged
+_parser = None
+
+
 def execute(argv=None) -> int:
   """Run one command line; returns the exit code instead of exiting."""
-  parser = _build_parser()
+  global _parser
+  if _parser is None:
+    _parser = _build_parser()
   try:
-    args = parser.parse_args(argv)
+    args = _parser.parse_args(argv)
   except SystemExit as err:
     return int(err.code or 0)
   try:

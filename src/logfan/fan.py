@@ -5,14 +5,20 @@ One exact wall test (_tiles) decides every covering question: whether the
 mapped cones of a fan map fill each target cone, whether two fans have the
 same support, and whether a fan is complete.  It pairs up the facets of the
 pieces and checks a single point, in integer arithmetic, so there is no
-sampling anywhere on the decision path.  The completion and resolution
-routines are rank-2 only, and the refinement search is a plain bounded
-breadth-first search over star subdivision moves.
+sampling anywhere on the decision path.  The target cones that hold a
+mapped source cone are found through an index from rays to cones: one
+holder per source cone, and the rest read off the smallest face of it that
+holds the image, which rests on the target being a fan.  The completion and
+resolution routines are rank-2 only; the resolution takes one Hilbert basis
+per singular cone and builds its fan once.  The refinement search is a
+plain bounded breadth-first search over star subdivision moves.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -77,13 +83,15 @@ def validate(fan: Fan) -> SimpleNamespace:
   The report lists one entry per violation instead of raising, so callers
   can show all problems at once.  Face closure is structural here (the
   closure is derived), so the meaningful conditions are convexity and that
-  any two maximal cones meet in a common face.
+  any two maximal cones meet in a common face.  A cone that is not strictly
+  convex is reported once and left out of the pairwise test.
   """
   problems = []
   for c in fan.max_cones:
     if not c.is_strictly_convex:
       problems.append(("not strictly convex", c.rays, c.lineality_basis))
-  mc = fan.max_cones
+  # the face test needs strictly convex cones; the others are reported above
+  mc = [c for c in fan.max_cones if c.is_strictly_convex]
   for i in range(len(mc)):
     for j in range(i + 1, len(mc)):
       w = intersect(mc[i], mc[j])
@@ -116,24 +124,93 @@ def support_query(fan: Fan) -> SimpleNamespace:
   return SimpleNamespace(contains=contains, is_complete=complete)
 
 
-def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
-  """For each maximal source cone, its image rays and the indices of the
-  maximal target cones that contain them."""
+def _ray_index(target: Fan) -> dict:
+  """Each ray of the target fan, mapped to the indices of the maximal
+  target cones that have it among their rays."""
+  index = {}
+  for i, t in enumerate(target.max_cones):
+    for r in t.rays:
+      index.setdefault(r, set()).add(i)
+  return index
+
+
+def _holds(t: Cone, imgs) -> bool:
+  return all(t.contains(v) for v in imgs)
+
+
+def _first_holders(matrix: IntMatrix, source: Fan, target: Fan, index: dict):
+  """For each maximal source cone, its image rays and the index of one
+  maximal target cone that contains them, or None when there is none.
+
+  A target cone that has every image vector among its rays holds the
+  image, with no test.  Otherwise the target cones that have some image
+  vector among their rays are tried first, then all of them in order, so a
+  None is exact for any target.
+  """
   if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
     raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
                      % (matrix.rows, matrix.cols, source.ambient_rank,
                         target.ambient_rank))
-  out = []
+  cones = target.max_cones
+  rows = [matrix.row(i) for i in range(matrix.rows)]
   for c in source.max_cones:
-    imgs = [matrix.apply(r) for r in c.rays]
-    out.append((imgs, [i for i, t in enumerate(target.max_cones)
-                       if all(t.contains(v) for v in imgs)]))
+    imgs = [tuple(_dot(row, r) for row in rows) for r in c.rays]
+    sets = [index.get(v, set()) for v in imgs]
+    common = set.intersection(*sets) if sets else set()
+    if common:
+      yield imgs, min(common)
+      continue
+    near = sorted(set().union(*sets))
+    yield imgs, next((i for i in itertools.chain(near, range(len(cones)))
+                      if _holds(cones[i], imgs)), None)
+
+
+def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
+  """For each maximal source cone, its image rays and the indices of the
+  maximal target cones that contain them.
+
+  One holder t is found per source cone (see _first_holders).  The sum x of
+  the image rays lies in the relative interior of the image, so the
+  smallest face F of t holding the image is the face cut out by the facets
+  of t that vanish on x; when x is interior to t, F is t itself.  If the
+  target is a fan, every maximal target cone t' holding the image meets t
+  in a common face that contains x, hence F; so F is a face of t' and its
+  rays are among the rays of t'.  The holders are therefore the maximal
+  target cones whose rays include those of F, found through the ray index,
+  and for x interior to t that is t alone.
+
+  Precondition: the target is a fan; the source need not be one.  Each
+  cone listed is checked to contain the image, so for a target that is not
+  a fan the lists hold only true holders but may miss some, and a list is
+  empty exactly when no target cone holds the image.
+  """
+  index = _ray_index(target)
+  cones = target.max_cones
+  out = []
+  for imgs, first in _first_holders(matrix, source, target, index):
+    if first is None:
+      out.append((imgs, []))
+      continue
+    t = cones[first]
+    x = [sum(col) for col in zip(*imgs)] or [0] * target.ambient_rank
+    cut = [nu for nu in t.facet_normals if _dot(nu, x) == 0]
+    face = [r for r in t.rays if all(_dot(nu, r) == 0 for nu in cut)]
+    near = set.intersection(*(index[r] for r in face)) if face else range(len(cones))
+    out.append((imgs, sorted(i for i in near
+                             if i == first or _holds(cones[i], imgs))))
   return out
 
 
 def is_fan_map(matrix: IntMatrix, source: Fan, target: Fan) -> bool:
-  """Whether the lattice map sends every source cone into some target cone."""
-  return all(held for _, held in _holders(matrix, source, target))
+  """Whether the lattice map sends every source cone into some target cone.
+
+  Only one holder per source cone is looked for (see _first_holders), so
+  the answer assumes nothing of the target: it is exact also when the
+  target is not a fan.
+  """
+  index = _ray_index(target)
+  return all(first is not None
+             for _, first in _first_holders(matrix, source, target, index))
 
 
 @dataclass(frozen=True)
@@ -175,6 +252,8 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
   """
   if not pieces:
     return False
+  if len(pieces) == 1 and pieces[0] == container:
+    return True
   walls = container.facet_normals if container is not None else ()
   sides = {}
   for i, p in enumerate(pieces):
@@ -209,6 +288,12 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
   holds, since the wall test shows that every target cone is tiled by
   mapped cones, but a False answer may be wrong.  The proof of the wall
   test is in the docstring of _tiles.
+
+  The pieces are read off the holder lists of _holders, whose search also
+  assumes a target fan.  On a target that is not a fan a list may miss a
+  holder, so a cone may lack a piece: with a fan as source, that can turn
+  a True answer into False, never a False into True, because a piece that
+  lies in t but is not listed for t would overlap t's listed pieces.
   """
   holders = _holders(matrix, source, target)
   if not all(held for _, held in holders):
@@ -216,11 +301,18 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
   partial = is_unimodular(matrix)
   full = False
   if partial:
-    d = target.ambient_rank
-    mapped = [(Cone.from_rays(imgs, d), held) for imgs, held in holders]
-    full = all(_tiles([m for m, held in mapped
-                       if i in held and m.dim == t.dim], t)
-               for i, t in enumerate(target.max_cones))
+    cones = target.max_cones
+    pieces = [[] for _ in cones]
+    for c, (imgs, held) in zip(source.max_cones, holders):
+      # a strictly convex cone whose rays the map fixes is its own image
+      if c.is_strictly_convex and tuple(imgs) == c.rays:
+        m = c
+      else:
+        m = Cone.from_rays(imgs, target.ambient_rank)
+      for i in held:
+        if m.dim == cones[i].dim:
+          pieces[i].append(m)
+    full = all(_tiles(p, t) for p, t in zip(pieces, cones))
   return SimpleNamespace(is_partial_subdivision=partial, is_subdivision=full)
 
 
@@ -367,18 +459,8 @@ def complete_2d(fan: Fan) -> Fan:
   return Fan.make(out, 2)
 
 
-def _insert_ray_2d(fan: Fan, ray) -> Fan:
-  """Stellar insertion of a primitive ray into a rank-2 fan: every
-  two-dimensional cone whose relative interior meets the ray is split."""
-  out = []
-  for c in fan.max_cones:
-    if c.dim == 2 and c.contains(ray) and ray not in c.rays:
-      a, b = c.rays
-      out.append(Cone.from_rays([a, ray], 2))
-      out.append(Cone.from_rays([ray, b], 2))
-    else:
-      out.append(c)
-  return Fan.make(out, 2)
+def _cross(a, b) -> int:
+  return a[0] * b[1] - a[1] * b[0]
 
 
 def resolve_2d(fan: Fan) -> tuple[Fan, list]:
@@ -386,9 +468,23 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
 
   Returns the resolved fan and the rays inserted, in order.  Each step
   picks the smallest non-ray Hilbert basis element of the singular 2-cone
-  with the smallest rays, so the run is deterministic.  The singular
-  2-cones are kept as a set: an insertion drops the cones it split, and
-  only the cones it created are tested, so each cone is tested once.
+  with the smallest rays, so the run is deterministic.
+
+  The Hilbert basis of a strictly convex 2-cone, in angular order from one
+  ray to the other, is the chain of vertices of the compact edges of the
+  convex hull of its nonzero lattice points; consecutive elements span
+  smooth cones, and their Hirzebruch-Jung continued fraction is the
+  resolution (Oda 1988, 1.6; Fulton 1993, 2.6).  The subcone spanned by two
+  elements of the chain has as its Hilbert basis the part of the chain
+  between them, since its hull has the same compact edges there.  So each
+  singular input cone takes one hilbert_basis call; a subcone is a slice of
+  its chain, singular iff the slice has an interior element, and the
+  insertions are replayed on a heap keyed by the subcone's rays.  The
+  result is the input's other cones plus the cones of consecutive chain
+  elements, all maximal, so the fan is built once without Fan.make.
+
+  Precondition: the input is a fan (see validate).  Then each inserted ray
+  lies in the relative interior of one maximal cone only, which it splits.
 
   Raises:
     ValueError: if the fan is not of rank 2, or a 2-cone has lineality.
@@ -397,22 +493,35 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
   """
   if fan.ambient_rank != 2:
     raise ValueError("resolution rule is specific to rank 2")
-  cur = fan
-  steps = []
-  bad = {c for c in cur.max_cones if c.dim == 2 and not is_smooth(c)}
-  while bad:
-    c = min(bad, key=lambda b: b.rays)
-    extra = sorted(h for h in hilbert_basis(c) if h not in c.rays)
-    if not extra:
+  keep = []
+  chains = []
+  heap = []
+  for c in fan.max_cones:
+    if c.dim != 2 or is_smooth(c):
+      keep.append(c)
+      continue
+    a, b = c.rays
+    turn = 1 if _cross(a, b) > 0 else -1
+    chain = sorted(hilbert_basis(c), key=functools.cmp_to_key(
+        lambda u, v: -turn * _cross(u, v)))
+    if len(chain) < 3:
       raise RuntimeError("singular rank-2 cone %s has no interior Hilbert "
                          "basis element" % (c.rays,))
-    nxt = _insert_ray_2d(cur, extra[0])
-    born = set(nxt.max_cones).difference(cur.max_cones)
-    bad.intersection_update(nxt.max_cones)
-    bad.update(b for b in born if b.dim == 2 and not is_smooth(b))
-    cur = nxt
-    steps.append(extra[0])
-  return cur, steps
+    chains.append(chain)
+    heapq.heappush(heap, (c.rays, len(chains) - 1, 0, len(chain) - 1))
+  steps = []
+  while heap:
+    _, k, i, j = heapq.heappop(heap)
+    chain = chains[k]
+    m = min(range(i + 1, j), key=chain.__getitem__)
+    steps.append(chain[m])
+    for lo, hi in ((i, m), (m, j)):
+      if hi - lo > 1:
+        heapq.heappush(heap, (tuple(sorted((chain[lo], chain[hi]))), k, lo, hi))
+  for chain in chains:
+    keep.extend(Cone.from_rays(pair, 2) for pair in zip(chain, chain[1:]))
+  keep.sort(key=lambda c: (c.dim, c.rays))
+  return Fan(2, tuple(keep)), steps
 
 
 def _support_equal(f1: Fan, f2: Fan) -> bool:

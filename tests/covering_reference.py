@@ -5,7 +5,10 @@ module keeps the earlier, independent mechanism as a differential oracle:
 it slices every cone with a positive functional, after a lattice change of
 coordinates into the container's span, and compares sums of rational
 section volumes.  It also keeps the 500-point sampling check that once
-guarded the completeness flag of support_query.
+guarded the completeness flag of support_query, and the holder search that
+tested every mapped source cone against every maximal target cone, which
+the library replaced by a search through a ray index.  The seeded fans
+that the differential tests share are drawn here too.
 """
 
 import random
@@ -13,7 +16,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from logfan.cone import Cone, _dot, intersect
-from logfan.fan import is_fan_map
+from logfan.fan import Fan, _tiles, star_subdivision
+from logfan.gallery import run_gallery
 from logfan.lattice import express_in_rows, is_unimodular, saturate_row_lattice
 
 from cone_reference import reference_simplicial_pieces
@@ -83,9 +87,45 @@ def _covers(pieces, container: Cone) -> bool:
   return got == want
 
 
+def reference_holders(matrix, source, target) -> list:
+  """For each maximal source cone, its image rays and the indices of all
+  maximal target cones that contain them, each pair tested."""
+  if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
+    raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
+                     % (matrix.rows, matrix.cols, source.ambient_rank,
+                        target.ambient_rank))
+  out = []
+  for c in source.max_cones:
+    imgs = [matrix.apply(r) for r in c.rays]
+    out.append((imgs, [i for i, t in enumerate(target.max_cones)
+                       if all(t.contains(v) for v in imgs)]))
+  return out
+
+
+def reference_is_fan_map(matrix, source, target) -> bool:
+  return all(held for _, held in reference_holders(matrix, source, target))
+
+
+def reference_holder_predicates(matrix, source, target) -> SimpleNamespace:
+  """subdivision_predicates as it was with all-pairs holders: the same
+  wall test, each target cone's pieces read off the holder lists."""
+  holders = reference_holders(matrix, source, target)
+  if not all(held for _, held in holders):
+    raise ValueError("not a fan map")
+  partial = is_unimodular(matrix)
+  full = False
+  if partial:
+    d = target.ambient_rank
+    mapped = [(Cone.from_rays(imgs, d), held) for imgs, held in holders]
+    full = all(_tiles([m for m, held in mapped
+                       if i in held and m.dim == t.dim], t)
+               for i, t in enumerate(target.max_cones))
+  return SimpleNamespace(is_partial_subdivision=partial, is_subdivision=full)
+
+
 def reference_subdivision_predicates(matrix, source, target) -> SimpleNamespace:
   """subdivision_predicates by intersections and section volumes."""
-  if not is_fan_map(matrix, source, target):
+  if not reference_is_fan_map(matrix, source, target):
     raise ValueError("not a fan map")
   partial = is_unimodular(matrix)
   full = False
@@ -111,3 +151,43 @@ def sampled_completeness(fan) -> bool:
     if not any(c.contains(p) for c in fan.max_cones):
       return False
   return True
+
+
+def projective_fan(n):
+  e = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+  minus_all = tuple(-1 for _ in range(n))
+  gens = e + [minus_all]
+  return Fan.make([Cone.from_rays(gens[:i] + gens[i + 1:], n)
+                   for i in range(n + 1)], n)
+
+
+def random_stars(rng, n, moves):
+  """The projective fan of rank n after random star subdivisions at cones
+  of dimension at least two, with the fan before each move."""
+  chain = [projective_fan(n)]
+  for _ in range(moves):
+    cur = chain[-1]
+    centers = sorted((c for c in cur.all_cones if c.dim >= 2),
+                     key=lambda c: (c.dim, c.rays))
+    chain.append(star_subdivision(cur, centers[rng.randrange(len(centers))]))
+  return chain
+
+
+def gallery_fans():
+  """Every distinct fan among the fixtures of the gallery cases."""
+  seen = []
+
+  def walk(x):
+    if isinstance(x, Fan):
+      if x not in seen:
+        seen.append(x)
+    elif isinstance(x, dict):
+      for y in x.values():
+        walk(y)
+    elif isinstance(x, (list, tuple)):
+      for y in x:
+        walk(y)
+
+  for case in run_gallery():
+    walk(case.fixtures)
+  return seen

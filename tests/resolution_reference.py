@@ -1,17 +1,18 @@
 """Test-only reference code for the rank-2 resolution of logfan.fan.
 
 The library decides smoothness by the gcd of maximal minors and resolves a
-rank-2 fan by testing each new cone once.  This module keeps the earlier
-code as a differential oracle: smoothness by a rank check plus the Smith
-normal form of the ray matrix, and a resolution loop that re-tests every
-maximal cone after each inserted ray.  It also draws the singular rank-2
-fans of acceptance criterion 11.
+rank-2 fan from one Hilbert basis per singular cone.  This module keeps the
+earlier code as a differential oracle: smoothness by a rank check plus the
+Smith normal form of the ray matrix, the stellar insertion of one ray, and
+a resolution loop that inserts one ray at a time, takes a fresh Hilbert
+basis each time and re-tests every maximal cone after each insertion.  It
+also draws the singular rank-2 fans of acceptance criterion 11.
 """
 
 import math
 
 from logfan.cone import Cone, _rank_small, hilbert_basis
-from logfan.fan import Fan, _insert_ray_2d, complete_2d
+from logfan.fan import Fan, complete_2d
 from logfan.lattice import IntMatrix, snf
 
 
@@ -32,6 +33,20 @@ def reference_is_smooth(sigma: Cone) -> bool:
   return all(D.entry(i, i) == 1 for i in range(len(rows)))
 
 
+def insert_ray_2d(fan: Fan, ray) -> Fan:
+  """Stellar insertion of a primitive ray into a rank-2 fan: every
+  two-dimensional cone whose relative interior meets the ray is split."""
+  out = []
+  for c in fan.max_cones:
+    if c.dim == 2 and c.contains(ray) and ray not in c.rays:
+      a, b = c.rays
+      out.append(Cone.from_rays([a, ray], 2))
+      out.append(Cone.from_rays([ray, b], 2))
+    else:
+      out.append(c)
+  return Fan.make(out, 2)
+
+
 def reference_resolve_2d(fan: Fan) -> tuple[Fan, list]:
   """The resolution loop that re-tests every maximal cone after each
   inserted ray, and takes the first singular 2-cone in max_cones order."""
@@ -47,7 +62,7 @@ def reference_resolve_2d(fan: Fan) -> tuple[Fan, list]:
     c = bad[0]
     extra = sorted(h for h in hilbert_basis(c) if h not in c.rays)
     assert extra, "singular rank-2 cone with no interior Hilbert element"
-    cur = _insert_ray_2d(cur, extra[0])
+    cur = insert_ray_2d(cur, extra[0])
     steps.append(extra[0])
 
 

@@ -19,7 +19,6 @@ from logfan.cli import execute, parse_document, serialize_document
 from logfan.cone import Cone, hilbert_basis, is_smooth
 from logfan.fan import (
     Fan,
-    _insert_ray_2d,
     complete_2d,
     resolve_2d,
     star_subdivision,
@@ -53,6 +52,7 @@ from logfan.monoid import (
     membership,
     saturation,
 )
+from resolution_reference import insert_ray_2d
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -341,7 +341,7 @@ def test_criterion_11_resolution_of_random_singular_fans():
       break
     cur = fan
     for ray in steps:
-      nxt = _insert_ray_2d(cur, ray)
+      nxt = insert_ray_2d(cur, ray)
       if not subdivision_predicates(ident, nxt, cur).is_subdivision:
         ok = False
         break

@@ -404,3 +404,37 @@ def test_module_entry_point():
       capture_output=True, text=True)
   assert proc.returncode == 0
   assert "14/14 groups" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("cones", [
+    [[[1, 0], [0, 1], [0, -1]], [[-1, 0], [-1, 1]]],
+    [[[1, 0], [0, 1], [0, -1]]],
+], ids=["with-another-cone", "alone"])
+def test_check_cone_with_lineality_is_a_check_failure(tmp_path, cones):
+  path = tmp_path / "half.json"
+  path.write_text('{"rank": 2, "max_cones": %s}' % cones)
+  code, out, err = run(["check", str(path)])
+  assert code == 1
+  assert err == ""
+  assert "valid: no" in out
+  assert "violation: not strictly convex -- ((1, 0),) vs ((0, 1),)" in out
+  assert "smooth: no" in out
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+  import logfan.cli
+  builds = []
+
+  def counted():
+    builds.append(1)
+    return build()
+
+  build = logfan.cli._build_parser
+  monkeypatch.setattr(logfan.cli, "_parser", None)
+  monkeypatch.setattr(logfan.cli, "_build_parser", counted)
+  outcomes = [run(argv)[0] for argv in (
+      ["check", str(FIXTURES / "orthant.json")], ["frobnicate"],
+      ["check", str(FIXTURES / "overlap.json")],
+      ["check", str(FIXTURES / "orthant.json")])]
+  assert outcomes == [0, 2, 1, 0]
+  assert builds == [1]

@@ -10,15 +10,17 @@ fans of ranks 2 to 4.
 
 import random
 
-from covering_reference import reference_subdivision_predicates, sampled_completeness
-from resolution_reference import criterion_11_fans
-from logfan.cone import Cone
+from covering_reference import (
+    gallery_fans,
+    random_stars,
+    reference_subdivision_predicates,
+    sampled_completeness,
+)
+from resolution_reference import criterion_11_fans, insert_ray_2d
 from logfan.fan import (
     Fan,
-    _insert_ray_2d,
     complete_2d,
     resolve_2d,
-    star_subdivision,
     subdivision_predicates,
     support_query,
 )
@@ -32,26 +34,6 @@ def _outcome(predicate, src, dst):
   except ValueError:
     return "not a fan map"
   return got.is_partial_subdivision, got.is_subdivision
-
-
-def _projective(n):
-  e = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-  minus_all = tuple(-1 for _ in range(n))
-  gens = e + [minus_all]
-  return Fan.make([Cone.from_rays(gens[:i] + gens[i + 1:], n)
-                   for i in range(n + 1)], n)
-
-
-def _random_stars(rng, n, moves):
-  """The projective fan of rank n after random star subdivisions at cones
-  of dimension at least two, with the fan before each move."""
-  chain = [_projective(n)]
-  for _ in range(moves):
-    cur = chain[-1]
-    centers = sorted((c for c in cur.all_cones if c.dim >= 2),
-                     key=lambda c: (c.dim, c.rays))
-    chain.append(star_subdivision(cur, centers[rng.randrange(len(centers))]))
-  return chain
 
 
 def _drop_one(rng, fan):
@@ -72,14 +54,14 @@ def _differential_pairs():
     pairs += [(resolved, fan), (fan, resolved)]
     cur = fan
     for ray in steps:
-      nxt = _insert_ray_2d(cur, ray)
+      nxt = insert_ray_2d(cur, ray)
       pairs.append((nxt, cur))
       cur = nxt
     if not support_query(fan).is_complete:
       pairs.append((fan, complete_2d(fan)))
   for n in (2, 3):
     for _ in range(4):
-      chain = _random_stars(rng, n, 3)
+      chain = random_stars(rng, n, 3)
       for coarse, fine in zip(chain, chain[1:]):
         pairs += [(fine, coarse), (coarse, fine)]
       pairs.append((_drop_one(rng, chain[-1]), chain[0]))
@@ -97,27 +79,8 @@ def test_wall_test_agrees_with_section_volumes():
   assert {(True, True), (True, False), "not a fan map"} <= outcomes
 
 
-def _gallery_fans():
-  seen = []
-
-  def walk(x):
-    if isinstance(x, Fan):
-      if x not in seen:
-        seen.append(x)
-    elif isinstance(x, dict):
-      for y in x.values():
-        walk(y)
-    elif isinstance(x, (list, tuple)):
-      for y in x:
-        walk(y)
-
-  for case in run_gallery():
-    walk(case.fixtures)
-  return seen
-
-
 def test_completeness_of_gallery_fans_agrees_with_sampling():
-  fans = _gallery_fans()
+  fans = gallery_fans()
   flags = [support_query(f).is_complete for f in fans]
   assert flags == [sampled_completeness(f) for f in fans]
   assert True in flags and False in flags
@@ -127,7 +90,7 @@ def test_completeness_of_seeded_fans_agrees_with_sampling():
   rng = random.Random(5)
   for n in (2, 3, 4):
     for moves in range(3):
-      fan = _random_stars(rng, n, moves)[-1]
+      fan = random_stars(rng, n, moves)[-1]
       assert support_query(fan).is_complete
       assert sampled_completeness(fan)
       holed = _drop_one(rng, fan)

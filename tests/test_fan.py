@@ -18,7 +18,6 @@ from logfan.cone import faces as cone_faces
 from logfan.fan import (
     Fan,
     FanMap,
-    _insert_ray_2d,
     _tiles,
     complete_2d,
     fiber_product,
@@ -32,6 +31,7 @@ from logfan.fan import (
     validate,
 )
 from logfan.lattice import IntMatrix
+from resolution_reference import insert_ray_2d
 
 I1 = IntMatrix.identity(1)
 I2 = IntMatrix.identity(2)
@@ -100,6 +100,22 @@ def test_validate_flags_overlapping_pair():
   assert not rep.ok
   assert len(rep.violations) == 1
   assert rep.violations[0][0] == "intersection not a common face"
+
+
+def test_validate_reports_lineality_without_raising():
+  half = cone2((1, 0), (0, 1), (0, -1))
+  other = cone2((-1, 0), (-1, 1))
+  for f in (Fan(2, (half, other)), Fan(2, (half,)),
+            Fan(2, (half, cone2((-1, 0), (0, 1), (0, -1)), other))):
+    rep = validate(f)
+    assert not rep.ok
+    assert [v[0] for v in rep.violations] == (
+        ["not strictly convex"] * sum(not c.is_strictly_convex
+                                      for c in f.max_cones))
+  # the strictly convex cones are still tested in pairs
+  rep = validate(Fan(2, (half, cone2((-1, 0), (-1, 2)), cone2((-1, 1), (0, 1)))))
+  assert [v[0] for v in rep.violations] == [
+      "not strictly convex", "intersection not a common face"]
 
 
 def test_validate_accepts_the_projective_plane():
@@ -373,7 +389,7 @@ def test_resolve_2d_chain_is_a_chain_of_subdivisions():
   final, steps = resolve_2d(start)
   cur = start
   for ray in steps:
-    nxt = _insert_ray_2d(cur, ray)
+    nxt = insert_ray_2d(cur, ray)
     assert subdivision_predicates(I2, nxt, cur).is_subdivision
     cur = nxt
   assert cur == final

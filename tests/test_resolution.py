@@ -3,10 +3,11 @@
 is_smooth (gcd of maximal minors) is compared with the rank check plus
 Smith normal form kept in resolution_reference, on seeded ray sets of
 ranks 1 to 6 with as many rays as the rank or more, among them dependent
-and non-primitive rows.  resolve_2d (each new cone tested once) is compared
-with the loop that re-tested the whole fan after every ray, on the fans of
-acceptance criterion 11, and a call count guards against that re-test
-coming back.
+and non-primitive rows.  resolve_2d (one Hilbert basis per singular cone,
+the fan built once) is compared with the loop that inserted one ray at a
+time and re-tested the whole fan after every ray, on the fans of
+acceptance criterion 11, and call counts guard against the re-tests, the
+per-step Hilbert bases and the per-step Fan.make coming back.
 """
 
 import random
@@ -14,8 +15,8 @@ import random
 import pytest
 
 import logfan.fan
-from logfan.cone import Cone, is_smooth
-from logfan.fan import resolve_2d, support_query
+from logfan.cone import Cone, hilbert_basis, is_smooth
+from logfan.fan import Fan, resolve_2d, support_query
 from resolution_reference import (
     criterion_11_fans,
     reference_is_smooth,
@@ -91,7 +92,7 @@ def test_is_smooth_agrees_with_smith_form_on_canonical_cones():
 
 
 def test_resolve_2d_agrees_with_the_full_retest_loop():
-  fans = criterion_11_fans(random.Random(11), 30)
+  fans = criterion_11_fans(random.Random(11), 200)
   completed = [support_query(f).is_complete for f in fans]
   assert True in completed and False in completed
   for fan in fans:
@@ -118,6 +119,36 @@ def test_resolve_2d_tests_each_cone_once(monkeypatch):
     longest = max(longest, len(steps))
   # re-testing every cone after each ray would exceed the bound here
   assert longest >= 3
+
+
+def test_resolve_2d_takes_one_hilbert_basis_per_singular_cone(monkeypatch):
+  fans = criterion_11_fans(random.Random(13), 40)
+  calls = []
+
+  def counted(sigma):
+    calls.append(sigma)
+    return hilbert_basis(sigma)
+
+  def no_make(cones, ambient_rank):
+    raise AssertionError("resolve_2d called Fan.make")
+
+  monkeypatch.setattr(logfan.fan, "hilbert_basis", counted)
+  monkeypatch.setattr(Fan, "make", staticmethod(no_make))
+  resolved = []
+  longest = 0
+  for fan in fans:
+    calls.clear()
+    got, steps = resolve_2d(fan)
+    assert calls == [c for c in fan.max_cones
+                     if c.dim == 2 and not is_smooth(c)]
+    resolved.append(got)
+    longest = max(longest, len(steps))
+  assert longest >= 3
+  monkeypatch.undo()
+  # the fan is built without Fan.make's filter, so check that every cone
+  # is maximal
+  for got in resolved:
+    assert Fan.make(got.max_cones, 2).max_cones == got.max_cones
 
 
 def test_resolve_2d_reports_lineality():

@@ -4,16 +4,18 @@ A cone is stored canonically: primitive extreme rays (sorted), a Hermite
 basis of its lineality space (empty when strictly convex), plus derived facet
 normals and span normals that cut the cone out of its linear span.  All
 computations are integer-exact, and each enumeration makes only the objects
-of its answer: rays and facets convert into each other by double
-description, faces come from closing the facets' ray sets under
-intersection, and Hilbert-basis candidates from the group of the lattice
-modulo the rays of each simplicial piece.  The lattice work is only what
-the answer needs: a Hermite kernel (for span normals or lineality) is taken
-only when the rank shows the kernel is not {0}, each simplicial piece gets
-its adjugate and determinant from one fraction-free elimination, and the
-triangulation and the face test work on the rays' incidence bitsets without
-building a cone per face.  Hilbert bases have a work budget,
-MAX_HILBERT_INDEX.
+of its answer: rays and facets convert into each other by one double
+description, started from one adjugate; a pointed cone's rays are read
+from the incidences of its generators with its facets, so only a cone with
+lineality converts a second time.  Faces come from closing the facets' ray
+sets under intersection, and Hilbert-basis candidates from the group of the
+lattice modulo the rays of each simplicial piece.  The lattice work is only
+what the answer needs: a Hermite kernel (for span normals or lineality) is
+taken only when the rank shows the kernel is not {0}, the conversion's start
+and each simplicial piece get their adjugate and determinant from one
+fraction-free elimination, and the triangulation and the face test work on
+the rays' incidence bitsets without building a cone per face.  Hilbert
+bases have a work budget, MAX_HILBERT_INDEX.
 """
 
 from __future__ import annotations
@@ -45,48 +47,6 @@ def _neg(v):
   return tuple(-x for x in v)
 
 
-def _kernel_small(rows, d):
-  """Primitive spanning vectors of the rational kernel of the given rows.
-
-  Lean integer Gaussian elimination for the hot paths.  The vectors span the
-  kernel over Q; use _kernel_canonical when the integer lattice matters.
-  """
-  mat = [list(r) for r in rows if any(r)]
-  pivots = []
-  r = 0
-  for c in range(d):
-    piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-    if piv is None:
-      continue
-    mat[r], mat[piv] = mat[piv], mat[r]
-    a = mat[r][c]
-    for i in range(len(mat)):
-      if i != r and mat[i][c] != 0:
-        b = mat[i][c]
-        row = [x * a - y * b for x, y in zip(mat[i], mat[r])]
-        g = 0
-        for x in row:
-          g = gcd(g, x)
-        mat[i] = [x // g for x in row] if g else row
-    pivots.append((r, c))
-    r += 1
-  pivot_cols = {c for _, c in pivots}
-  basis = []
-  for fc in range(d):
-    if fc in pivot_cols:
-      continue
-    denom = 1
-    for pr, pc in pivots:
-      denom = denom * mat[pr][pc] // gcd(denom, mat[pr][pc])
-    denom = abs(denom)
-    vec = [0] * d
-    vec[fc] = denom
-    for pr, pc in pivots:
-      vec[pc] = -mat[pr][fc] * (denom // mat[pr][pc])
-    basis.append(list(primitive(vec)))
-  return basis
-
-
 def _kernel_canonical(rows, d):
   """Hermite basis of the saturated integer kernel lattice of the rows."""
   clean = [list(r) for r in rows]
@@ -94,25 +54,9 @@ def _kernel_canonical(rows, d):
   return [tuple(v) for v in kernel_basis(A)]
 
 
-def _rank_small(rows, d):
-  mat = [list(r) for r in rows if any(r)]
-  r = 0
-  for c in range(d):
-    piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-    if piv is None:
-      continue
-    mat[r], mat[piv] = mat[piv], mat[r]
-    a = mat[r][c]
-    for i in range(r + 1, len(mat)):
-      if mat[i][c] != 0:
-        b = mat[i][c]
-        mat[i] = [x * a - y * b for x, y in zip(mat[i], mat[r])]
-    r += 1
-  return r
-
-
 def _independent(echelon, row) -> bool:
-  """Add row to the echelon rows when it is independent of them.
+  """Add row to the echelon rows when it is independent of them, and return
+  whether it was added.
 
   echelon is a list of (pivot column, row), each row zero at the pivot
   columns of the rows before it; reducing in that order leaves a new row
@@ -133,27 +77,30 @@ def _independent(echelon, row) -> bool:
 def _pointed_extreme_rays(ineqs, eqs, d):
   """Extreme rays and lineality of {x : ineqs.x >= 0, eqs.x == 0}.
 
-  Returns (rays, lineality_basis): the rays are the primitive extreme rays of
-  the cone intersected with the orthogonal complement of its lineality space,
-  sorted; the lineality basis is the Hermite basis of the saturated lineality
-  lattice.  The lineality is the kernel of all the rows, so it is {0} when
-  the echelon of the equations and the inequalities reaches rank d, and only
-  otherwise is it computed as a Hermite kernel (_kernel_canonical).
+  Returns (rays, lineality_basis, incidence): the rays are the primitive
+  extreme rays of the cone intersected with the orthogonal complement of its
+  lineality space, sorted; the lineality basis is the Hermite basis of the
+  saturated lineality lattice; incidence[j] is the int bitset of the
+  inequalities that vanish on rays[j].  The lineality is the kernel of all
+  the rows, so it is {0} when the echelon of the equations and the
+  inequalities reaches rank d, and only otherwise is it computed as a
+  Hermite kernel (_kernel_canonical).
 
   Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  Inside
   W = {x : eqs.x == 0, x orthogonal to the lineality}, of dimension m, the
   inequalities have rank m.  The first m independent ones cut out a
-  simplicial cone (m kernel solves); every other inequality a then keeps the
-  rays with a.x >= 0 and adds primitive((a.p) q - (a.q) p) for each adjacent
-  pair with a.p > 0 > a.q.  Each ray carries its zero set over the rows
-  processed so far as an int bitset; p and q are adjacent iff their common
-  zero set Z has at least m - 2 rows and lies in the zero set of no third
-  ray, since Z cuts out the smallest face holding both.
+  simplicial cone, whose rays are m columns of one adjugate (_adjugate) of
+  the square matrix of the independent equations, the lineality basis and
+  these m rows.  Every other inequality a then keeps the rays with a.x >= 0
+  and adds primitive((a.p) q - (a.q) p) for each adjacent pair with
+  a.p > 0 > a.q.  Each ray carries its zero set over the rows processed so
+  far as an int bitset; p and q are adjacent iff their common zero set Z has
+  at least m - 2 rows and lies in the zero set of no third ray, since Z cuts
+  out the smallest face holding both.
   """
   ineqs = list(ineqs)
   echelon = []
-  for e in eqs:
-    _independent(echelon, e)
+  kept = [e for e in eqs if _independent(echelon, e)]
   start = []
   for i, a in enumerate(ineqs):
     if len(echelon) == d:
@@ -164,17 +111,21 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   # first would select the same start rows: its span meets the rows' span
   # only in 0.
   lin = [] if len(echelon) == d else _kernel_canonical(ineqs + list(eqs), d)
-  eqs2 = list(eqs) + lin
   m = len(start)
   if m == 0:
-    return [], lin
-  rays = []
-  zeros = []
+    return [], lin, []
+  # kept, lin and the start rows are d independent rows, so M is square and
+  # invertible, and column k + t of adj(M) = det(M) M^-1 is orthogonal to
+  # every row of M but start row t, on which it is det(M).
+  k = d - m
+  adj, dd = _adjugate(kept + lin + [ineqs[i] for i in start])
+  if dd == 0:
+    raise RuntimeError("start rows %s are dependent"
+                       % ([ineqs[i] for i in start],))
+  sign = 1 if dd > 0 else -1
+  rays = [primitive([sign * row[k + t] for row in adj]) for t in range(m)]
   all_start = sum(1 << i for i in start)
-  for i in start:
-    v = _kernel_small(eqs2 + [ineqs[j] for j in start if j != i], d)[0]
-    rays.append(tuple(v) if _dot(ineqs[i], v) > 0 else _neg(v))
-    zeros.append(all_start & ~(1 << i))
+  zeros = [all_start & ~(1 << i) for i in start]
   done = set(start)
   for i, a in enumerate(ineqs):
     if i in done:
@@ -204,7 +155,8 @@ def _pointed_extreme_rays(ineqs, eqs, d):
         new_rays.append(rays[j])
         new_zeros.append(zeros[j] | bit if s == 0 else zeros[j])
     rays, zeros = new_rays, new_zeros
-  return sorted(rays), lin
+  out = sorted(zip(rays, zeros))
+  return [r for r, _ in out], lin, [z for _, z in out]
 
 
 @dataclass(frozen=True)
@@ -242,7 +194,7 @@ class Cone:
   @staticmethod
   def from_inequalities(ineqs, eqs, ambient_rank: int) -> "Cone":
     """Cone {x : n.x >= 0 for n in ineqs, e.x == 0 for e in eqs}."""
-    rays, lin = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
+    rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
     gens = list(rays)
     for b in lin:
       gens.append(b)
@@ -296,42 +248,43 @@ class Cone:
     return True
 
 
-def _zero_cone(d: int) -> Cone:
-  eye = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-  return Cone(ambient_rank=d, rays=(), lineality_basis=(),
-              facet_normals=(), span_normals=eye, _dim=0)
-
-
 @lru_cache(maxsize=65536)
 def _cone_from_gens(gens: tuple, d: int) -> Cone:
-  if not gens:
-    return _zero_cone(d)
-  gen_rows = [list(g) for g in gens]
-  dim = _rank_small(gen_rows, d)
-  span_normals = _kernel_canonical(gen_rows, d) if dim < d else []
-  if dim == len(gens):
-    # simplicial: every generator is extreme, facets drop one generator each
-    normals = []
-    for i in range(len(gens)):
-      rest = [gen_rows[j] for j in range(len(gens)) if j != i]
-      ker = _kernel_small(rest + [list(s) for s in span_normals], d)
-      e = _dot(ker[0], gens[i]) if len(ker) == 1 else 0
-      if e == 0:
-        raise RuntimeError("no facet normal opposite generator %s" % (gens[i],))
-      nu = ker[0]
-      if e < 0:
-        nu = [-x for x in nu]
-      normals.append(tuple(nu))
-    return Cone(ambient_rank=d, rays=gens, lineality_basis=(),
-                facet_normals=tuple(sorted(normals)),
-                span_normals=tuple(span_normals), _dim=len(gens))
-  normals, dual_lin = _pointed_extreme_rays(gen_rows, [], d)
-  if dual_lin != span_normals:
-    raise RuntimeError("dual lineality differs from the span normals")
-  rays, lin = _pointed_extreme_rays(normals, span_normals, d)
+  """The cone on sorted distinct primitive generators.
+
+  One conversion gives the facet normals, the span normals (its lineality)
+  and the facets each generator lies on.  Some generator lies on every
+  facet iff the cone has lineality.  If g lies on every facet, -g meets
+  every facet inequality and lies in the span, so -g is in the cone.  If
+  l = sum c_i g_i != 0, c_i >= 0, is in the lineality, the sum of the
+  normals is 0 on l and >= 0 on every g_i, so it is 0 on some g_i with
+  c_i > 0, and that g_i lies on every facet.  In a pointed cone the facets
+  through g cut out the smallest face holding g, so g is an extreme ray iff
+  no other generator lies on all of them: no other generator's facet set
+  contains g's.  Only a cone with lineality takes the second conversion,
+  facets to rays.
+  """
+  normals, span_normals, inc = _pointed_extreme_rays(gens, [], d)
+  full = (1 << len(gens)) - 1
+  on_all = full
+  for z in inc:
+    on_all &= z
+  if on_all:
+    rays, lin, _ = _pointed_extreme_rays(normals, span_normals, d)
+  else:
+    rays = []
+    lin = []
+    for i, g in enumerate(gens):
+      # the generators on every facet through g
+      face = full
+      for z in inc:
+        if z >> i & 1:
+          face &= z
+      if face == 1 << i:
+        rays.append(g)
   return Cone(ambient_rank=d, rays=tuple(rays), lineality_basis=tuple(lin),
               facet_normals=tuple(normals), span_normals=tuple(span_normals),
-              _dim=dim)
+              _dim=d - len(span_normals))
 
 
 def dual_cone(sigma: Cone) -> Cone:
@@ -360,14 +313,16 @@ def _adjugate(rows):
   gives det(R) and adj(R).  A column with no nonzero pivot means det = 0.
   """
   k = len(rows)
-  w = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+  w = [list(r) + [0] * k for r in rows]
+  for i in range(k):
+    w[i][k + i] = 1
   sign = 1
   prev = 1
   for c in range(k):
-    piv = next((i for i in range(c, k) if w[i][c]), None)
-    if piv is None:
-      return None, 0
-    if piv != c:
+    if not w[c][c]:
+      piv = next((i for i in range(c + 1, k) if w[i][c]), None)
+      if piv is None:
+        return None, 0
       w[c], w[piv] = w[piv], w[c]
       sign = -sign
     p = w[c]
@@ -377,7 +332,9 @@ def _adjugate(rows):
         b = w[i][c]
         w[i] = [(x * a - y * b) // prev for x, y in zip(w[i], p)]
     prev = a
-  return [[sign * x for x in row[k:]] for row in w], sign * prev
+  if sign < 0:
+    return [[-x for x in row[k:]] for row in w], -prev
+  return [row[k:] for row in w], prev
 
 
 def _simplicial_pieces(sigma: Cone):

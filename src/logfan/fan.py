@@ -330,9 +330,10 @@ def star_subdivision(fan: Fan, tau: Cone) -> Fan:
     raise ValueError("cannot subdivide at the zero cone")
   tset = set(tau.rays)
   holders = [c for c in fan.max_cones if tset <= set(c.rays)]
-  for c in fan.all_cones:
-    if tset <= set(c.rays) and not is_smooth(c):
-      raise ValueError("a cone containing tau is singular")
+  # every cone containing tau is a face of a holder, and faces of smooth
+  # cones are smooth
+  if not all(is_smooth(c) for c in holders):
+    raise ValueError("a cone containing tau is singular")
   center = tuple(sum(r[i] for r in tau.rays) for i in range(fan.ambient_rank))
   out = [c for c in fan.max_cones if c not in holders]
   for c in holders:

@@ -1,12 +1,16 @@
 """Test-only reference code for the cone enumerations of logfan.cone.
 
-The library converts between rays and facets by double description, lists
-faces by closing the facets' ray sets under intersection, and finds the
-lattice points of a simplicial parallelepiped by enumerating the group of
-the lattice modulo the rays.  This module keeps the earlier exhaustive code
-as a differential oracle:
+The library converts between rays and facets by one double description
+started from one adjugate, reads a pointed cone's rays from the incidences
+of that conversion, lists faces by closing the facets' ray sets under
+intersection, and finds the lattice points of a simplicial parallelepiped
+by enumerating the group of the lattice modulo the rays.  This module keeps
+the earlier code as a differential oracle:
 
-- conversion by one kernel solve per active set of d - 1 constraints;
+- conversion by one kernel solve per active set of d - 1 constraints, with
+  the lean row eliminations _kernel_small and _rank_small;
+- a simplicial cone's facets by one kernel solve per generator, and the
+  zero cone built directly;
 - faces by one cone per subset of facet normals;
 - parallelepiped points by a walk over every integer point of the bounding
   box;
@@ -19,15 +23,99 @@ as a differential oracle:
 
 import itertools
 
-from logfan.cone import (
-    Cone,
-    _dot,
-    _kernel_canonical,
-    _kernel_small,
-    _neg,
-    _rank_small,
-)
-from logfan.lattice import IntMatrix, det
+from math import gcd
+
+from logfan.cone import Cone, _dot, _kernel_canonical, _neg
+from logfan.lattice import IntMatrix, det, primitive
+
+
+def _kernel_small(rows, d):
+  """Primitive spanning vectors of the rational kernel of the given rows.
+
+  Lean integer Gaussian elimination for the hot paths.  The vectors span the
+  kernel over Q; use _kernel_canonical when the integer lattice matters.
+  """
+  mat = [list(r) for r in rows if any(r)]
+  pivots = []
+  r = 0
+  for c in range(d):
+    piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+    if piv is None:
+      continue
+    mat[r], mat[piv] = mat[piv], mat[r]
+    a = mat[r][c]
+    for i in range(len(mat)):
+      if i != r and mat[i][c] != 0:
+        b = mat[i][c]
+        row = [x * a - y * b for x, y in zip(mat[i], mat[r])]
+        g = 0
+        for x in row:
+          g = gcd(g, x)
+        mat[i] = [x // g for x in row] if g else row
+    pivots.append((r, c))
+    r += 1
+  pivot_cols = {c for _, c in pivots}
+  basis = []
+  for fc in range(d):
+    if fc in pivot_cols:
+      continue
+    denom = 1
+    for pr, pc in pivots:
+      denom = denom * mat[pr][pc] // gcd(denom, mat[pr][pc])
+    denom = abs(denom)
+    vec = [0] * d
+    vec[fc] = denom
+    for pr, pc in pivots:
+      vec[pc] = -mat[pr][fc] * (denom // mat[pr][pc])
+    basis.append(list(primitive(vec)))
+  return basis
+
+
+def _rank_small(rows, d):
+  mat = [list(r) for r in rows if any(r)]
+  r = 0
+  for c in range(d):
+    piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+    if piv is None:
+      continue
+    mat[r], mat[piv] = mat[piv], mat[r]
+    a = mat[r][c]
+    for i in range(r + 1, len(mat)):
+      if mat[i][c] != 0:
+        b = mat[i][c]
+        mat[i] = [x * a - y * b for x, y in zip(mat[i], mat[r])]
+    r += 1
+  return r
+
+
+def reference_zero_cone(d: int) -> Cone:
+  eye = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+  return Cone(ambient_rank=d, rays=(), lineality_basis=(),
+              facet_normals=(), span_normals=eye, _dim=0)
+
+
+def reference_simplicial_cone(gens: tuple, d: int) -> Cone:
+  """The cone on sorted primitive independent generators: every generator
+  is extreme, and each facet drops one generator."""
+  gen_rows = [list(g) for g in gens]
+  dim = _rank_small(gen_rows, d)
+  if dim != len(gens):
+    raise ValueError("generators %s are dependent" % (gens,))
+  span_normals = _kernel_canonical(gen_rows, d) if dim < d else []
+  normals = []
+  for i in range(len(gens)):
+    rest = [gen_rows[j] for j in range(len(gens)) if j != i]
+    ker = _kernel_small(rest + [list(s) for s in span_normals], d)
+    e = _dot(ker[0], gens[i]) if len(ker) == 1 else 0
+    if e == 0:
+      raise RuntimeError("no facet normal opposite generator %s" % (gens[i],))
+    nu = ker[0]
+    if e < 0:
+      nu = [-x for x in nu]
+    normals.append(tuple(nu))
+  return Cone(ambient_rank=d, rays=gens, lineality_basis=(),
+              facet_normals=tuple(sorted(normals)),
+              span_normals=tuple(span_normals), _dim=len(gens))
 
 
 def reference_adjugate(rows):

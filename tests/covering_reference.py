@@ -73,7 +73,8 @@ def _covers(pieces, container: Cone) -> bool:
     rs = []
     for r in c.rays:
       e = express_in_rows(basis, r)
-      assert e is not None
+      if e is None:
+        raise AssertionError("ray %s is outside the container's span lattice" % (r,))
       rs.append(tuple(e))
     coords[c] = rs
   big = Cone.from_rays(coords[container], k)
@@ -83,7 +84,9 @@ def _covers(pieces, container: Cone) -> bool:
   for c in pieces:
     if c.dim == k:
       got += _section_volume(Cone.from_rays(coords[c], k), ell)
-  assert got <= want
+  if got > want:
+    raise AssertionError("pieces cover a section volume %s above the "
+                         "container's %s" % (got, want))
   return got == want
 
 

@@ -11,9 +11,11 @@ also draws the singular rank-2 fans of acceptance criterion 11.
 
 import math
 
-from logfan.cone import Cone, _rank_small, hilbert_basis
+from logfan.cone import Cone, hilbert_basis
 from logfan.fan import Fan, complete_2d
 from logfan.lattice import IntMatrix, snf
+
+from cone_reference import _rank_small
 
 
 def reference_is_smooth(sigma: Cone) -> bool:
@@ -61,7 +63,8 @@ def reference_resolve_2d(fan: Fan) -> tuple[Fan, list]:
       return cur, steps
     c = bad[0]
     extra = sorted(h for h in hilbert_basis(c) if h not in c.rays)
-    assert extra, "singular rank-2 cone with no interior Hilbert element"
+    if not extra:
+      raise AssertionError("singular rank-2 cone with no interior Hilbert element")
     cur = insert_ray_2d(cur, extra[0])
     steps.append(extra[0])
 

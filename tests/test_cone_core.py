@@ -1,12 +1,14 @@
 """The output-sensitive cone enumerations against their exhaustive oracles.
 
-Conversion (double description), faces (incidence closure), parallelepiped
-points (group enumeration), adjugates (one fraction-free elimination), the
+Conversion (double description from one adjugate, and a pointed cone's rays
+read from its incidences), faces (incidence closure), parallelepiped points
+(group enumeration), adjugates (one fraction-free elimination), the
 triangulation and the face test (incidence bitsets) are compared with the
 earlier code kept in cone_reference.py, on seeded inputs.  Work-count guards
 check, without timing, that each enumeration makes only the objects of its
-answer and that no Hermite kernel is taken where the rank shows it is {0};
-the Hilbert-basis budget and the behaviour under python -O are checked last.
+answer, that a pointed cone takes one conversion, and that no Hermite kernel
+is taken where the rank shows it is {0}; the Hilbert-basis budget and the
+behaviour under python -O are checked last.
 """
 
 import math
@@ -39,13 +41,16 @@ from logfan.cone import (
 from logfan.lattice import IntMatrix, det
 
 from cone_reference import (
+    _rank_small,
     reference_adjugate,
     reference_faces,
     reference_hilbert_basis,
     reference_is_face_of,
     reference_parallelepiped_points,
     reference_pointed_extreme_rays,
+    reference_simplicial_cone,
     reference_simplicial_pieces,
+    reference_zero_cone,
 )
 from resolution_reference import criterion_11_fans
 
@@ -103,16 +108,18 @@ def test_conversion_matches_exhaustive_reference(d):
   rng = random.Random(100 + d)
   for n in range(60):
     rows, eqs = _random_system(rng, d, KINDS[n % len(KINDS)])
-    assert (_pointed_extreme_rays(rows, eqs, d)
-            == reference_pointed_extreme_rays(rows, eqs, d)), (rows, eqs)
+    rays, lin, inc = _pointed_extreme_rays(rows, eqs, d)
+    assert (rays, lin) == reference_pointed_extreme_rays(rows, eqs, d), (rows, eqs)
+    assert inc == [sum(1 << i for i, a in enumerate(rows) if _dot(a, r) == 0)
+                   for r in rays], (rows, eqs)
 
 
 def test_conversion_of_the_zero_cone_and_of_no_constraints():
   for d in (1, 3, 5):
-    assert _pointed_extreme_rays([], [], d) == reference_pointed_extreme_rays([], [], d)
+    rays, lin, inc = _pointed_extreme_rays([], [], d)
+    assert (rays, lin) == reference_pointed_extreme_rays([], [], d) and inc == []
     rows, _ = _random_system(random.Random(d), d, "zero")
-    rays, lin = _pointed_extreme_rays(rows, [], d)
-    assert rays == [] and lin == []
+    assert _pointed_extreme_rays(rows, [], d) == ([], [], [])
 
 
 def _random_gens(rng, d):
@@ -132,11 +139,24 @@ def _check_pieces(sigma):
   assert hilbert_basis(sigma) == reference_hilbert_basis(sigma)
 
 
+# cones with lineality, by rank: the plane from three generators none of
+# which is the negation of another, a half-plane with extra generators, a
+# line, and a 2-dimensional lineality with a redundant generator
+LINEALITY_CASES = {
+    2: [[(1, 0), (-1, 1), (-1, -1)],
+        [(1, 0), (-1, 0), (0, 1), (1, 1), (-2, 1), (3, 5)]],
+    3: [[(1, 2, -1), (-1, -2, 1)]],
+    4: [[(-1, 0, 0, 0), (0, -1, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0),
+         (0, 0, 1, 1), (2, -1, 0, 1)]],
+}
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_from_rays_faces_and_pieces_match_references(d):
   rng = random.Random(200 + d)
-  for _ in range(25):
-    gens = _random_gens(rng, d)
+  drawn = [_random_gens(rng, d) for _ in range(25)]
+  seen_lineality = 0
+  for n, gens in enumerate(drawn + LINEALITY_CASES.get(d, [])):
     sigma = Cone.from_rays(gens, d)
     if math.comb(len(sigma.facet_normals), d - 1) > 3000:
       continue  # keeps the exhaustive second conversion small
@@ -145,9 +165,16 @@ def test_from_rays_faces_and_pieces_match_references(d):
     assert sigma.rays == tuple(rays) and sigma.lineality_basis == tuple(lin)
     assert sorted(sigma.facet_normals) == normals
     assert list(sigma.span_normals) == span
+    assert sigma.dim == _rank_small(gens, d)
     assert faces(sigma) == reference_faces(sigma)
+    if sigma.is_strictly_convex and len(sigma.rays) == sigma.dim:
+      ref = reference_simplicial_cone(sigma.rays, d)
+      assert (sigma.facet_normals, sigma.span_normals, sigma.dim) == (
+          ref.facet_normals, ref.span_normals, ref.dim)
     if sigma.is_strictly_convex and not sigma.is_zero:
       _check_pieces(sigma)
+    seen_lineality += n < len(drawn) and not sigma.is_strictly_convex
+  assert seen_lineality > 0
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -173,7 +200,7 @@ def test_criterion_11_cones_match_references():
       assert faces(sigma) == reference_faces(sigma)
       _check_pieces(sigma)
       gens = list(sigma.rays)
-      assert (_pointed_extreme_rays(gens, [], 2)
+      assert (_pointed_extreme_rays(gens, [], 2)[:2]
               == reference_pointed_extreme_rays(gens, [], 2))
 
 
@@ -266,20 +293,52 @@ def _count_calls(monkeypatch, owner, name, static=False):
 
 @pytest.mark.parametrize("rays", [REACH_13_RAYS, CYCLIC_8],
                          ids=["13-ray-40-facet", "cyclic-8"])
-def test_one_conversion_solves_at_most_d_kernels(monkeypatch, rays):
+def test_one_conversion_takes_one_adjugate(monkeypatch, rays):
   sigma = Cone.from_rays(rays, 5)
-  calls = _count_calls(monkeypatch, cone_module, "_kernel_small")
-  for ineqs, eqs in [(rays, []), (sigma.facet_normals, sigma.span_normals)]:
-    del calls[:]
-    _pointed_extreme_rays(ineqs, eqs, 5)
-    assert 0 < len(calls) <= 5
+  adjugates = _count_calls(monkeypatch, cone_module, "_adjugate")
+  systems = [(rays, [], 5), (sigma.facet_normals, sigma.span_normals, 5),
+             ([], [], 3), ([(1, 0, 0)], [(2, 0, 0)], 3)]
   rng = random.Random(7)
   for n in range(30):
     d = 2 + n % 4
-    rows, eqs = _random_system(rng, d, KINDS[n % len(KINDS)])
-    del calls[:]
-    _pointed_extreme_rays(rows, eqs, d)
-    assert len(calls) <= d
+    systems.append(_random_system(rng, d, KINDS[n % len(KINDS)]) + (d,))
+  started = 0
+  for ineqs, eqs, d in systems:
+    del adjugates[:]
+    _pointed_extreme_rays(ineqs, eqs, d)
+    m = _rank_small(list(eqs) + list(ineqs), d) - _rank_small(eqs, d)
+    assert len(adjugates) == (1 if m else 0), (ineqs, eqs)
+    started += m > 0
+  assert started > 10
+
+
+@pytest.mark.parametrize("gens, conversions", [
+    (REACH_13_RAYS, 1),
+    (CYCLIC_8, 1),
+    ([(1, 0), (1, 3)], 1),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 1),
+    ([(1, 0), (-1, 1), (-1, -1)], 2),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 2),
+    ([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 1)], 2),
+], ids=["13-ray", "cyclic-8", "rank-2", "flat", "plane", "half-plane-3",
+        "lineality-4"])
+def test_pointed_cones_take_one_conversion(monkeypatch, gens, conversions):
+  cone_module._cone_from_gens.cache_clear()
+  calls = _count_calls(monkeypatch, cone_module, "_pointed_extreme_rays")
+  sigma = Cone.from_rays(gens, len(gens[0]))
+  assert sigma.is_strictly_convex == (conversions == 1)
+  assert len(calls) == conversions
+
+
+def test_zero_cone_comes_from_the_conversion():
+  cone_module._cone_from_gens.cache_clear()
+  for d in range(6):
+    sigma = Cone.from_rays([], d)
+    ref = reference_zero_cone(d)
+    assert sigma == ref
+    assert ((sigma.facet_normals, sigma.span_normals, sigma.dim)
+            == (ref.facet_normals, ref.span_normals, ref.dim))
+    assert Cone.from_rays([(0,) * d], d) is sigma
 
 
 def _pointed_full_cones(rng, d, count):

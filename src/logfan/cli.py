@@ -362,9 +362,15 @@ def _wedge_path(cone: Cone) -> str:
 
 def render_svg(doc: FanDocument) -> str:
   """Draw a rank-2 fan: grey wedges for the 2-cones, one line per ray,
-  boundary rays thick, each line tagged with its integer ray."""
+  boundary rays thick, each line tagged with its integer ray.  A cone with
+  lineality has no wedge of two rays, so it is refused."""
   if doc.rank != 2:
     raise CliError("render handles rank 2 only, got rank %d" % doc.rank)
+  for i, rays in enumerate(doc.max_cones):
+    if not Cone.from_rays(rays, doc.rank).is_strictly_convex:
+      raise CliError("max_cones[%d] %s is not strictly convex; render draws "
+                     "strictly convex cones only"
+                     % (i, [list(r) for r in rays]))
   fan = doc.fan()
   boundary = set(doc.boundary_rays or ())
   lines = [

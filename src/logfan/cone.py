@@ -2,20 +2,22 @@
 
 A cone is stored canonically: primitive extreme rays (sorted), a Hermite
 basis of its lineality space (empty when strictly convex), plus derived facet
-normals and span normals that cut the cone out of its linear span.  All
-computations are integer-exact, and each enumeration makes only the objects
-of its answer: rays and facets convert into each other by one double
-description, started from one adjugate; a pointed cone's rays are read
-from the incidences of its generators with its facets, so only a cone with
-lineality converts a second time.  Faces come from closing the facets' ray
-sets under intersection, and Hilbert-basis candidates from the group of the
-lattice modulo the rays of each simplicial piece.  The lattice work is only
-what the answer needs: a Hermite kernel (for span normals or lineality) is
-taken only when the rank shows the kernel is not {0}, the conversion's start
-and each simplicial piece get their adjugate and determinant from one
-fraction-free elimination, and the triangulation and the face test work on
-the rays' incidence bitsets without building a cone per face.  Hilbert
-bases have a work budget, MAX_HILBERT_INDEX.
+normals and span normals that cut the cone out of its linear span, and the
+ray-facet incidence facet_rays: for each facet, the int bitset of the rays
+on it.  All computations are integer-exact, and each enumeration makes only
+the objects of its answer: rays and facets convert into each other by one
+double description, started from one adjugate; a pointed cone's rays are
+read from the incidences of its generators with its facets, so only a cone
+with lineality converts a second time.  The incidence is kept from that
+conversion, never recomputed: faces come from closing facet_rays under
+intersection, the triangulation recurses on it, and the face test and the
+fan layer read the smallest face holding a point off it (_smallest_face).
+Hilbert-basis candidates come from the group of the lattice modulo the rays
+of each simplicial piece.  The lattice work is only what the answer needs:
+a Hermite kernel (for span normals or lineality) is taken only when the
+rank shows the kernel is not {0}, and the conversion's start and each
+simplicial piece get their adjugate and determinant from one fraction-free
+elimination.  Hilbert bases have a work budget, MAX_HILBERT_INDEX.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ def _dot(a, b):
 
 def _neg(v):
   return tuple(-x for x in v)
+
+
+def _pick(rays, bits) -> tuple:
+  """The rays whose bits are set in the int bitset bits, in order."""
+  return tuple(r for j, r in enumerate(rays) if bits >> j & 1)
 
 
 def _kernel_canonical(rows, d):
@@ -164,13 +171,17 @@ class Cone:
   """A rational polyhedral cone in canonical form.
 
   Equality and hashing use ambient_rank, rays and lineality_basis only; the
-  facet and span normals and the cached dimension are derived data.
+  facet and span normals, the incidence facet_rays and the cached dimension
+  are derived data.  facet_rays[k] is the int bitset of the rays on
+  facet_normals[k] (bit j for rays[j]), kept from the conversion that found
+  the facets (see _cone_from_gens).
   """
 
   ambient_rank: int
   rays: tuple[tuple[int, ...], ...]
   lineality_basis: tuple[tuple[int, ...], ...] = ()
   facet_normals: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+  facet_rays: tuple[int, ...] = field(default=(), compare=False, repr=False)
   span_normals: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
   _dim: int = field(default=0, compare=False, repr=False)
 
@@ -263,6 +274,11 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
   no other generator lies on all of them: no other generator's facet set
   contains g's.  Only a cone with lineality takes the second conversion,
   facets to rays.
+
+  facet_rays comes from the same incidences, with no dot product: for a
+  pointed cone the generator bitsets of the facets, re-indexed from the
+  generators to the kept rays; for a cone with lineality the rays' facet
+  bitsets of the second conversion, transposed.
   """
   normals, span_normals, inc = _pointed_extreme_rays(gens, [], d)
   full = (1 << len(gens)) - 1
@@ -270,21 +286,28 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
   for z in inc:
     on_all &= z
   if on_all:
-    rays, lin, _ = _pointed_extreme_rays(normals, span_normals, d)
+    rays, lin, ray_inc = _pointed_extreme_rays(normals, span_normals, d)
+    facet_rays = [sum(1 << j for j, z in enumerate(ray_inc) if z >> k & 1)
+                  for k in range(len(normals))]
   else:
-    rays = []
     lin = []
-    for i, g in enumerate(gens):
-      # the generators on every facet through g
+    kept = []
+    for i in range(len(gens)):
+      # the generators on every facet through gens[i]
       face = full
       for z in inc:
         if z >> i & 1:
           face &= z
       if face == 1 << i:
-        rays.append(g)
+        kept.append(i)
+    rays = [gens[i] for i in kept]
+    facet_rays = inc
+    if len(kept) < len(gens):
+      facet_rays = [sum(1 << j for j, i in enumerate(kept) if z >> i & 1)
+                    for z in inc]
   return Cone(ambient_rank=d, rays=tuple(rays), lineality_basis=tuple(lin),
-              facet_normals=tuple(normals), span_normals=tuple(span_normals),
-              _dim=d - len(span_normals))
+              facet_normals=tuple(normals), facet_rays=tuple(facet_rays),
+              span_normals=tuple(span_normals), _dim=d - len(span_normals))
 
 
 def dual_cone(sigma: Cone) -> Cone:
@@ -344,24 +367,22 @@ def _simplicial_pieces(sigma: Cone):
 
   The recursion runs on faces as int bitsets over sigma's rays.  The facets
   of a face F are its maximal proper intersections with sigma's facet ray
-  sets (the sets that faces closes over): each is a face of F, and a facet
-  G of F is F cut by a facet of sigma that holds G but not F.  A face of
-  dimension k with k rays is simplicial; otherwise its first ray r0 is
-  coned over the pieces of each facet of F that misses r0.  No cone is
-  built per face.  The maximality test is needed from rank 6 on, where a
-  smaller intersection can have as many rays as a facet of F has dimension,
-  and would be taken for a simplicial piece.
+  sets, sigma.facet_rays (the sets that faces closes over): each is a face
+  of F, and a facet G of F is F cut by a facet of sigma that holds G but
+  not F.  A face of dimension k with k rays is simplicial; otherwise its
+  first ray r0 is coned over the pieces of each facet of F that misses r0.
+  No cone is built per face.  The maximality test is needed from rank 6
+  on, where a smaller intersection can have as many rays as a facet of F
+  has dimension, and would be taken for a simplicial piece.
   """
   rays = sigma.rays
-  facet_sets = [sum(1 << j for j, r in enumerate(rays) if _dot(nu, r) == 0)
-                for nu in sigma.facet_normals]
 
   def pieces(face, dim):
     if face.bit_count() == dim:
-      yield tuple(r for j, r in enumerate(rays) if face >> j & 1)
+      yield _pick(rays, face)
       return
     low = face & -face
-    cuts = {face & s for s in facet_sets} - {face}
+    cuts = {face & s for s in sigma.facet_rays} - {face}
     for x in cuts:
       if x & low or any(x != y and x & y == x for y in cuts):
         continue
@@ -503,17 +524,17 @@ def faces(sigma: Cone) -> list:
 
   A face's rays are those of the whole cone cut by some set of facets, so
   the ray sets of the faces are the full set closed under intersection with
-  each facet's vanishing set (Kaibel & Pfetsch 2002); the sets are int
-  bitsets over the rays, and each closed set makes one cone.  Sorted by
-  (dimension, rays) so the output is deterministic.
+  each facet's ray set, sigma.facet_rays (Kaibel & Pfetsch 2002); the sets
+  are int bitsets over the rays, and each closed set makes one cone through
+  Cone.from_rays, so that its cache holds the faces that fans share.
+  Sorted by (dimension, rays) so the output is deterministic.
   """
   rays = sigma.rays
   lin_gens = []
   for b in sigma.lineality_basis:
     lin_gens.append(b)
     lin_gens.append(_neg(b))
-  facet_sets = {sum(1 << j for j, r in enumerate(rays) if _dot(nu, r) == 0)
-                for nu in sigma.facet_normals}
+  facet_sets = set(sigma.facet_rays)
   full = (1 << len(rays)) - 1
   closed = {full}
   todo = [full]
@@ -524,8 +545,7 @@ def faces(sigma: Cone) -> list:
       if y not in closed:
         closed.add(y)
         todo.append(y)
-  out = [Cone.from_rays([r for j, r in enumerate(rays) if y >> j & 1] + lin_gens,
-                        sigma.ambient_rank)
+  out = [Cone.from_rays(list(_pick(rays, y)) + lin_gens, sigma.ambient_rank)
          for y in closed]
   return sorted(out, key=lambda c: (c.dim, c.rays))
 
@@ -533,11 +553,11 @@ def faces(sigma: Cone) -> list:
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:
   """Whether gamma is a face of the strictly convex cone sigma.
 
-  The smallest face of sigma holding gamma's rays is cut out by the facets
-  that vanish on them, and its rays are the rays of sigma on those facets,
-  sorted.  gamma is that face iff its rays are exactly these: both cones
-  are strictly convex and every kept ray is an extreme ray of sigma, so no
-  cone needs to be built to compare them.
+  The smallest face of sigma holding gamma is the smallest face holding
+  gamma's interior point, the sum of its rays (_smallest_face).  gamma is
+  that face iff its rays are exactly that face's: both cones are strictly
+  convex and every kept ray is an extreme ray of sigma, so no cone needs
+  to be built to compare them.
   """
   if gamma.ambient_rank != sigma.ambient_rank:
     raise ValueError("ambient rank mismatch")
@@ -545,10 +565,22 @@ def is_face_of(gamma: Cone, sigma: Cone) -> bool:
     raise ValueError("face test implemented for strictly convex cones")
   if not all(sigma.contains(r) for r in gamma.rays):
     return False
-  cut = [nu for nu in sigma.facet_normals
-         if all(_dot(nu, r) == 0 for r in gamma.rays)]
-  keep = [r for r in sigma.rays if all(_dot(nu, r) == 0 for nu in cut)]
-  return tuple(keep) == gamma.rays
+  return _smallest_face(sigma, gamma.interior_point()) == gamma.rays
+
+
+def _smallest_face(sigma: Cone, x) -> tuple:
+  """Rays of the smallest face of sigma that holds the point x of sigma.
+
+  That face is cut out by the facets of sigma that vanish on x, so its rays
+  are the rays of sigma on all of them: one dot product per facet decides
+  which facets those are, and sigma.facet_rays gives their rays.  For x in
+  the relative interior no facet vanishes and the face is sigma itself.
+  """
+  face = (1 << len(sigma.rays)) - 1
+  for nu, on in zip(sigma.facet_normals, sigma.facet_rays):
+    if not _dot(nu, x):
+      face &= on
+  return _pick(sigma.rays, face)
 
 
 def intersect(sigma: Cone, tau: Cone) -> Cone:

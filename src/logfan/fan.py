@@ -22,7 +22,8 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import Cone, _dot, hilbert_basis, intersect, is_face_of, is_smooth
+from .cone import (Cone, _dot, _pick, _smallest_face, hilbert_basis,
+                   intersect, is_face_of, is_smooth)
 from .cone import faces as cone_faces
 from .lattice import IntMatrix, is_unimodular
 
@@ -171,13 +172,14 @@ def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
 
   One holder t is found per source cone (see _first_holders).  The sum x of
   the image rays lies in the relative interior of the image, so the
-  smallest face F of t holding the image is the face cut out by the facets
-  of t that vanish on x; when x is interior to t, F is t itself.  If the
-  target is a fan, every maximal target cone t' holding the image meets t
-  in a common face that contains x, hence F; so F is a face of t' and its
-  rays are among the rays of t'.  The holders are therefore the maximal
-  target cones whose rays include those of F, found through the ray index,
-  and for x interior to t that is t alone.
+  smallest face F of t holding the image is the smallest face holding x,
+  whose rays are read off the stored incidence of t (_smallest_face); when
+  x is interior to t, F is t itself.  If the target is a fan, every maximal
+  target cone t' holding the image meets t in a common face that contains
+  x, hence F; so F is a face of t' and its rays are among the rays of t'.
+  The holders are therefore the maximal target cones whose rays include
+  those of F, found through the ray index, and for x interior to t that is
+  t alone.
 
   Precondition: the target is a fan; the source need not be one.  Each
   cone listed is checked to contain the image, so for a target that is not
@@ -193,8 +195,7 @@ def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
       continue
     t = cones[first]
     x = [sum(col) for col in zip(*imgs)] or [0] * target.ambient_rank
-    cut = [nu for nu in t.facet_normals if _dot(nu, x) == 0]
-    face = [r for r in t.rays if all(_dot(nu, r) == 0 for nu in cut)]
+    face = _smallest_face(t, x)
     near = set.intersection(*(index[r] for r in face)) if face else range(len(cones))
     out.append((imgs, sorted(i for i in near
                              if i == first or _holds(cones[i], imgs))))
@@ -237,8 +238,8 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
      a facet of exactly one other piece, which lies on its other side;
   2. an interior point of the first piece lies in no other piece.
 
-  A facet is read off its normal: its rays are the piece's rays on which
-  the normal vanishes, and its lineality is the piece's.
+  A facet is read off the stored incidence: its rays are the piece's rays
+  on it (facet_rays), and its lineality is the piece's.
 
   Why this suffices: remove from the relative interior of the container
   every codimension-2 face of a piece and every meeting of two facets in
@@ -257,8 +258,8 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
   walls = container.facet_normals if container is not None else ()
   sides = {}
   for i, p in enumerate(pieces):
-    for nu in p.facet_normals:
-      key = (tuple(r for r in p.rays if _dot(nu, r) == 0), p.lineality_basis)
+    for nu, on in zip(p.facet_normals, p.facet_rays):
+      key = (_pick(p.rays, on), p.lineality_basis)
       sides.setdefault(key, []).append((i, nu))
   for (rays, lin), owners in sides.items():
     if any(all(_dot(mu, r) == 0 for r in rays + lin) for mu in walls):
@@ -334,7 +335,7 @@ def star_subdivision(fan: Fan, tau: Cone) -> Fan:
   # cones are smooth
   if not all(is_smooth(c) for c in holders):
     raise ValueError("a cone containing tau is singular")
-  center = tuple(sum(r[i] for r in tau.rays) for i in range(fan.ambient_rank))
+  center = tau.interior_point()
   out = [c for c in fan.max_cones if c not in holders]
   for c in holders:
     for a in tau.rays:
@@ -397,13 +398,17 @@ def _angle_class(v):
   return 1
 
 
+def _cross(a, b) -> int:
+  return a[0] * b[1] - a[1] * b[0]
+
+
 def _ccw_cmp(a, b):
   if a == b:
     return 0
   ha, hb = _angle_class(a), _angle_class(b)
   if ha != hb:
     return -1 if ha < hb else 1
-  cr = a[0] * b[1] - a[1] * b[0]
+  cr = _cross(a, b)
   if cr == 0:
     return 0
   return -1 if cr > 0 else 1
@@ -430,8 +435,8 @@ def complete_2d(fan: Fan) -> Fan:
   def sector_covered(a, b):
     # the gap runs counterclockwise from a to b; an existing cone with ray
     # set {a, b} spans the short side, which is that gap only if cross > 0
-    cr = a[0] * b[1] - a[1] * b[0]
-    return cr > 0 and any(set((a, b)) == set(c.rays) for c in two_cones)
+    return _cross(a, b) > 0 and any(set((a, b)) == set(c.rays)
+                                    for c in two_cones)
 
   while True:
     rays = sort_ccw(rays)
@@ -440,7 +445,7 @@ def complete_2d(fan: Fan) -> Fan:
       b = rays[(i + 1) % len(rays)]
       if sector_covered(a, b):
         continue
-      cr = a[0] * b[1] - a[1] * b[0]
+      cr = _cross(a, b)
       if len(rays) == 1 or cr < 0:
         rays.append((-a[0], -a[1]))
         inserted = True
@@ -458,10 +463,6 @@ def complete_2d(fan: Fan) -> Fan:
     if not sector_covered(a, b):
       out.append(Cone.from_rays([a, b], 2))
   return Fan.make(out, 2)
-
-
-def _cross(a, b) -> int:
-  return a[0] * b[1] - a[1] * b[0]
 
 
 def resolve_2d(fan: Fan) -> tuple[Fan, list]:

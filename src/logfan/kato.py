@@ -17,14 +17,44 @@ from .lattice import IntMatrix, cokernel, express_in_rows, rank
 from .monoid import AffineMonoid, MonoidHom, _gp_basis, nth_root
 
 
+# The first 13 primes.  As Miller-Rabin witnesses they decide primality
+# exactly below MAX_PRIME_TEST, the least strong pseudoprime to all of them
+# (Sorenson & Webster 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TEST = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+  """Whether n is prime, by Miller-Rabin over the fixed _WITNESSES.
+
+  Below MAX_PRIME_TEST no composite passes every witness, so the answer is
+  exact and nothing is random; the work is a few modular powers.
+
+  Raises:
+    ValueError: if n is at least MAX_PRIME_TEST.
+  """
+  if n >= MAX_PRIME_TEST:
+    raise ValueError("primality is decided exactly below %d only, got %d"
+                     % (MAX_PRIME_TEST, n))
   if n < 2:
     return False
-  f = 2
-  while f * f <= n:
-    if n % f == 0:
+  for a in _WITNESSES:
+    if n % a == 0:
+      return n == a
+  d, s = n - 1, 0
+  while d % 2 == 0:
+    d //= 2
+    s += 1
+  for a in _WITNESSES:
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+      continue
+    for _ in range(s - 1):
+      x = x * x % n
+      if x == n - 1:
+        break
+    else:
       return False
-    f += 1
   return True
 
 

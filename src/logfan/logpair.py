@@ -91,17 +91,14 @@ def admissible_blowup(pair: ToricLogPair, tau: Cone) -> ToricLogPair:
   """Star subdivision at a cone meeting the boundary, with the new ray
   added to the boundary.
 
-  tau must be a cone of the fan with at least one boundary ray, so the
-  blown-up center sits inside the boundary divisor.
+  tau must be a cone of the fan (star_subdivision checks that) with at
+  least one boundary ray, so the blown-up center sits inside the boundary
+  divisor.
   """
-  if tau not in pair.fan.all_cones:
-    raise ValueError("tau is not a cone of the fan")
   if not set(tau.rays) & set(pair.boundary_rays):
     raise ValueError("non-admissible center: tau is disjoint from the boundary")
   new_fan = star_subdivision(pair.fan, tau)
-  center = tuple(sum(r[i] for r in tau.rays)
-                 for i in range(pair.fan.ambient_rank))
-  return make_pair(new_fan, set(pair.boundary_rays) | {center})
+  return make_pair(new_fan, set(pair.boundary_rays) | {tau.interior_point()})
 
 
 def is_log_modification(matrix: IntMatrix, src: ToricLogPair,

@@ -9,8 +9,8 @@ the earlier code as a differential oracle:
 
 - conversion by one kernel solve per active set of d - 1 constraints, with
   the lean row eliminations _kernel_small and _rank_small;
-- a simplicial cone's facets by one kernel solve per generator, and the
-  zero cone built directly;
+- a simplicial cone's facets by one kernel solve per generator, its
+  ray-facet incidence by dot products, and the zero cone built directly;
 - faces by one cone per subset of facet normals;
 - parallelepiped points by a walk over every integer point of the bounding
   box;
@@ -91,7 +91,7 @@ def _rank_small(rows, d):
 def reference_zero_cone(d: int) -> Cone:
   eye = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
   return Cone(ambient_rank=d, rays=(), lineality_basis=(),
-              facet_normals=(), span_normals=eye, _dim=0)
+              facet_normals=(), facet_rays=(), span_normals=eye, _dim=0)
 
 
 def reference_simplicial_cone(gens: tuple, d: int) -> Cone:
@@ -113,8 +113,11 @@ def reference_simplicial_cone(gens: tuple, d: int) -> Cone:
     if e < 0:
       nu = [-x for x in nu]
     normals.append(tuple(nu))
+  normals.sort()
+  facet_rays = [sum(1 << j for j, g in enumerate(gens) if _dot(nu, g) == 0)
+                for nu in normals]
   return Cone(ambient_rank=d, rays=gens, lineality_basis=(),
-              facet_normals=tuple(sorted(normals)),
+              facet_normals=tuple(normals), facet_rays=tuple(facet_rays),
               span_normals=tuple(span_normals), _dim=len(gens))
 
 

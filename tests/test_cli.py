@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -20,6 +21,7 @@ from logfan.cli import (
     serialize_document,
 )
 from logfan.gallery import CASES
+from logfan.kato import MAX_PRIME_TEST
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 VALID = sorted(FIXTURES.glob("*.json"))
@@ -297,6 +299,23 @@ def test_hom_rejects_bad_char():
   assert "0 or prime" in err
 
 
+def test_hom_answers_a_large_char_quickly():
+  argv = ["hom", "--src=1,0;0,1", "--dst=1,0;0,1", "--matrix=1,0;0,1",
+          "--char", "1000000000000000003"]
+  t0 = time.perf_counter()
+  code, out, _ = run(argv)
+  assert time.perf_counter() - t0 < 1.0
+  assert code == 0
+  assert "log smooth (char 1000000000000000003): yes" in out
+
+
+def test_hom_rejects_a_char_above_the_primality_limit():
+  code, _, err = run(["hom", "--src=1", "--dst=1", "--matrix=1",
+                      "--char", str(10**25)])
+  assert code == 2
+  assert "below %d" % MAX_PRIME_TEST in err
+
+
 def test_hom_rejects_image_outside_target():
   code, _, err = run(["hom", "--src=1", "--dst=2", "--matrix=1"])
   assert code == 2
@@ -378,6 +397,20 @@ def test_render_endpoints_match_document_rays(tmp_path):
 def test_render_is_deterministic():
   doc = parse_document((FIXTURES / "box-pair.json").read_text())
   assert render_svg(doc) == render_svg(doc)
+
+
+@pytest.mark.parametrize("cone", [
+    [[1, 0], [-1, 0], [0, 1]],
+    [[1, 0], [-1, 1], [-1, -1]],
+], ids=["half-plane", "plane"])
+def test_render_rejects_cones_with_lineality(tmp_path, cone):
+  path = tmp_path / "lineality.json"
+  path.write_text(serialize_document(FanDocument(2, (tuple(map(tuple, cone)),))))
+  code, _, err = run(["render", str(path), "-o", str(tmp_path / "out.svg")])
+  assert code == 2
+  assert "max_cones[0] %s is not strictly convex" % cone in err
+  assert "strictly convex cones only" in err
+  assert not (tmp_path / "out.svg").exists()
 
 
 def test_render_rejects_other_ranks():

@@ -4,11 +4,13 @@ Conversion (double description from one adjugate, and a pointed cone's rays
 read from its incidences), faces (incidence closure), parallelepiped points
 (group enumeration), adjugates (one fraction-free elimination), the
 triangulation and the face test (incidence bitsets) are compared with the
-earlier code kept in cone_reference.py, on seeded inputs.  Work-count guards
-check, without timing, that each enumeration makes only the objects of its
-answer, that a pointed cone takes one conversion, and that no Hermite kernel
-is taken where the rank shows it is {0}; the Hilbert-basis budget and the
-behaviour under python -O are checked last.
+earlier code kept in cone_reference.py, on seeded inputs, and the incidence
+each cone keeps (facet_rays) with the zero sets of dot products.  Work-count
+guards check, without timing, that each enumeration makes only the objects
+of its answer, that a pointed cone takes one conversion, that faces and the
+triangulation make no dot product, and that no Hermite kernel is taken
+where the rank shows it is {0}; the Hilbert-basis budget and the behaviour
+under python -O are checked last.
 """
 
 import math
@@ -29,6 +31,7 @@ from logfan.cone import (
     Cone,
     _adjugate,
     _dot,
+    _neg,
     _parallelepiped_points,
     _pointed_extreme_rays,
     _simplicial_pieces,
@@ -38,7 +41,7 @@ from logfan.cone import (
     intersect,
     is_face_of,
 )
-from logfan.lattice import IntMatrix, det
+from logfan.lattice import IntMatrix, det, primitive
 
 from cone_reference import (
     _rank_small,
@@ -127,6 +130,13 @@ def _random_gens(rng, d):
   return [_vec(rng, d, lo, hi) for _ in range(rng.randint(1, d + 3))]
 
 
+def _dot_incidence(sigma):
+  """The ray-facet incidence recomputed by dot products: for each facet
+  normal, the bitset of the rays on which it vanishes."""
+  return tuple(sum(1 << j for j, r in enumerate(sigma.rays) if _dot(nu, r) == 0)
+               for nu in sigma.facet_normals)
+
+
 def _check_pieces(sigma):
   """Parallelepiped points of every piece, and the Hilbert basis."""
   assert (sorted(_simplicial_pieces(sigma))
@@ -166,15 +176,42 @@ def test_from_rays_faces_and_pieces_match_references(d):
     assert sorted(sigma.facet_normals) == normals
     assert list(sigma.span_normals) == span
     assert sigma.dim == _rank_small(gens, d)
+    assert sigma.facet_rays == _dot_incidence(sigma)
     assert faces(sigma) == reference_faces(sigma)
     if sigma.is_strictly_convex and len(sigma.rays) == sigma.dim:
       ref = reference_simplicial_cone(sigma.rays, d)
-      assert (sigma.facet_normals, sigma.span_normals, sigma.dim) == (
-          ref.facet_normals, ref.span_normals, ref.dim)
+      assert (sigma.facet_normals, sigma.facet_rays, sigma.span_normals,
+              sigma.dim) == (ref.facet_normals, ref.facet_rays,
+                             ref.span_normals, ref.dim)
     if sigma.is_strictly_convex and not sigma.is_zero:
       _check_pieces(sigma)
     seen_lineality += n < len(drawn) and not sigma.is_strictly_convex
   assert seen_lineality > 0
+
+
+def _unit(d, i):
+  return tuple(int(j == i) for j in range(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_facet_rays_are_the_zero_sets_of_the_facets(d):
+  e = [_unit(d, i) for i in range(d)]
+  plus = tuple(a + b for a, b in zip(e[0], e[1]))
+  # the zero cone, a redundant generator of a pointed cone, and a line
+  # inside a half-space
+  fixed = [[], e + [plus], [e[0], _neg(e[0])] + e[1:]]
+  rng = random.Random(700 + d)
+  drawn = [_random_gens(rng, d) for _ in range(60)]
+  seen = {"zero": 0, "redundant": 0, "lineality": 0}
+  for gens in fixed + drawn + LINEALITY_CASES.get(d, []):
+    sigma = Cone.from_rays(gens, d)
+    assert sigma.facet_rays == _dot_incidence(sigma), gens
+    distinct = {primitive(g) for g in gens if any(g)}
+    seen["zero"] += sigma.is_zero
+    seen["lineality"] += not sigma.is_strictly_convex
+    seen["redundant"] += (sigma.is_strictly_convex
+                          and len(distinct) > len(sigma.rays))
+  assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -190,6 +227,7 @@ def test_pieces_of_cones_that_are_not_full_dimensional(d):
     if sigma.is_zero or not sigma.is_strictly_convex or sigma.dim == d:
       continue
     seen += 1
+    assert sigma.facet_rays == _dot_incidence(sigma)
     _check_pieces(sigma)
     assert faces(sigma) == reference_faces(sigma)
 
@@ -197,6 +235,7 @@ def test_pieces_of_cones_that_are_not_full_dimensional(d):
 def test_criterion_11_cones_match_references():
   for fan in criterion_11_fans(random.Random(11), 20):
     for sigma in fan.max_cones:
+      assert sigma.facet_rays == _dot_incidence(sigma)
       assert faces(sigma) == reference_faces(sigma)
       _check_pieces(sigma)
       gens = list(sigma.rays)
@@ -336,8 +375,9 @@ def test_zero_cone_comes_from_the_conversion():
     sigma = Cone.from_rays([], d)
     ref = reference_zero_cone(d)
     assert sigma == ref
-    assert ((sigma.facet_normals, sigma.span_normals, sigma.dim)
-            == (ref.facet_normals, ref.span_normals, ref.dim))
+    assert ((sigma.facet_normals, sigma.facet_rays, sigma.span_normals,
+             sigma.dim) == (ref.facet_normals, ref.facet_rays,
+                            ref.span_normals, ref.dim))
     assert Cone.from_rays([(0,) * d], d) is sigma
 
 
@@ -425,6 +465,22 @@ def test_triangulation_and_face_test_build_no_cones(monkeypatch):
     if sigma.ambient_rank < 5:
       hilbert_basis(sigma)
     list(_simplicial_pieces(sigma))
+  assert calls == []
+
+
+def test_faces_and_pieces_read_the_stored_incidence(monkeypatch):
+  square = [(1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)]
+  lineality = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+               (0, 1, 1, 1)]
+  cones = [Cone.from_rays(g, len(g[0]))
+           for g in (REACH_13_RAYS, CYCLIC_8, CUBE_13, square, lineality)]
+  for sigma in cones:
+    faces(sigma)  # fills the from_rays cache with the faces
+  calls = _count_calls(monkeypatch, cone_module, "_dot")
+  for sigma in cones:
+    faces(sigma)
+    if sigma.is_strictly_convex:
+      list(_simplicial_pieces(sigma))
   assert calls == []
 
 

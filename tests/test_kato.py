@@ -1,14 +1,17 @@
 """Tests for chart smoothness, etaleness, and differential ranks."""
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logfan.cone import Cone
 from logfan.fan import Fan
 from logfan.kato import (
+    MAX_PRIME_TEST,
     CharParam,
     _gp_map,
+    _is_prime,
     chart_smoothness,
     kummer_cover_chart,
     omega1_rank,
@@ -36,6 +39,32 @@ def test_char_param_accepts_zero_and_primes(p):
 def test_char_param_rejects_composites(p):
   with pytest.raises(ValueError, match="0 or prime"):
     CharParam(p)
+
+
+def test_primality_matches_sympy_below_20000():
+  assert ([n for n in range(20000) if _is_prime(n)]
+          == [n for n in range(20000) if sympy.isprime(n)])
+
+
+# strong pseudoprimes: to base 2; to bases 2, 3, 5, 7; to the first 9
+# primes; and to the first 12, which only the 13th witness, 41, exposes
+@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_strong_pseudoprimes_are_composite(n):
+  assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3, 10**16 + 61])
+def test_large_primes_are_accepted(p):
+  assert _is_prime(p) and CharParam(p).p == p
+
+
+def test_primality_refuses_numbers_at_the_limit():
+  # the limit is itself the least strong pseudoprime to all 13 witnesses
+  for n in (MAX_PRIME_TEST, 10**30):
+    with pytest.raises(ValueError, match="below %d" % MAX_PRIME_TEST):
+      CharParam(n)
+  assert _is_prime(MAX_PRIME_TEST - 2) == sympy.isprime(MAX_PRIME_TEST - 2)
 
 
 def test_multiplication_chart_in_char_zero():

@@ -19,6 +19,7 @@ from xml.sax.saxutils import escape
 from .cone import Cone, is_smooth
 from .fan import (
     Fan,
+    _cones_at,
     search_refinement,
     star_subdivision,
     support_query,
@@ -29,6 +30,12 @@ from .kato import CharParam, chart_smoothness
 from .lattice import IntMatrix
 from .logpair import admissible_blowup, boundary_strata_counts, make_pair
 from .monoid import AffineMonoid, MonoidHom, is_exact, is_kummer
+
+
+# parse_document refuses a higher rank: even an empty document converts the
+# zero cone, and `logfan check` of one took 0.016 s at rank 64, 0.40 s at 150
+# and 41 s at 1000 (Python 3.11, x86-64).  Tests and benchmarks reach rank 5.
+MAX_RANK = 64
 
 
 class CliError(Exception):
@@ -85,6 +92,8 @@ def parse_document(text: str) -> FanDocument:
     raise CliError("line %d column %d: %s" % (err.lineno, err.colno, err.msg))
   except ValueError as err:
     raise CliError(str(err))
+  except RecursionError:
+    raise CliError("nesting of arrays or objects too deep to parse")
   if not isinstance(raw, dict):
     raise CliError("document must be a JSON object")
   known = {"metadata", "rank", "max_cones", "boundary_rays"}
@@ -96,6 +105,8 @@ def parse_document(text: str) -> FanDocument:
   rank = _int_entry(raw["rank"], "rank")
   if rank < 1:
     raise CliError("field rank: must be a positive count, got %d" % rank)
+  if rank > MAX_RANK:
+    raise CliError("field rank: %d is above the limit of %d" % (rank, MAX_RANK))
   if "max_cones" not in raw:
     raise CliError("field max_cones: missing")
   if not isinstance(raw["max_cones"], list):
@@ -207,9 +218,8 @@ def _yn(flag: bool) -> str:
 
 
 def _cone_at(fan: Fan, center: tuple) -> Cone:
-  for cone in sorted(fan.all_cones, key=lambda c: (c.dim, c.rays)):
-    if cone.contains_relative_interior(list(center)):
-      return cone
+  for cone in _cones_at(fan, center):
+    return cone
   raise CliError("center %s lies in the relative interior of no cone"
                  % (center,))
 

@@ -172,18 +172,19 @@ class Cone:
 
   Equality and hashing use ambient_rank, rays and lineality_basis only; the
   facet and span normals, the incidence facet_rays and the cached dimension
-  are derived data.  facet_rays[k] is the int bitset of the rays on
+  are derived data, required because a cone without them would answer from
+  empty normals.  facet_rays[k] is the int bitset of the rays on
   facet_normals[k] (bit j for rays[j]), kept from the conversion that found
   the facets (see _cone_from_gens).
   """
 
   ambient_rank: int
   rays: tuple[tuple[int, ...], ...]
-  lineality_basis: tuple[tuple[int, ...], ...] = ()
-  facet_normals: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
-  facet_rays: tuple[int, ...] = field(default=(), compare=False, repr=False)
-  span_normals: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
-  _dim: int = field(default=0, compare=False, repr=False)
+  lineality_basis: tuple[tuple[int, ...], ...]
+  facet_normals: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+  facet_rays: tuple[int, ...] = field(compare=False, repr=False)
+  span_normals: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+  _dim: int = field(compare=False, repr=False)
 
   @staticmethod
   def from_rays(generators, ambient_rank: int) -> "Cone":
@@ -589,12 +590,6 @@ def intersect(sigma: Cone, tau: Cone) -> Cone:
     raise ValueError("ambient rank mismatch")
   if sigma == tau:
     return sigma
-  a, b = sorted((sigma, tau), key=lambda c: (c.rays, c.lineality_basis))
-  return _intersect_cached(a, b)
-
-
-@lru_cache(maxsize=65536)
-def _intersect_cached(sigma: Cone, tau: Cone) -> Cone:
   ineqs = list(sigma.facet_normals) + list(tau.facet_normals)
   eqs = list(sigma.span_normals) + list(tau.span_normals)
   return Cone.from_inequalities(ineqs, eqs, sigma.ambient_rank)

@@ -1,6 +1,7 @@
 """Fans of strictly convex cones, fan maps, subdivisions, and refinements.
 
-A fan stores its maximal cones canonically; the face closure is derived.
+A fan stores its maximal cones canonically and keeps no face closure: the
+cones whose relative interior holds a point are read off them (_cones_at).
 One exact wall test (_tiles) decides every covering question: whether the
 mapped cones of a fan map fill each target cone, whether two fans have the
 same support, and whether a fan is complete.  It pairs up the facets of the
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (Cone, _dot, _pick, _smallest_face, hilbert_basis,
+from .cone import (Cone, _dot, _neg, _pick, _smallest_face, hilbert_basis,
                    intersect, is_face_of, is_smooth)
 from .cone import faces as cone_faces
 from .lattice import IntMatrix, is_unimodular
@@ -58,7 +59,8 @@ class Fan:
 
   @property
   def all_cones(self) -> frozenset:
-    return _closure(self)
+    """Every face of every maximal cone, enumerated on each read."""
+    return frozenset(f for c in self.max_cones for f in cone_faces(c))
 
   @property
   def rays(self) -> tuple:
@@ -69,13 +71,17 @@ class Fan:
     return tuple(sorted(out))
 
 
-@functools.lru_cache(maxsize=4096)
-def _closure(fan: Fan) -> frozenset:
-  out = set()
+def _cones_at(fan: Fan, x) -> list:
+  """The closure's cones whose relative interior holds x, by (dim, rays): a
+  face of c has x there iff it is the smallest face of c holding x
+  (_smallest_face, with c's lineality).  No fan axiom is needed."""
+  out = {}
   for c in fan.max_cones:
-    for f in cone_faces(c):
-      out.add(f)
-  return frozenset(out)
+    if c.contains(x):
+      lin = c.lineality_basis
+      out[Cone.from_rays(_smallest_face(c, x) + lin + tuple(map(_neg, lin)),
+                         fan.ambient_rank)] = None
+  return sorted(out, key=lambda c: (c.dim, c.rays))
 
 
 def validate(fan: Fan) -> SimpleNamespace:
@@ -325,7 +331,8 @@ def star_subdivision(fan: Fan, tau: Cone) -> Fan:
   the rest of the fan is untouched.  Containing cones must be smooth so
   that faces are ray subsets and the center is primitive.
   """
-  if tau not in fan.all_cones:
+  center = tau.interior_point()
+  if tau.ambient_rank != fan.ambient_rank or tau not in _cones_at(fan, center):
     raise ValueError("tau is not a cone of the fan")
   if tau.dim == 0:
     raise ValueError("cannot subdivide at the zero cone")
@@ -335,7 +342,6 @@ def star_subdivision(fan: Fan, tau: Cone) -> Fan:
   # cones are smooth
   if not all(is_smooth(c) for c in holders):
     raise ValueError("a cone containing tau is singular")
-  center = tau.interior_point()
   out = [c for c in fan.max_cones if c not in holders]
   for c in holders:
     for a in tau.rays:

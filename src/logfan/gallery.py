@@ -17,6 +17,7 @@ from .cone import Cone, intersect
 from .fan import (
     Fan,
     FanMap,
+    _cones_at,
     fiber_product,
     is_fan_map,
     product_fan,
@@ -497,8 +498,7 @@ def case_blockwise_min(p1: int, p2: int, p3: int,
       probe = list(f_vec[s])
       if mutate and s == 2:
         probe = [probe[0] + 1] + probe[1:]
-      tau = next(c for c in fan.all_cones
-                 if c.contains_relative_interior(probe))
+      tau = _cones_at(fan, probe)[0]
       if star_subdivision(fan, tau) != sigma_for(frozenset(I | {s})):
         star_bad.append((sorted(I), s))
   case.add("adjoining a block is one star subdivision at its sum vector",

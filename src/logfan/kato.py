@@ -126,7 +126,7 @@ def omega_rank_pair(pair, degree: int) -> SimpleNamespace:
   if degree < 0:
     raise ValueError("form degree must be nonnegative")
   n = pair.fan.ambient_rank
-  deepest = max((c.dim for c in pair.boundary_subfan.all_cones), default=0)
+  deepest = max(c.dim for c in pair.boundary_subfan.max_cones)
   return SimpleNamespace(
       rank=math.comb(n, degree),
       dlog_count_at_deepest_stratum=deepest,

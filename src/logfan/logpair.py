@@ -1,14 +1,13 @@
 """Smooth toric pairs: a fan plus the rays whose divisors form the boundary.
 
-The boundary subfan is derived, never stored: it consists of the fan's
-cones all of whose rays are boundary rays.  On smooth fans this is enough
-to count boundary strata, perform admissible blow-ups, and decide the
-log-modification predicate.
+The boundary subfan and the boundary strata are read off the boundary rays
+of each maximal cone, never stored: the faces of a smooth cone are the
+cones on subsets of its rays.  That is enough to count boundary strata,
+perform admissible blow-ups, and decide the log-modification predicate.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,20 +42,17 @@ class ToricLogPair:
 
   @property
   def boundary_subfan(self) -> Fan:
-    return _boundary_subfan(self)
+    """The fan of the faces of the maximal cones on their boundary rays."""
+    b = set(self.boundary_rays)
+    n = self.fan.ambient_rank
+    return Fan.make([Cone.from_rays([r for r in c.rays if r in b], n)
+                     for c in self.fan.max_cones], n)
 
 
 def make_pair(fan: Fan, boundary) -> ToricLogPair:
   """Validated pair; boundary is any iterable of ray tuples."""
   rays = tuple(sorted({tuple(int(x) for x in b) for b in boundary}))
   return ToricLogPair(fan, rays)
-
-
-@functools.lru_cache(maxsize=2048)
-def _boundary_subfan(pair: ToricLogPair) -> Fan:
-  b = set(pair.boundary_rays)
-  cones = [c for c in pair.fan.all_cones if set(c.rays) <= b]
-  return Fan.make(cones, pair.fan.ambient_rank)
 
 
 def product(p1: ToricLogPair, p2: ToricLogPair) -> ToricLogPair:
@@ -73,18 +69,20 @@ def boundary_strata_counts(pair: ToricLogPair) -> list:
 
   On a smooth fan each a-element subset of the boundary rays spanning a
   cone of the fan contributes exactly one irreducible component of the
-  a-fold boundary intersection.
+  a-fold boundary intersection: these subsets are the distinct subsets of
+  each maximal cone's boundary rays.
+
+  Precondition: the pair's fan is a fan (see validate); otherwise a
+  boundary ray inside a cone but not one of its rays is missed.
   """
-  n = pair.fan.ambient_rank
-  cones = pair.fan.all_cones
-  counts = []
-  for a in range(1, n + 1):
-    c = 0
-    for sub in itertools.combinations(pair.boundary_rays, a):
-      if Cone.from_rays(list(sub), n) in cones:
-        c += 1
-    counts.append(c)
-  return counts
+  b = set(pair.boundary_rays)
+  strata = set()
+  for c in pair.fan.max_cones:
+    on = [r for r in c.rays if r in b]
+    strata.update(s for a in range(len(on))
+                  for s in itertools.combinations(on, a + 1))
+  return [sum(len(s) == a for s in strata)
+          for a in range(1, pair.fan.ambient_rank + 1)]
 
 
 def admissible_blowup(pair: ToricLogPair, tau: Cone) -> ToricLogPair:

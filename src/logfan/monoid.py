@@ -227,30 +227,20 @@ def structure_queries(P: AffineMonoid) -> SimpleNamespace:
                          sharpening=sharp)
 
 
-@lru_cache(maxsize=1024)
-def _faces_cached(P: AffineMonoid) -> tuple:
-  out = []
-  seen = set()
-  for F in cone_faces(P.cone):
-    idx = frozenset(i for i, g in enumerate(P.gens) if F.contains(g))
-    if idx not in seen:
-      seen.add(idx)
-      out.append((AffineMonoid.make([P.gens[i] for i in idx], P.ambient_rank),
-                  idx))
-  return tuple(sorted(out, key=lambda t: (len(t[1]), sorted(t[1]))))
-
-
 def faces(P: AffineMonoid) -> list:
   """All faces of P, each as (face monoid, generator index set).
 
   A face is a submonoid closed under summand splitting; for an affine monoid
   these are exactly the traces of the faces of the recession cone.
   """
-  return list(_faces_cached(P))
+  sets = {frozenset(i for i, g in enumerate(P.gens) if F.contains(g))
+          for F in cone_faces(P.cone)}
+  return [(AffineMonoid.make([P.gens[i] for i in idx], P.ambient_rank), idx)
+          for idx in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 
 
 def _require_face(P: AffineMonoid, F: AffineMonoid) -> frozenset:
-  for face, idx in _faces_cached(P):
+  for face, idx in faces(P):
     if face == F:
       return idx
   raise ValueError("%r is not a face of %r" % (F, P))

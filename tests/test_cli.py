@@ -13,6 +13,7 @@ import pytest
 
 import logfan
 from logfan.cli import (
+    MAX_RANK,
     CliError,
     FanDocument,
     execute,
@@ -58,6 +59,31 @@ def test_invalid_documents_are_rejected(path):
 def test_parse_rejects_non_object():
   with pytest.raises(CliError, match="JSON object"):
     parse_document("[1, 2]")
+
+
+def test_deep_nesting_exits_2_naming_the_nesting(tmp_path):
+  text = '{"rank": 2, "max_cones": %s%s}' % ("[" * 1200, "]" * 1200)
+  assert 2400 <= len(text) <= 2500
+  path = tmp_path / "deep.json"
+  path.write_text(text)
+  code, out, err = run(["check", str(path)])
+  assert code == 2
+  assert out == ""
+  assert "nesting" in err and "Traceback" not in err
+
+
+def test_rank_above_the_limit_is_refused_at_once(tmp_path):
+  text = '{"rank": 1000, "max_cones": []}\n'
+  assert len(text) == 32
+  path = tmp_path / "wide.json"
+  path.write_text(text)
+  start = time.perf_counter()
+  code, _, err = run(["check", str(path)])
+  assert time.perf_counter() - start < 1.0
+  assert code == 2
+  assert "limit of %d" % MAX_RANK in err
+  path.write_text('{"rank": %d, "max_cones": []}\n' % MAX_RANK)
+  assert run(["check", str(path)])[0] == 0
 
 
 def test_parse_rejects_bad_boundary_and_metadata():

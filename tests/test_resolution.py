@@ -71,7 +71,9 @@ def test_is_smooth_agrees_with_smith_form_on_ray_matrices():
   # zero, non-primitive or dependent, and more rows than the rank
   seen = set()
   for d, rows, kind in _ray_sets(random.Random(6)):
-    sigma = Cone(ambient_rank=d, rays=tuple(tuple(r) for r in rows))
+    sigma = Cone(ambient_rank=d, rays=tuple(tuple(r) for r in rows),
+                 lineality_basis=(), facet_normals=(), facet_rays=(),
+                 span_normals=(), _dim=0)
     got = is_smooth(sigma)
     assert got == reference_is_smooth(sigma), (d, rows)
     seen.add((kind, got, len(rows) > d))

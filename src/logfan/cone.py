@@ -14,10 +14,12 @@ intersection, the triangulation recurses on it, and the face test and the
 fan layer read the smallest face holding a point off it (_smallest_face).
 Hilbert-basis candidates come from the group of the lattice modulo the rays
 of each simplicial piece.  The lattice work is only what the answer needs:
-a Hermite kernel (for span normals or lineality) is taken only when the
-rank shows the kernel is not {0}, and the conversion's start and each
-simplicial piece get their adjugate and determinant from one fraction-free
-elimination.  Hilbert bases have a work budget, MAX_HILBERT_INDEX.
+a Hermite kernel (_kernel_rows, for span normals or lineality) is taken
+only when the rank shows the kernel is not {0}, and the conversion's start
+and each simplicial piece get their adjugate and determinant from one
+fraction-free elimination (_adjugate).  Both, and the back-substitution of
+_span_coordinates (_echelon_coords), are lattice.py's, on row lists.
+Hilbert bases have a work budget, MAX_HILBERT_INDEX.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .lattice import IntMatrix, det, kernel_basis, primitive
+from .lattice import _adjugate, _echelon_coords, _kernel_rows, primitive
 
 MAX_DUAL_RANK = 4
 MAX_AMBIENT_RANK = 6
@@ -52,13 +54,6 @@ def _neg(v):
 def _pick(rays, bits) -> tuple:
   """The rays whose bits are set in the int bitset bits, in order."""
   return tuple(r for j, r in enumerate(rays) if bits >> j & 1)
-
-
-def _kernel_canonical(rows, d):
-  """Hermite basis of the saturated integer kernel lattice of the rows."""
-  clean = [list(r) for r in rows]
-  A = IntMatrix(len(clean), d, tuple(x for r in clean for x in r))
-  return [tuple(v) for v in kernel_basis(A)]
 
 
 def _independent(echelon, row) -> bool:
@@ -91,7 +86,7 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   inequalities that vanish on rays[j].  The lineality is the kernel of all
   the rows, so it is {0} when the echelon of the equations and the
   inequalities reaches rank d, and only otherwise is it computed as a
-  Hermite kernel (_kernel_canonical).
+  Hermite kernel (_kernel_rows).
 
   Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  Inside
   W = {x : eqs.x == 0, x orthogonal to the lineality}, of dimension m, the
@@ -117,7 +112,7 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   # The lineality is orthogonal to every row, so adding it to the echelon
   # first would select the same start rows: its span meets the rows' span
   # only in 0.
-  lin = [] if len(echelon) == d else _kernel_canonical(ineqs + list(eqs), d)
+  lin = [] if len(echelon) == d else _kernel_rows(ineqs + list(eqs), d)
   m = len(start)
   if m == 0:
     return [], lin, []
@@ -205,7 +200,17 @@ class Cone:
 
   @staticmethod
   def from_inequalities(ineqs, eqs, ambient_rank: int) -> "Cone":
-    """Cone {x : n.x >= 0 for n in ineqs, e.x == 0 for e in eqs}."""
+    """Cone {x : n.x >= 0 for n in ineqs, e.x == 0 for e in eqs}.
+
+    Raises:
+      ValueError: if a row does not have length ambient_rank.
+    """
+    ineqs, eqs = list(ineqs), list(eqs)
+    for kind, rows in (("inequality", ineqs), ("equation", eqs)):
+      for row in rows:
+        if len(row) != ambient_rank:
+          raise ValueError("%s %s does not have length %d"
+                           % (kind, tuple(row), ambient_rank))
     rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
     gens = list(rays)
     for b in lin:
@@ -326,41 +331,6 @@ def dual_cone(sigma: Cone) -> Cone:
   return Cone.from_rays(gens, sigma.ambient_rank)
 
 
-def _adjugate(rows):
-  """Adjugate and determinant of a square integer matrix given as rows.
-
-  Returns (adj, det), adj as a list of rows, or (None, 0) for a singular
-  matrix.  One fraction-free Gauss-Jordan elimination (Bareiss 1968) on
-  [R | I]: every division by the previous pivot is exact, and at the end
-  the left block is det(PR) I and the right block adj(PR) = det(PR) (PR)^-1
-  for the row permutation P of the pivot swaps; folding P's sign into both
-  gives det(R) and adj(R).  A column with no nonzero pivot means det = 0.
-  """
-  k = len(rows)
-  w = [list(r) + [0] * k for r in rows]
-  for i in range(k):
-    w[i][k + i] = 1
-  sign = 1
-  prev = 1
-  for c in range(k):
-    if not w[c][c]:
-      piv = next((i for i in range(c + 1, k) if w[i][c]), None)
-      if piv is None:
-        return None, 0
-      w[c], w[piv] = w[piv], w[c]
-      sign = -sign
-    p = w[c]
-    a = p[c]
-    for i in range(k):
-      if i != c:
-        b = w[i][c]
-        w[i] = [(x * a - y * b) // prev for x, y in zip(w[i], p)]
-    prev = a
-  if sign < 0:
-    return [[-x for x in row[k:]] for row in w], -prev
-  return [row[k:] for row in w], prev
-
-
 def _simplicial_pieces(sigma: Cone):
   """Triangulate a strictly convex cone by fanning out from its first extreme
   ray.  Yields tuples of independent rays covering sigma without overlap of
@@ -397,22 +367,17 @@ def _span_coordinates(sigma: Cone) -> dict:
   """Coordinates of each ray of sigma in a basis of its span lattice.
 
   The span lattice is the integer kernel of the span normals; its Hermite
-  basis is echelon, so every ray is solved for by one pass over the pivots.
+  basis (_kernel_rows) is echelon, so every ray is solved for by one pass
+  over the pivots (_echelon_coords).
   A full-dimensional cone keeps its rays as coordinates.
   """
   if not sigma.span_normals:
     return {r: r for r in sigma.rays}
-  basis = kernel_basis(IntMatrix.from_rows([list(s) for s in sigma.span_normals]))
-  pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+  basis = _kernel_rows(sigma.span_normals, sigma.ambient_rank)
   out = {}
   for r in sigma.rays:
-    rem = list(r)
-    coords = []
-    for b, p in zip(basis, pivots):
-      c = rem[p] // b[p]
-      coords.append(c)
-      rem = [x - c * y for x, y in zip(rem, b)]
-    if any(rem):
+    coords = _echelon_coords(basis, r)
+    if coords is None:
       raise RuntimeError("ray %s is outside the span lattice" % (r,))
     out[r] = tuple(coords)
   return out
@@ -610,7 +575,7 @@ def is_smooth(sigma: Cone) -> bool:
   rays = sigma.rays
   g = 0
   for cols in itertools.combinations(range(sigma.ambient_rank), len(rays)):
-    g = gcd(g, det(IntMatrix.from_rows([[r[c] for c in cols] for r in rays])))
+    g = gcd(g, _adjugate([[r[c] for c in cols] for r in rays])[1])
     if g == 1:
       return True
   return False

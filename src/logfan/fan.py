@@ -6,10 +6,12 @@ One exact wall test (_tiles) decides every covering question: whether the
 mapped cones of a fan map fill each target cone, whether two fans have the
 same support, and whether a fan is complete.  It pairs up the facets of the
 pieces and checks a single point, in integer arithmetic, so there is no
-sampling anywhere on the decision path.  The target cones that hold a
-mapped source cone are found through an index from rays to cones: one
-holder per source cone, and the rest read off the smallest face of it that
-holds the image, which rests on the target being a fan.  The completion and
+sampling anywhere on the decision path.  One holder search (_holders)
+answers both is_fan_map and the pieces of subdivision_predicates: the
+target cones that hold a mapped source cone are found through an index
+from rays to cones, one holder per source cone first, exact for any
+target, and the rest read off the smallest face of it that holds the
+image, which rests on the target being a fan.  The completion and
 resolution routines are rank-2 only; the resolution takes one Hilbert basis
 per singular cone and builds its fan once.  The refinement search is a
 plain bounded breadth-first search over star subdivision moves.
@@ -131,77 +133,60 @@ def support_query(fan: Fan) -> SimpleNamespace:
   return SimpleNamespace(contains=contains, is_complete=complete)
 
 
-def _ray_index(target: Fan) -> dict:
-  """Each ray of the target fan, mapped to the indices of the maximal
-  target cones that have it among their rays."""
-  index = {}
-  for i, t in enumerate(target.max_cones):
-    for r in t.rays:
-      index.setdefault(r, set()).add(i)
-  return index
-
-
 def _holds(t: Cone, imgs) -> bool:
   return all(t.contains(v) for v in imgs)
-
-
-def _first_holders(matrix: IntMatrix, source: Fan, target: Fan, index: dict):
-  """For each maximal source cone, its image rays and the index of one
-  maximal target cone that contains them, or None when there is none.
-
-  A target cone that has every image vector among its rays holds the
-  image, with no test.  Otherwise the target cones that have some image
-  vector among their rays are tried first, then all of them in order, so a
-  None is exact for any target.
-  """
-  if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
-    raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
-                     % (matrix.rows, matrix.cols, source.ambient_rank,
-                        target.ambient_rank))
-  cones = target.max_cones
-  rows = [matrix.row(i) for i in range(matrix.rows)]
-  for c in source.max_cones:
-    imgs = [tuple(_dot(row, r) for row in rows) for r in c.rays]
-    sets = [index.get(v, set()) for v in imgs]
-    common = set.intersection(*sets) if sets else set()
-    if common:
-      yield imgs, min(common)
-      continue
-    near = sorted(set().union(*sets))
-    yield imgs, next((i for i in itertools.chain(near, range(len(cones)))
-                      if _holds(cones[i], imgs)), None)
 
 
 def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
   """For each maximal source cone, its image rays and the indices of the
   maximal target cones that contain them.
 
-  One holder t is found per source cone (see _first_holders).  The sum x of
-  the image rays lies in the relative interior of the image, so the
-  smallest face F of t holding the image is the smallest face holding x,
-  whose rays are read off the stored incidence of t (_smallest_face); when
-  x is interior to t, F is t itself.  If the target is a fan, every maximal
-  target cone t' holding the image meets t in a common face that contains
-  x, hence F; so F is a face of t' and its rays are among the rays of t'.
-  The holders are therefore the maximal target cones whose rays include
-  those of F, found through the ray index, and for x interior to t that is
-  t alone.
+  The search runs on an index from each target ray to the maximal target
+  cones that have it.  First one holder t is found: a target cone that has
+  every image vector among its rays holds the image, with no test;
+  otherwise the target cones that have some image vector among their rays
+  are tried first, then all of them in order, so finding none is exact for
+  any target.  The sum x of the image rays lies in the relative interior
+  of the image, so the smallest face F of t holding the image is the
+  smallest face holding x, whose rays are read off the stored incidence of
+  t (_smallest_face); when x is interior to t, F is t itself.  If the
+  target is a fan, every maximal target cone t' holding the image meets t
+  in a common face that contains x, hence F; so F is a face of t' and its
+  rays are among the rays of t'.  The holders are therefore the maximal
+  target cones whose rays include those of F, found through the ray index,
+  and for x interior to t that is t alone.
 
   Precondition: the target is a fan; the source need not be one.  Each
   cone listed is checked to contain the image, so for a target that is not
   a fan the lists hold only true holders but may miss some, and a list is
   empty exactly when no target cone holds the image.
   """
-  index = _ray_index(target)
+  if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
+    raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
+                     % (matrix.rows, matrix.cols, source.ambient_rank,
+                        target.ambient_rank))
   cones = target.max_cones
+  index = {}
+  for i, t in enumerate(cones):
+    for r in t.rays:
+      index.setdefault(r, set()).add(i)
+  rows = [matrix.row(i) for i in range(matrix.rows)]
   out = []
-  for imgs, first in _first_holders(matrix, source, target, index):
+  for c in source.max_cones:
+    imgs = [tuple(_dot(row, r) for row in rows) for r in c.rays]
+    sets = [index.get(v, set()) for v in imgs]
+    common = set.intersection(*sets) if sets else set()
+    if common:
+      first = min(common)
+    else:
+      near = sorted(set().union(*sets))
+      first = next((i for i in itertools.chain(near, range(len(cones)))
+                    if _holds(cones[i], imgs)), None)
     if first is None:
       out.append((imgs, []))
       continue
-    t = cones[first]
     x = [sum(col) for col in zip(*imgs)] or [0] * target.ambient_rank
-    face = _smallest_face(t, x)
+    face = _smallest_face(cones[first], x)
     near = set.intersection(*(index[r] for r in face)) if face else range(len(cones))
     out.append((imgs, sorted(i for i in near
                              if i == first or _holds(cones[i], imgs))))
@@ -211,13 +196,11 @@ def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
 def is_fan_map(matrix: IntMatrix, source: Fan, target: Fan) -> bool:
   """Whether the lattice map sends every source cone into some target cone.
 
-  Only one holder per source cone is looked for (see _first_holders), so
-  the answer assumes nothing of the target: it is exact also when the
-  target is not a fan.
+  A holder list of _holders is empty exactly when no target cone holds the
+  image, so the answer assumes nothing of the target: it is exact also
+  when the target is not a fan.
   """
-  index = _ray_index(target)
-  return all(first is not None
-             for _, first in _first_holders(matrix, source, target, index))
+  return all(held for _, held in _holders(matrix, source, target))
 
 
 @dataclass(frozen=True)

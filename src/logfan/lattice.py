@@ -4,6 +4,12 @@ Matrices are immutable, arbitrary-precision, and row-major.  The normal forms
 (row Hermite, Smith) come with unimodular transformation matrices so callers
 can track bases, kernels and cokernels exactly.  No floating point is used
 anywhere in this package.
+
+Each elimination exists once, on row lists, and the other modules call it
+directly: _hnf_rows (the Hermite form), _adjugate (one Bareiss elimination
+for adjugates and determinants, det included), _kernel_rows (the Hermite
+kernel) and _echelon_coords (back-substitution against echelon rows).  The
+public functions wrap them.
 """
 
 from __future__ import annotations
@@ -294,25 +300,29 @@ def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
   return D, U, V
 
 
-def kernel_basis(A: IntMatrix) -> list:
-  """Basis of the right kernel {x in Z^cols : A*x = 0}.
+def _kernel_rows(rows, n: int) -> list:
+  """Basis of the right kernel {x in Z^n : r.x = 0 for each row r}, as
+  tuples, in row Hermite normal form, so it is canonical.
 
-  The basis is returned in row Hermite normal form, so it is canonical: the
-  rows of U that _hnf_rows(A^T) maps to zero span the kernel, and a second
-  _hnf_rows makes their basis canonical.  Both run on row lists, and the
-  self-check A*x == 0 is made on the result.
+  The rows of U that _hnf_rows(A^T) maps to zero span the kernel, and a
+  second _hnf_rows makes their basis canonical.  Both run on row lists, and
+  the self-check A*x == 0 is made on the result.
   """
-  m, n = A.rows, A.cols
-  rows = A.row_list()
-  H, U = _hnf_rows([[r[j] for r in rows] for j in range(n)], n, m)
+  H, U = _hnf_rows([[r[j] for r in rows] for j in range(n)], n, len(rows))
   vecs = [u for h, u in zip(H, U) if not any(h)]
   if not vecs:
     return []
   K, _ = _hnf_rows(vecs, len(vecs), n)
-  out = [k for k in K if any(k)]
+  out = [tuple(k) for k in K if any(k)]
   for x in out:
     assert not any(sum(map(mul, r, x)) for r in rows)
   return out
+
+
+def kernel_basis(A: IntMatrix) -> list:
+  """Basis of the right kernel {x in Z^cols : A*x = 0}, as lists, in row
+  Hermite normal form (_kernel_rows)."""
+  return [list(x) for x in _kernel_rows(A.row_list(), A.cols)]
 
 
 def cokernel(A: IntMatrix) -> AbelianQuotient:
@@ -324,29 +334,47 @@ def cokernel(A: IntMatrix) -> AbelianQuotient:
                          invariant_factors=tuple(d for d in nonzero if d > 1))
 
 
-def det(A: IntMatrix) -> int:
-  """Exact determinant by fraction-free (Bareiss) elimination."""
-  if A.rows != A.cols:
-    raise ValueError("determinant of non-square matrix")
-  n = A.rows
-  if n == 0:
-    return 1
-  w = A.row_list()
+def _adjugate(rows):
+  """Adjugate and determinant of a square integer matrix given as rows.
+
+  Returns (adj, det), adj as a list of rows, or (None, 0) for a singular
+  matrix.  One fraction-free Gauss-Jordan elimination (Bareiss 1968) on
+  [R | I]: every division by the previous pivot is exact, and at the end
+  the left block is det(PR) I and the right block adj(PR) = det(PR) (PR)^-1
+  for the row permutation P of the pivot swaps; folding P's sign into both
+  gives det(R) and adj(R).  A column with no nonzero pivot means det = 0.
+  The 0 x 0 matrix has determinant 1.
+  """
+  k = len(rows)
+  w = [list(r) + [0] * k for r in rows]
+  for i in range(k):
+    w[i][k + i] = 1
   sign = 1
   prev = 1
-  for k in range(n - 1):
-    if w[k][k] == 0:
-      piv = next((i for i in range(k + 1, n) if w[i][k] != 0), None)
+  for c in range(k):
+    if not w[c][c]:
+      piv = next((i for i in range(c + 1, k) if w[i][c]), None)
       if piv is None:
-        return 0
-      w[k], w[piv] = w[piv], w[k]
+        return None, 0
+      w[c], w[piv] = w[piv], w[c]
       sign = -sign
-    for i in range(k + 1, n):
-      for j in range(k + 1, n):
-        w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-      w[i][k] = 0
-    prev = w[k][k]
-  return sign * w[n - 1][n - 1]
+    p = w[c]
+    a = p[c]
+    for i in range(k):
+      if i != c:
+        b = w[i][c]
+        w[i] = [(x * a - y * b) // prev for x, y in zip(w[i], p)]
+    prev = a
+  if sign < 0:
+    return [[-x for x in row[k:]] for row in w], -prev
+  return [row[k:] for row in w], prev
+
+
+def det(A: IntMatrix) -> int:
+  """Exact determinant, from the fraction-free elimination of _adjugate."""
+  if A.rows != A.cols:
+    raise ValueError("determinant of non-square matrix")
+  return _adjugate(A.row_list())[1]
 
 
 def is_unimodular(A: IntMatrix) -> bool:
@@ -371,33 +399,50 @@ def saturate_row_lattice(vectors: list, dim: int) -> list:
   return kernel_basis(IntMatrix.from_rows(perps))
 
 
+def _echelon_coords(rows, v) -> list | None:
+  """Integer coefficients c with sum(c_i * rows_i) = v, or None.
+
+  The rows are echelon: each nonzero row is zero at the pivot (leftmost
+  nonzero) columns of the rows before it, and zero rows get coefficient 0.
+  One pass back-substitutes v against the pivots.
+  """
+  coeffs = []
+  rem = list(v)
+  for row in rows:
+    piv = next((j for j, x in enumerate(row) if x), None)
+    c = 0
+    if piv is not None:
+      c, r = divmod(rem[piv], row[piv])
+      if r:
+        return None
+      rem = [a - c * b for a, b in zip(rem, row)]
+    coeffs.append(c)
+  return None if any(rem) else coeffs
+
+
 def express_in_rows(basis: list, v) -> list | None:
   """Integer coefficients c with sum(c_i * basis_i) = v, or None.
 
-  basis need not be square but must consist of independent rows.
+  basis need not be square but must consist of independent rows.  v is
+  solved for against the Hermite form H = U*B of the basis (_echelon_coords),
+  and its coefficients c*H = c*U*B are carried back through U.
+
+  Raises:
+    ValueError: if v or a basis row does not have the length of the first
+      basis row.
   """
   if not basis:
     return [] if not any(v) else None
-  B = IntMatrix.from_rows(basis)
-  H, U = hnf(B)
-  # back-substitute against the echelon rows of H
-  coeffs_h = [0] * B.rows
-  rem = list(v)
-  for i in range(B.rows):
-    hrow = H.row(i)
-    piv = next((j for j in range(B.cols) if hrow[j] != 0), None)
-    if piv is None:
-      continue
-    if rem[piv] % hrow[piv] != 0:
-      return None
-    c = rem[piv] // hrow[piv]
-    coeffs_h[i] = c
-    rem = [a - c * b for a, b in zip(rem, hrow)]
-  if any(rem):
+  m, n = len(basis), len(basis[0])
+  for row in [v] + list(basis):
+    if len(row) != n:
+      raise ValueError("vector %s does not have the basis width %d"
+                       % (tuple(row), n))
+  H, U = _hnf_rows(basis, m, n)
+  coeffs = _echelon_coords(H, v)
+  if coeffs is None:
     return None
-  # v = coeffs_h * H = coeffs_h * U * B
-  return [sum(coeffs_h[i] * U.entry(i, k) for i in range(B.rows))
-          for k in range(B.rows)]
+  return [sum(c * u[k] for c, u in zip(coeffs, U)) for k in range(m)]
 
 
 def complement_projection(sub_basis: list, dim: int) -> IntMatrix:

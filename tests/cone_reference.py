@@ -25,15 +25,15 @@ import itertools
 
 from math import gcd
 
-from logfan.cone import Cone, _dot, _kernel_canonical, _neg
-from logfan.lattice import IntMatrix, det, primitive
+from logfan.cone import Cone, _dot, _neg
+from logfan.lattice import _kernel_rows, primitive
 
 
 def _kernel_small(rows, d):
   """Primitive spanning vectors of the rational kernel of the given rows.
 
   Lean integer Gaussian elimination for the hot paths.  The vectors span the
-  kernel over Q; use _kernel_canonical when the integer lattice matters.
+  kernel over Q; use _kernel_rows when the integer lattice matters.
   """
   mat = [list(r) for r in rows if any(r)]
   pivots = []
@@ -101,7 +101,7 @@ def reference_simplicial_cone(gens: tuple, d: int) -> Cone:
   dim = _rank_small(gen_rows, d)
   if dim != len(gens):
     raise ValueError("generators %s are dependent" % (gens,))
-  span_normals = _kernel_canonical(gen_rows, d) if dim < d else []
+  span_normals = _kernel_rows(gen_rows, d) if dim < d else []
   normals = []
   for i in range(len(gens)):
     rest = [gen_rows[j] for j in range(len(gens)) if j != i]
@@ -121,6 +121,15 @@ def reference_simplicial_cone(gens: tuple, d: int) -> Cone:
               span_normals=tuple(span_normals), _dim=len(gens))
 
 
+def reference_det(rows):
+  """Determinant by cofactor expansion along the first row: independent of
+  the one Bareiss elimination that det and _adjugate share."""
+  if not rows:
+    return 1
+  return sum((-1) ** j * x * reference_det([r[:j] + r[j + 1:] for r in rows[1:]])
+             for j, x in enumerate(rows[0]) if x)
+
+
 def reference_adjugate(rows):
   """Adjugate of a square integer matrix given as a list of rows."""
   k = len(rows)
@@ -133,7 +142,7 @@ def reference_adjugate(rows):
     for j in range(k):
       minor = [[rows[r][c] for c in range(k) if c != j]
                for r in range(k) if r != i]
-      cof = det(IntMatrix.from_rows(minor))
+      cof = reference_det(minor)
       if (i + j) % 2:
         cof = -cof
       adj[j][i] = cof
@@ -166,7 +175,7 @@ def reference_pointed_extreme_rays(ineqs, eqs, d):
   lattice.  Exhaustive over active sets, so intended for desk-scale d.
   """
   ineqs = [list(r) for r in ineqs]
-  lin = _kernel_canonical(list(ineqs) + [list(e) for e in eqs], d)
+  lin = _kernel_rows(list(ineqs) + [list(e) for e in eqs], d)
   eqs2 = [list(e) for e in eqs] + [list(b) for b in lin]
   re = _rank_small(eqs2, d)
   size = d - 1 - re
@@ -274,7 +283,7 @@ def reference_parallelepiped_points(rays, d):
       break
   assert len(sub) == k
   sq = [mat[i] for i in sub]
-  dd = det(IntMatrix.from_rows(sq))
+  dd = reference_det(sq)
   adj = reference_adjugate(sq)
   if dd < 0:
     dd = -dd

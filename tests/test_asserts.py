@@ -10,7 +10,7 @@ import pathlib
 import logfan
 
 ALLOWED = {("lattice.py", "_hnf_rows"), ("lattice.py", "snf"),
-           ("lattice.py", "kernel_basis"),
+           ("lattice.py", "_kernel_rows"),
            ("lattice.py", "complement_projection")}
 
 

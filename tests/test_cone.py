@@ -6,6 +6,7 @@ under test.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,17 @@ def test_ambient_rank_mismatch_errors():
     a.contains((1, 0, 0))
   with pytest.raises(ValueError):
     Cone.from_rays([(1, 0), (1, 0, 0)], 2)
+
+
+@pytest.mark.parametrize("ineqs, eqs, named", [
+    ([[1, 0, 7]], [[0, 1]], "inequality (1, 0, 7)"),
+    ([[1, 0], [0, 1]], [[1, 1, 1]], "equation (1, 1, 1)"),
+    ([[1, 0], [0, 1]], [[1]], "equation (1,)"),
+    ([[1, 0, 0]], [], "inequality (1, 0, 0)"),
+], ids=["long-inequality", "long-equation", "short-equation", "no-equations"])
+def test_from_inequalities_names_a_row_of_the_wrong_length(ineqs, eqs, named):
+  with pytest.raises(ValueError, match=re.escape(named)):
+    Cone.from_inequalities(ineqs, eqs, 2)
 
 
 small_vec = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))

@@ -46,6 +46,7 @@ from logfan.lattice import IntMatrix, det, primitive
 from cone_reference import (
     _rank_small,
     reference_adjugate,
+    reference_det,
     reference_faces,
     reference_hilbert_basis,
     reference_is_face_of,
@@ -256,7 +257,7 @@ def test_adjugate_and_determinant_match_cofactors(k):
     elif n % 4 == 2 and k > 1:
       rows[0][0] = 0  # the first pivot needs a row swap
     adj, dd = _adjugate(rows)
-    assert dd == det(IntMatrix.from_rows(rows)), rows
+    assert dd == reference_det(rows), rows
     if dd:
       assert adj == reference_adjugate(rows), rows
     else:
@@ -394,7 +395,7 @@ def _pointed_full_cones(rng, d, count):
 
 def _count_kernels(monkeypatch):
   cone_module._cone_from_gens.cache_clear()
-  return _count_calls(monkeypatch, cone_module, "kernel_basis")
+  return _count_calls(monkeypatch, cone_module, "_kernel_rows")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -420,14 +421,14 @@ def test_pointed_full_dimensional_cones_take_no_hermite_kernel(monkeypatch, d):
 def test_every_hermite_kernel_left_is_nonempty(monkeypatch):
   cone_module._cone_from_gens.cache_clear()
   sizes = []
-  orig = cone_module._kernel_canonical
+  orig = cone_module._kernel_rows
 
   def counted(rows, d):
     out = orig(rows, d)
     sizes.append(len(out))
     return out
 
-  monkeypatch.setattr(cone_module, "_kernel_canonical", counted)
+  monkeypatch.setattr(cone_module, "_kernel_rows", counted)
   rng = random.Random(8)
   for n in range(80):
     d = 2 + n % 4

@@ -255,6 +255,24 @@ def test_express_in_rows_roundtrip():
   assert express_in_rows([], [1, 0]) is None
 
 
+def test_express_in_rows_rejects_a_length_off_the_basis_width():
+  with pytest.raises(ValueError):
+    express_in_rows([[1, 0], [0, 1]], [1, 2, 3])
+  with pytest.raises(ValueError):
+    express_in_rows([[1, 0], [0, 1]], [1])
+  with pytest.raises(ValueError):
+    express_in_rows([[1, 0], [0, 1, 0]], [1, 2])
+
+
+def test_public_return_types():
+  ker = kernel_basis(IntMatrix.from_rows([[1, 1, 0], [0, 2, 4]]))
+  assert ker == [[2, -2, 1]]
+  assert all(type(v) is list and all(type(x) is int for x in v) for v in ker)
+  assert kernel_basis(IntMatrix.identity(2)) == []
+  assert det(IntMatrix.zero(0, 0)) == 1
+  assert type(det(IntMatrix.from_rows([[2, 1], [1, 1]]))) is int
+
+
 def test_primitive():
   assert primitive((2, -4, 6)) == (1, -2, 3)
   assert primitive((0, 5)) == (0, 1)

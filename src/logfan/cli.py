@@ -316,9 +316,11 @@ def _cmd_hom(args) -> int:
   matrix = IntMatrix.from_rows([list(r) for r in rows])
   hom = MonoidHom(source, target, matrix)
   char = CharParam(args.char)
+  # every answer before the first line, so a refused input prints nothing
   smooth = chart_smoothness(hom, char)
-  print("kummer: %s" % _yn(is_kummer(hom)))
-  print("exact: %s" % _yn(is_exact(hom)))
+  kummer, exact = is_kummer(hom), is_exact(hom)
+  print("kummer: %s" % _yn(kummer))
+  print("exact: %s" % _yn(exact))
   print("log smooth (char %d): %s" % (char.p, _yn(smooth.log_smooth)))
   print("log etale (char %d): %s" % (char.p, _yn(smooth.log_etale)))
   return 0

@@ -6,10 +6,11 @@ can track bases, kernels and cokernels exactly.  No floating point is used
 anywhere in this package.
 
 Each elimination exists once, on row lists, and the other modules call it
-directly: _hnf_rows (the Hermite form), _adjugate (one Bareiss elimination
-for adjugates and determinants, det included), _kernel_rows (the Hermite
-kernel) and _echelon_coords (back-substitution against echelon rows).  The
-public functions wrap them.
+directly: _hnf_rows (the Hermite form), _snf_rows (the Smith form),
+_adjugate (one Bareiss elimination for adjugates and determinants, det
+included), _kernel_rows (the Hermite kernel) and _echelon_coords
+(back-substitution against echelon rows).  The public functions wrap them,
+and only they build an IntMatrix.
 """
 
 from __future__ import annotations
@@ -203,20 +204,20 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def rank(A: IntMatrix) -> int:
-  H, _ = hnf(A)
-  return sum(1 for i in range(H.rows) if any(H.row(i)))
+  H, _ = _hnf_rows(A.row_list(), A.rows, A.cols)
+  return sum(1 for r in H if any(r))
 
 
-def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-  """Smith normal form.
+def _snf_rows(rows, m: int, n: int) -> tuple[list, list, list]:
+  """Smith normal form of an m x n matrix given as a list of rows.
 
-  Returns (D, U, V) with U, V unimodular and D = U*A*V diagonal with
-  nonnegative entries forming a divisibility chain.
+  Returns (D, U, V) as lists of rows, with U, V unimodular and D = U*A*V;
+  see snf for the convention.  The self-checks U*A*V == D and the
+  divisibility chain are computed on the lists.
   """
-  m, n = A.rows, A.cols
-  work = A.row_list()
-  u = IntMatrix.identity(m).row_list()
-  v = IntMatrix.identity(n).row_list()  # stored transposed: v holds columns as rows
+  work = [list(r) for r in rows]
+  u = [[int(i == j) for j in range(m)] for i in range(m)]
+  v = [[int(i == j) for j in range(n)] for i in range(n)]  # V's columns, as rows
 
   def col_op_gcd(c0, c1, r):
     a, b = work[r][c0], work[r][c1]
@@ -291,13 +292,26 @@ def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
       work[i] = [-x for x in work[i]]
       u[i] = [-x for x in u[i]]
 
-  D = IntMatrix.from_rows(work) if work else IntMatrix.zero(m, n)
-  U = IntMatrix.from_rows(u) if u else IntMatrix.identity(m)
-  V = IntMatrix.from_rows(v).transpose() if v else IntMatrix.identity(n)
-  assert U @ A @ V == D
-  diag = [D.entry(i, i) for i in range(min(m, n))]
+  cols = [[row[j] for row in rows] for j in range(n)]
+  ua = [[sum(map(mul, r, c)) for c in cols] for r in u]
+  assert [[sum(map(mul, r, c)) for c in v] for r in ua] == work
+  diag = [work[i][i] for i in range(min(m, n))]
   assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a != 0)
-  return D, U, V
+  return work, u, [list(r) for r in zip(*v)]
+
+
+def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+  """Smith normal form.
+
+  Returns (D, U, V) with U, V unimodular and D = U*A*V diagonal with
+  nonnegative entries forming a divisibility chain.  The elimination runs on
+  row lists (_snf_rows); only the result is wrapped into matrices.
+  """
+  m, n = A.rows, A.cols
+  D, U, V = _snf_rows(A.row_list(), m, n)
+  return (IntMatrix(m, n, tuple(x for r in D for x in r)),
+          IntMatrix(m, m, tuple(x for r in U for x in r)),
+          IntMatrix(n, n, tuple(x for r in V for x in r)))
 
 
 def _kernel_rows(rows, n: int) -> list:
@@ -327,8 +341,8 @@ def kernel_basis(A: IntMatrix) -> list:
 
 def cokernel(A: IntMatrix) -> AbelianQuotient:
   """Structure of Z^rows / column-span(A)."""
-  D, _, _ = snf(A)
-  diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
+  D, _, _ = _snf_rows(A.row_list(), A.rows, A.cols)
+  diag = [D[i][i] for i in range(min(A.rows, A.cols))]
   nonzero = [d for d in diag if d != 0]
   return AbelianQuotient(free_rank=A.rows - len(nonzero),
                          invariant_factors=tuple(d for d in nonzero if d > 1))
@@ -385,18 +399,18 @@ def row_lattice_basis(vectors: list, dim: int) -> list:
   """Canonical (HNF) basis of the sublattice of Z^dim generated by vectors."""
   if not vectors:
     return []
-  H, _ = hnf(IntMatrix.from_rows(vectors))
-  return [list(H.row(i)) for i in range(H.rows) if any(H.row(i))]
+  H, _ = _hnf_rows(vectors, len(vectors), dim)
+  return [r for r in H if any(r)]
 
 
 def saturate_row_lattice(vectors: list, dim: int) -> list:
   """Canonical basis of {x in Z^dim : n*x in the lattice for some n > 0}."""
   if not vectors:
     return []
-  perps = kernel_basis(IntMatrix.from_rows(vectors))
+  perps = _kernel_rows(vectors, dim)
   if not perps:
-    return row_lattice_basis([list(r) for r in IntMatrix.identity(dim).row_list()], dim)
-  return kernel_basis(IntMatrix.from_rows(perps))
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+  return [list(x) for x in _kernel_rows(perps, dim)]
 
 
 def _echelon_coords(rows, v) -> list | None:
@@ -454,39 +468,16 @@ def complement_projection(sub_basis: list, dim: int) -> IntMatrix:
   """
   sat = saturate_row_lattice(sub_basis, dim)
   r = len(sat)
-  if r == 0:
-    return IntMatrix.identity(dim)
-  D, U, V = snf(IntMatrix.from_rows(sat))
+  D, _, V = _snf_rows(sat, r, dim)
   for i in range(r):
-    assert D.entry(i, i) == 1, "saturated sublattice must have unit elementary divisors"
+    assert D[i][i] == 1, "saturated sublattice must have unit elementary divisors"
   # rows of V^-1 form a basis of Z^dim whose first r rows span the sublattice;
   # coordinates in that basis are x*V, so dropping the first r gives the quotient.
-  proj_cols = [[V.entry(i, j) for i in range(dim)] for j in range(r, dim)]
-  if not proj_cols:
-    return IntMatrix.zero(0, dim)
-  P = IntMatrix.from_rows(proj_cols)
+  P = IntMatrix(dim - r, dim, tuple(V[i][j] for j in range(r, dim)
+                                    for i in range(dim)))
   for b in sat:
     assert not any(P.apply(b))
   return P
-
-
-def solve(A: IntMatrix, b) -> tuple[int, ...] | None:
-  """One integer solution x of A*x = b, or None if none exists."""
-  if len(b) != A.rows:
-    raise ValueError("vector length %d does not match rows %d" % (len(b), A.rows))
-  D, U, V = snf(A)
-  ub = U.apply(b)
-  z = [0] * A.cols
-  for i in range(min(A.rows, A.cols)):
-    d = D.entry(i, i)
-    if d:
-      if ub[i] % d != 0:
-        return None
-      z[i] = ub[i] // d
-  x = V.apply(z)
-  if A.apply(x) != tuple(b):
-    return None
-  return x
 
 
 def primitive(v) -> tuple[int, ...]:

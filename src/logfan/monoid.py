@@ -5,7 +5,9 @@ operations here are the ones that matter for charts and fans: saturation,
 sharpening, faces, localization, quotients, pushouts, roots, and the Kummer
 and exactness predicates for homomorphisms.  Everything reduces to cone
 machinery plus exact lattice arithmetic; sizes are capped at desk scale
-because membership and saturation enumerate.
+because membership and saturation enumerate.  A membership search visits at
+most MAX_MEMBER_NODES nodes and refuses a vector that needs more with a
+ValueError.
 """
 
 from __future__ import annotations
@@ -19,16 +21,20 @@ from .cone import Cone, _dot, _neg, hilbert_basis
 from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
+    _snf_rows,
     complement_projection,
     express_in_rows,
     kernel_basis,
     rank,
     row_lattice_basis,
-    solve,
 )
 
 MAX_AMBIENT_RANK = 6
 MAX_GENERATORS = 16
+# Search nodes one membership test may visit.  The most any test, the
+# gallery or a benchmark workload (seeds 1, 2 and 11) visits is 249, so this
+# leaves a factor of 400, and 100 000 nodes take about a second.
+MAX_MEMBER_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -83,37 +89,40 @@ def _gp_basis(P: AffineMonoid) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _unit_split(P: AffineMonoid):
-  """Split the generators along the lineality of the recession cone.
+  """Split the generators along the lineality of the recession cone, and
+  project once to the quotient by the units.
 
-  Returns (units_basis, rest): units_basis generates the unit group P* (the
-  generators lying in the lineality space generate a group), rest is the
-  tuple of remaining generators.
+  Returns (units_basis, rest, pi, pgens, pc, grade_vec): units_basis
+  generates the unit group P*, rest is the tuple of the other generators, pi
+  kills the saturated span of the units, and pgens, pc and grade_vec are the
+  images of rest, their cone and the sum of its facet normals (_member
+  checks that pc is pointed and the gradings positive).
   """
   C = P.cone
   unit_gens = [g for g in P.gens if C.contains(_neg(g))]
   rest = tuple(g for g in P.gens if not C.contains(_neg(g)))
   basis = tuple(tuple(r) for r in
                 row_lattice_basis([list(g) for g in unit_gens], P.ambient_rank))
-  return basis, rest
+  pi = complement_projection([list(b) for b in basis], P.ambient_rank)
+  pgens = tuple(pi.apply(r) for r in rest)
+  pc = Cone.from_rays(pgens, pi.rows)
+  grade_vec = tuple(sum(nu[i] for nu in pc.facet_normals) for i in range(pi.rows))
+  return basis, rest, pi, pgens, pc, grade_vec
 
 
 @lru_cache(maxsize=65536)
 def _member(P: AffineMonoid, v: tuple) -> bool:
   if not P.cone.contains(v):
     return False
-  units, rest = _unit_split(P)
+  units, rest, pi, pgens, pc, grade_vec = _unit_split(P)
   if express_in_rows([list(b) for b in _gp_basis(P)], v) is None:
     return False
   if not rest:
     return express_in_rows([list(b) for b in units], v) is not None
-  pi = complement_projection([list(b) for b in units], P.ambient_rank)
-  pgens = [pi.apply(r) for r in rest]
-  pc = Cone.from_rays(pgens, pi.rows)
   if not pc.is_strictly_convex:
     raise RuntimeError("the cone of the non-unit generators modulo the units "
                        "has lineality")
   w = pi.apply(v)
-  grade_vec = [sum(nu[i] for nu in pc.facet_normals) for i in range(pi.rows)]
   gr = {i: _dot(grade_vec, pg) for i, pg in enumerate(pgens)}
   if not all(g > 0 for g in gr.values()):
     raise RuntimeError("a non-unit generator has grading <= 0: %s" % (gr,))
@@ -124,6 +133,10 @@ def _member(P: AffineMonoid, v: tuple) -> bool:
     key = (i, v_left)
     if key in memo:
       return memo[key]
+    # memo holds one entry per finished node
+    if len(memo) >= MAX_MEMBER_NODES:
+      raise ValueError("membership search capped at %d nodes; %s needs more"
+                       % (MAX_MEMBER_NODES, v))
     if i == len(rest):
       out = not any(w_left) and express_in_rows(ubasis, v_left) is not None
       memo[key] = out
@@ -158,7 +171,7 @@ def group_completion(P: AffineMonoid) -> list:
   return [list(b) for b in _gp_basis(P)]
 
 
-def _cone_lattice_generators(ineqs, eqs, basis_rows, d) -> list:
+def _cone_lattice_generators(ineqs, eqs, basis_rows) -> list:
   """Generators of {x in the lattice spanned by basis_rows : x in C} where C
   is the cone cut out by the given inequalities and equalities.
 
@@ -177,23 +190,21 @@ def _cone_lattice_generators(ineqs, eqs, basis_rows, d) -> list:
   for b in C.lineality_basis:
     gens_c.append(b)
     gens_c.append(_neg(b))
-  if C.rays:
+  if C.rays and not C.lineality_basis:
+    gens_c.extend(hilbert_basis(C))
+  elif C.rays:
     pi = complement_projection([list(b) for b in C.lineality_basis], k)
+    # pi is surjective, so its Smith form is D = [I | 0], and V[:, :m]*U*h
+    # is a preimage of h: one Smith form lifts the whole Hilbert basis
+    _, U, V = _snf_rows(pi.row_list(), pi.rows, k)
+    lift = [[_dot(row[:pi.rows], col) for col in zip(*U)] for row in V]
     img = Cone.from_rays([pi.apply(r) for r in C.rays], pi.rows)
     for h in hilbert_basis(img):
-      c = solve(pi, h)
-      if c is None:
-        raise RuntimeError("Hilbert-basis element %s has no preimage" % (h,))
+      c = tuple(_dot(row, h) for row in lift)
       if not C.contains(c):
         raise RuntimeError("preimage %s of %s is outside the cone" % (c, h))
       gens_c.append(c)
-  out = []
-  for c in gens_c:
-    x = [0] * d
-    for ci, b in zip(c, basis_rows):
-      x = [a + ci * t for a, t in zip(x, b)]
-    out.append(tuple(x))
-  return out
+  return [tuple(_dot(c, col) for col in zip(*basis_rows)) for c in gens_c]
 
 
 def saturation(P: AffineMonoid) -> AffineMonoid:
@@ -204,8 +215,7 @@ def saturation(P: AffineMonoid) -> AffineMonoid:
   """
   C = P.cone
   basis = [list(b) for b in _gp_basis(P)]
-  gens = _cone_lattice_generators(C.facet_normals, C.span_normals, basis,
-                                  P.ambient_rank)
+  gens = _cone_lattice_generators(C.facet_normals, C.span_normals, basis)
   return AffineMonoid.make(gens, P.ambient_rank)
 
 
@@ -216,10 +226,9 @@ def structure_queries(P: AffineMonoid) -> SimpleNamespace:
   the saturated span of the units, which matches the abstract sharpening for
   the monoids handled here.
   """
-  units, _ = _unit_split(P)
+  units, _, pi = _unit_split(P)[:3]
   sat = saturation(P)
   is_saturated = all(membership(P, g) for g in sat.gens)
-  pi = complement_projection([list(b) for b in units], P.ambient_rank)
   sharp = AffineMonoid.make([pi.apply(g) for g in P.gens], pi.rows)
   return SimpleNamespace(is_saturated=is_saturated,
                          is_sharp=not units,
@@ -357,43 +366,34 @@ def _preimage_generators(theta: MonoidHom) -> list:
   k = len(bp)
   if k == 0:
     return []
-  # images of the group basis span everything theta can reach
-  n_cols = [M.apply(b) for b in bp]
+  d = P.ambient_rank
   if structure_queries(Q).is_saturated:
     # theta(x) in Q  <=>  theta(x) in cone(Q) and theta(x) in Q^gp
+    n_cols = [M.apply(b) for b in bp]
     bq = [list(b) for b in _gp_basis(Q)]
     block = [[n_cols[j][i] for j in range(k)] + [-bq[j][i] for j in range(len(bq))]
              for i in range(Q.ambient_rank)]
     ker = kernel_basis(IntMatrix.from_rows(block)) if block else []
-    cparts = [v[:k] for v in ker]
-    lam = row_lattice_basis(cparts, k)
-    CQ = Q.cone
-    ineq_c = [[sum(nu[i] * n_cols[j][i] for i in range(Q.ambient_rank))
-               for j in range(k)] for nu in CQ.facet_normals]
-    eq_c = [[sum(s[i] * n_cols[j][i] for i in range(Q.ambient_rank))
-             for j in range(k)] for s in CQ.span_normals]
-    coeff_gens = _cone_lattice_generators(ineq_c, eq_c, lam, k)
+    lam = row_lattice_basis([v[:k] for v in ker], k)
+    # the x with theta(x) in Q^gp, and cone(Q) pulled back along theta
+    basis = [[_dot(c, col) for col in zip(*bp)] for c in lam]
+    Mt, CQ = M.transpose(), Q.cone
+    gens = _cone_lattice_generators([Mt.apply(nu) for nu in CQ.facet_normals],
+                                    [Mt.apply(s) for s in CQ.span_normals],
+                                    basis)
   else:
-    # coefficient space: a in Z^k, c in N^m with  sum a_j theta(b_j) = sum c_i q_i
+    # pairs (x, c), x in P^gp and c in N^m, with theta(x) = sum c_t q_t
     m = len(Q.gens)
     if k + m > MAX_AMBIENT_RANK:
       raise ValueError(
           "exactness for a non-saturated target needs coefficient rank %d > %d"
           % (k + m, MAX_AMBIENT_RANK))
-    eqs = [[n_cols[j][i] for j in range(k)] + [-Q.gens[t][i] for t in range(m)]
-           for i in range(Q.ambient_rank)]
-    ineqs = [[0] * k + [1 if t == s else 0 for t in range(m)] for s in range(m)]
-    eye = [[1 if i == j else 0 for j in range(k + m)] for i in range(k + m)]
-    pair_gens = _cone_lattice_generators(ineqs, eqs, eye, k + m)
-    coeff_gens = [g[:k] for g in pair_gens]
-  out = []
-  for c in coeff_gens:
-    x = [0] * P.ambient_rank
-    for ci, b in zip(c, bp):
-      x = [a + ci * t for a, t in zip(x, b)]
-    if any(x):
-      out.append(tuple(x))
-  return out
+    eye = [[int(t == s) for t in range(m)] for s in range(m)]
+    eqs = [list(M.row(i)) + [-q[i] for q in Q.gens] for i in range(Q.ambient_rank)]
+    basis = [b + [0] * m for b in bp] + [[0] * d + e for e in eye]
+    gens = [g[:d] for g in _cone_lattice_generators(
+        [[0] * d + e for e in eye], eqs, basis)]
+  return [x for x in gens if any(x)]
 
 
 def is_exact(theta: MonoidHom) -> bool:

@@ -9,7 +9,7 @@ import pathlib
 
 import logfan
 
-ALLOWED = {("lattice.py", "_hnf_rows"), ("lattice.py", "snf"),
+ALLOWED = {("lattice.py", "_hnf_rows"), ("lattice.py", "_snf_rows"),
            ("lattice.py", "_kernel_rows"),
            ("lattice.py", "complement_projection")}
 

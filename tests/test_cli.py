@@ -23,6 +23,7 @@ from logfan.cli import (
 )
 from logfan.gallery import CASES
 from logfan.kato import MAX_PRIME_TEST
+from logfan.monoid import MAX_MEMBER_NODES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 VALID = sorted(FIXTURES.glob("*.json"))
@@ -352,6 +353,30 @@ def test_hom_rejects_ragged_vectors():
   code, _, err = run(["hom", "--src=1,0;1", "--dst=1", "--matrix=1,1"])
   assert code == 2
   assert "differ in length" in err
+
+
+@pytest.mark.parametrize("n", [3200, 12800])
+def test_hom_refuses_a_membership_search_past_the_budget(n):
+  # about 60 bytes of arguments: the search for (n, n + 1) in this monoid
+  # is bounded only by the grading, and once took 7 s at 3200 and hung at 12800
+  argv = ["hom", "--src=%d,%d" % (n, n + 1), "--dst=1,0;1,2;2,1;3,5",
+          "--matrix=1,0;0,1"]
+  t0 = time.perf_counter()
+  code, out, err = run(argv)
+  assert time.perf_counter() - t0 < 10.0
+  assert code == 2
+  assert out == ""
+  assert "capped at %d nodes" % MAX_MEMBER_NODES in err
+
+
+def test_hom_prints_nothing_when_an_answer_is_refused():
+  # the source maps into the target, is_kummer answers, and then is_exact
+  # refuses the Hilbert basis of the preimage cone
+  code, out, err = run(["hom", "--src=30,31", "--dst=1,0;1,2;2,1;3,5",
+                        "--matrix=1,0;0,1"])
+  assert code == 2
+  assert out == ""
+  assert "Hilbert basis capped" in err
 
 
 def test_gallery_full_run():

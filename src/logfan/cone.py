@@ -51,6 +51,18 @@ def _neg(v):
   return tuple(-x for x in v)
 
 
+def _both_signs(vectors) -> list:
+  """Each vector followed by its negation: as cone generators, the span of
+  the vectors."""
+  return [w for b in vectors for w in (b, _neg(b))]
+
+
+def _order_key(c) -> tuple:
+  """The canonical order of cones: by dimension, then rays; the lineality
+  only separates cones with lineality that have the same rays."""
+  return (c.dim, c.rays, c.lineality_basis)
+
+
 def _pick(rays, bits) -> tuple:
   """The rays whose bits are set in the int bitset bits, in order."""
   return tuple(r for j, r in enumerate(rays) if bits >> j & 1)
@@ -212,11 +224,7 @@ class Cone:
           raise ValueError("%s %s does not have length %d"
                            % (kind, tuple(row), ambient_rank))
     rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
-    gens = list(rays)
-    for b in lin:
-      gens.append(b)
-      gens.append(_neg(b))
-    return Cone.from_rays(gens, ambient_rank)
+    return Cone.from_rays(list(rays) + _both_signs(lin), ambient_rank)
 
   @property
   def is_strictly_convex(self) -> bool:
@@ -324,11 +332,8 @@ def dual_cone(sigma: Cone) -> Cone:
   """
   if sigma.ambient_rank > MAX_DUAL_RANK:
     raise ValueError("dual computation capped at ambient rank %d" % MAX_DUAL_RANK)
-  gens = list(sigma.facet_normals)
-  for s in sigma.span_normals:
-    gens.append(s)
-    gens.append(_neg(s))
-  return Cone.from_rays(gens, sigma.ambient_rank)
+  return Cone.from_rays(list(sigma.facet_normals)
+                        + _both_signs(sigma.span_normals), sigma.ambient_rank)
 
 
 def _simplicial_pieces(sigma: Cone):
@@ -493,13 +498,10 @@ def faces(sigma: Cone) -> list:
   each facet's ray set, sigma.facet_rays (Kaibel & Pfetsch 2002); the sets
   are int bitsets over the rays, and each closed set makes one cone through
   Cone.from_rays, so that its cache holds the faces that fans share.
-  Sorted by (dimension, rays) so the output is deterministic.
+  Sorted by _order_key so the output is deterministic.
   """
   rays = sigma.rays
-  lin_gens = []
-  for b in sigma.lineality_basis:
-    lin_gens.append(b)
-    lin_gens.append(_neg(b))
+  lin_gens = _both_signs(sigma.lineality_basis)
   facet_sets = set(sigma.facet_rays)
   full = (1 << len(rays)) - 1
   closed = {full}
@@ -513,7 +515,7 @@ def faces(sigma: Cone) -> list:
         todo.append(y)
   out = [Cone.from_rays(list(_pick(rays, y)) + lin_gens, sigma.ambient_rank)
          for y in closed]
-  return sorted(out, key=lambda c: (c.dim, c.rays))
+  return sorted(out, key=_order_key)
 
 
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:

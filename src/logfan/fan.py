@@ -1,20 +1,23 @@
 """Fans of strictly convex cones, fan maps, subdivisions, and refinements.
 
-A fan stores its maximal cones canonically and keeps no face closure: the
-cones whose relative interior holds a point are read off them (_cones_at).
-One exact wall test (_tiles) decides every covering question: whether the
-mapped cones of a fan map fill each target cone, whether two fans have the
-same support, and whether a fan is complete.  It pairs up the facets of the
-pieces and checks a single point, in integer arithmetic, so there is no
-sampling anywhere on the decision path.  One holder search (_holders)
-answers both is_fan_map and the pieces of subdivision_predicates: the
-target cones that hold a mapped source cone are found through an index
-from rays to cones, one holder per source cone first, exact for any
-target, and the rest read off the smallest face of it that holds the
-image, which rests on the target being a fan.  The completion and
-resolution routines are rank-2 only; the resolution takes one Hilbert basis
-per singular cone and builds its fan once.  The refinement search is a
-plain bounded breadth-first search over star subdivision moves.
+A Fan is its set of maximal cones, canonical by construction: repeats go,
+ranks are checked and the cones are sorted.  Only Fan.make drops cones that
+lie in others, by an O(n^2) filter, for input whose cones may nest: parsed
+documents, fiber products, boundary subfans and the gallery.  No face
+closure is kept; the cones whose relative interior holds a point are read
+off the maximal cones (_cones_at).  One exact wall test (_tiles) decides
+every covering question: whether the mapped cones of a fan map fill each
+target cone, whether two fans have the same support, and whether a fan is
+complete.  It pairs up the facets of the pieces and checks a single point,
+in integer arithmetic, so there is no sampling anywhere on the decision
+path.  One holder search (_holders) answers both is_fan_map and the pieces
+of subdivision_predicates: the target cones that hold a mapped source cone
+are found through an index from rays to cones, one holder per source cone
+first, exact for any target, and the rest read off the smallest face of it
+that holds the image, which rests on the target being a fan.  Completion
+(per uncovered gap) and resolution (one Hilbert basis per singular cone)
+are rank-2 only.  The refinement search is a plain bounded breadth-first
+search over star subdivision moves.
 """
 
 from __future__ import annotations
@@ -25,18 +28,28 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (Cone, _dot, _neg, _pick, _smallest_face, hilbert_basis,
-                   intersect, is_face_of, is_smooth)
+from .cone import (Cone, _both_signs, _dot, _neg, _order_key, _pick,
+                   _smallest_face, hilbert_basis, intersect, is_face_of,
+                   is_smooth)
 from .cone import faces as cone_faces
 from .lattice import IntMatrix, is_unimodular
 
 
 @dataclass(frozen=True)
 class Fan:
-  """A fan, identified with its canonically sorted set of maximal cones."""
+  """A fan, identified with its canonically sorted set of maximal cones.
+
+  Construction drops repeats, checks ranks, turns no cones into the zero
+  cone and sorts by _order_key, but keeps a cone that lies in another.
+  """
 
   ambient_rank: int
   max_cones: tuple[Cone, ...]
+
+  def __post_init__(self):
+    cones = (_distinct(self.max_cones, self.ambient_rank)
+             or [Cone.from_rays([], self.ambient_rank)])
+    object.__setattr__(self, "max_cones", tuple(sorted(cones, key=_order_key)))
 
   @staticmethod
   def make(cones, ambient_rank: int) -> "Fan":
@@ -44,20 +57,11 @@ class Fan:
 
     No fan axioms are checked here; run validate for that.
     """
-    pool = {}
-    for c in cones:
-      if c.ambient_rank != ambient_rank:
-        raise ValueError("cone of ambient rank %d in a rank-%d fan"
-                         % (c.ambient_rank, ambient_rank))
-      pool[c] = None
-    if not pool:
-      pool = {Cone.from_rays([], ambient_rank): None}
+    pool = _distinct(cones, ambient_rank)
     # a cone lies only in cones of at least its dimension
-    keep = [c for c in pool
-            if not any(o is not c and o.dim >= c.dim and o.contains_cone(c)
-                       for o in pool)]
-    keep.sort(key=lambda c: (c.dim, c.rays))
-    return Fan(ambient_rank, tuple(keep))
+    return Fan(ambient_rank, tuple(
+        c for c in pool if not any(o is not c and o.dim >= c.dim
+                                   and o.contains_cone(c) for o in pool)))
 
   @property
   def all_cones(self) -> frozenset:
@@ -73,17 +77,24 @@ class Fan:
     return tuple(sorted(out))
 
 
+def _distinct(cones, d: int) -> list:
+  """The cones without repeats, in order, each checked to be of rank d."""
+  out = list(dict.fromkeys(cones))
+  for c in out:
+    if c.ambient_rank != d:
+      raise ValueError("cone of ambient rank %d in a rank-%d fan"
+                       % (c.ambient_rank, d))
+  return out
+
+
 def _cones_at(fan: Fan, x) -> list:
-  """The closure's cones whose relative interior holds x, by (dim, rays): a
+  """The closure's cones whose relative interior holds x, by _order_key: a
   face of c has x there iff it is the smallest face of c holding x
   (_smallest_face, with c's lineality).  No fan axiom is needed."""
-  out = {}
-  for c in fan.max_cones:
-    if c.contains(x):
-      lin = c.lineality_basis
-      out[Cone.from_rays(_smallest_face(c, x) + lin + tuple(map(_neg, lin)),
-                         fan.ambient_rank)] = None
-  return sorted(out, key=lambda c: (c.dim, c.rays))
+  out = {Cone.from_rays(list(_smallest_face(c, x))
+                        + _both_signs(c.lineality_basis), fan.ambient_rank)
+         for c in fan.max_cones if c.contains(x)}
+  return sorted(out, key=_order_key)
 
 
 def validate(fan: Fan) -> SimpleNamespace:
@@ -313,6 +324,10 @@ def star_subdivision(fan: Fan, tau: Cone) -> Fan:
   rays with one tau ray swapped out for the center c = sum of tau's rays;
   the rest of the fan is untouched.  Containing cones must be smooth so
   that faces are ray subsets and the center is primitive.
+
+  Precondition: the input is a fan (see validate).  Then every cone of the
+  result is maximal, so it skips Fan.make's filter; on a non-fan a new
+  cone may lie in an untouched one, and the result lists both.
   """
   center = tau.interior_point()
   if tau.ambient_rank != fan.ambient_rank or tau not in _cones_at(fan, center):
@@ -330,7 +345,7 @@ def star_subdivision(fan: Fan, tau: Cone) -> Fan:
     for a in tau.rays:
       rest = [r for r in c.rays if r != a]
       out.append(Cone.from_rays(rest + [center], fan.ambient_rank))
-  return Fan.make(out, fan.ambient_rank)
+  return Fan(fan.ambient_rank, tuple(out))
 
 
 def fiber_product(left: FanMap, right: FanMap) -> Fan:
@@ -350,26 +365,27 @@ def fiber_product(left: FanMap, right: FanMap) -> Fan:
   else:
     raise ValueError("neither leg is a partial subdivision")
   d = b.source.ambient_rank
+  bt = b.matrix.transpose()
   pieces = []
   for ca in a.source.max_cones:
     img = Cone.from_rays([a.matrix.apply(r) for r in ca.rays],
                          a.target.ambient_rank)
-    pull_ineq = [_row_times(nu, b.matrix) for nu in img.facet_normals]
-    pull_eq = [_row_times(s, b.matrix) for s in img.span_normals]
+    pull_ineq = [bt.apply(nu) for nu in img.facet_normals]
+    pull_eq = [bt.apply(s) for s in img.span_normals]
     for cb in b.source.max_cones:
-      ineqs = pull_ineq + [list(nu) for nu in cb.facet_normals]
-      eqs = pull_eq + [list(s) for s in cb.span_normals]
+      ineqs = pull_ineq + list(cb.facet_normals)
+      eqs = pull_eq + list(cb.span_normals)
       pieces.append(Cone.from_inequalities(ineqs, eqs, d))
   return Fan.make(pieces, d)
 
 
-def _row_times(nu, m: IntMatrix) -> list:
-  return [sum(nu[i] * m.entry(i, j) for i in range(m.rows))
-          for j in range(m.cols)]
-
-
 def product_fan(f1: Fan, f2: Fan) -> Fan:
-  """Fan in the direct sum whose maximal cones are pairwise products."""
+  """Fan in the direct sum whose maximal cones are pairwise products.
+
+  Precondition: both inputs are fans (see validate).  a x b lies in a' x b'
+  iff a lies in a' and b in b', so every product is maximal and Fan.make's
+  filter is skipped; an input with nested cones gives nested products.
+  """
   d1, d2 = f1.ambient_rank, f2.ambient_rank
   z1, z2 = (0,) * d1, (0,) * d2
   out = []
@@ -377,7 +393,7 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     for b in f2.max_cones:
       rays = [tuple(r) + z2 for r in a.rays] + [z1 + tuple(r) for r in b.rays]
       out.append(Cone.from_rays(rays, d1 + d2))
-  return Fan.make(out, d1 + d2)
+  return Fan(d1 + d2, tuple(out))
 
 
 def _angle_class(v):
@@ -406,52 +422,35 @@ def _ccw_cmp(a, b):
 def complete_2d(fan: Fan) -> Fan:
   """Extend a rank-2 fan to a complete one by a fixed gap-filling rule.
 
-  Rays are sorted counterclockwise; an uncovered angular gap wider than a
-  half turn first receives the negation of its starting ray, a gap of
-  exactly a half turn receives the perpendicular of its start, and what
-  remains is closed off with single cones.  The input fan must be valid.
+  Rays are sorted counterclockwise.  Each gap between consecutive rays
+  that no 2-cone covers is filled on its own: a gap wider than a half turn
+  (or a single ray's full turn) receives the negation of its start, one of
+  exactly a half turn the perpendicular of its start, and consecutive stops
+  span one cone each.  Every ray then lies in a 2-cone, so the result is
+  the input's 2-cones plus the new ones.  The input fan must be valid.
   """
   if fan.ambient_rank != 2:
     raise ValueError("completion rule is specific to rank 2")
-  rays = [tuple(r) for r in fan.rays]
-  if not rays:
-    rays = [(1, 0)]
-  two_cones = [c for c in fan.max_cones if c.dim == 2]
-
-  def sort_ccw(rs):
-    return sorted(rs, key=functools.cmp_to_key(_ccw_cmp))
-
-  def sector_covered(a, b):
-    # the gap runs counterclockwise from a to b; an existing cone with ray
-    # set {a, b} spans the short side, which is that gap only if cross > 0
-    return _cross(a, b) > 0 and any(set((a, b)) == set(c.rays)
-                                    for c in two_cones)
-
-  while True:
-    rays = sort_ccw(rays)
-    inserted = False
-    for i, a in enumerate(rays):
-      b = rays[(i + 1) % len(rays)]
-      if sector_covered(a, b):
-        continue
+  rays = sorted(fan.rays, key=functools.cmp_to_key(_ccw_cmp)) or [(1, 0)]
+  out = [c for c in fan.max_cones if c.dim == 2]
+  covered = {c.rays for c in out}
+  for s, t in zip(rays, rays[1:] + rays[:1]):
+    # a 2-cone on s and t spans the short side, the gap only if cross > 0
+    if _cross(s, t) > 0 and tuple(sorted((s, t))) in covered:
+      continue
+    stops = [s, t]
+    i = 0
+    while i + 1 < len(stops):
+      a, b = stops[i], stops[i + 1]
       cr = _cross(a, b)
-      if len(rays) == 1 or cr < 0:
-        rays.append((-a[0], -a[1]))
-        inserted = True
-        break
-      if cr == 0:
-        rays.append((-a[1], a[0]))
-        inserted = True
-        break
-    if not inserted:
-      break
-  rays = sort_ccw(rays)
-  out = list(fan.max_cones)
-  for i, a in enumerate(rays):
-    b = rays[(i + 1) % len(rays)]
-    if not sector_covered(a, b):
-      out.append(Cone.from_rays([a, b], 2))
-  return Fan.make(out, 2)
+      if a == b or cr < 0:
+        stops.insert(i + 1, _neg(a))
+      elif cr == 0:
+        stops.insert(i + 1, (-a[1], a[0]))
+      else:
+        i += 1
+    out.extend(Cone.from_rays(pair, 2) for pair in zip(stops, stops[1:]))
+  return Fan(2, tuple(out))
 
 
 def resolve_2d(fan: Fan) -> tuple[Fan, list]:
@@ -511,7 +510,6 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
         heapq.heappush(heap, (tuple(sorted((chain[lo], chain[hi]))), k, lo, hi))
   for chain in chains:
     keep.extend(Cone.from_rays(pair, 2) for pair in zip(chain, chain[1:]))
-  keep.sort(key=lambda c: (c.dim, c.rays))
   return Fan(2, tuple(keep)), steps
 
 
@@ -564,7 +562,7 @@ def search_refinement(fan: Fan, goal: Fan, depth: int = 4):
   for _ in range(depth):
     nxt = []
     for cur, path in frontier:
-      for tau in sorted(cur.all_cones, key=lambda c: (c.dim, c.rays)):
+      for tau in sorted(cur.all_cones, key=_order_key):
         if tau.dim < 2:
           continue
         cand = star_subdivision(cur, tau)

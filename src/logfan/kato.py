@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .lattice import IntMatrix, cokernel, express_in_rows, rank
-from .monoid import AffineMonoid, MonoidHom, _gp_basis, nth_root
+from .lattice import cokernel, rank
+from .monoid import AffineMonoid, MonoidHom, _gp_map, nth_root
 
 
 # The first 13 primes.  As Miller-Rabin witnesses they decide primality
@@ -70,26 +70,6 @@ class CharParam:
 
   def divides(self, n: int) -> bool:
     return self.p != 0 and n % self.p == 0
-
-
-def _gp_map(theta: MonoidHom) -> IntMatrix:
-  """Matrix of the induced map on group completions.
-
-  Rows index a basis of the target group, columns a basis of the source
-  group, so the cokernel of this matrix is the group-level cokernel.
-  """
-  src = _gp_basis(theta.source)
-  dst = [list(r) for r in _gp_basis(theta.target)]
-  cols = []
-  for b in src:
-    img = theta.gp_matrix.apply(list(b))
-    coords = express_in_rows(dst, list(img))
-    if coords is None:
-      raise RuntimeError("image %s of %s is outside the target group"
-                         % (img, b))
-    cols.append(coords)
-  m, k = len(dst), len(cols)
-  return IntMatrix(m, k, tuple(cols[j][i] for i in range(m) for j in range(k)))
 
 
 def chart_smoothness(theta: MonoidHom, char: CharParam) -> SimpleNamespace:

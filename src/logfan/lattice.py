@@ -219,39 +219,18 @@ def _snf_rows(rows, m: int, n: int) -> tuple[list, list, list]:
   u = [[int(i == j) for j in range(m)] for i in range(m)]
   v = [[int(i == j) for j in range(n)] for i in range(n)]  # V's columns, as rows
 
-  def col_op_gcd(c0, c1, r):
-    a, b = work[r][c0], work[r][c1]
-    if b == 0:
-      return
-    if a == 0:
-      for row in work:
-        row[c0], row[c1] = row[c1], row[c0]
-      v[c0], v[c1] = v[c1], v[c0]
-      return
-    if b % a == 0:
-      q = b // a
-      for row in work:
-        row[c1] -= q * row[c0]
-      v[c1] = [y_ - q * x_ for x_, y_ in zip(v[c0], v[c1])]
-      return
-    g, x, y = _xgcd(a, b)
-    p, q = a // g, b // g
-    for row in work:
-      s, t = row[c0], row[c1]
-      row[c0] = x * s + y * t
-      row[c1] = -q * s + p * t
-    s, t = v[c0], v[c1]
-    v[c0] = [x * a_ + y * b_ for a_, b_ in zip(s, t)]
-    v[c1] = [-q * a_ + p * b_ for a_, b_ in zip(s, t)]
-
   def clear_position(t):
     while True:
       for i in range(t + 1, m):
         _row_op_gcd(work, u, t, i, t)
       if all(work[t][j] == 0 for j in range(t + 1, n)):
         break
+      # the column steps are row steps on the transpose, and v holds V's
+      # columns as rows
+      cols = [list(c) for c in zip(*work)]
       for j in range(t + 1, n):
-        col_op_gcd(t, j, t)
+        _row_op_gcd(cols, v, t, j, t)
+      work[:] = [list(r) for r in zip(*cols)]
       if all(work[i][t] == 0 for i in range(t + 1, m)):
         break
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .cone import Cone, _dot, _neg, hilbert_basis
+from .cone import Cone, _both_signs, _dot, _neg, hilbert_basis
 from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
@@ -186,10 +186,7 @@ def _cone_lattice_generators(ineqs, eqs, basis_rows) -> list:
   ineq_c = [[_dot(b, nu) for b in basis_rows] for nu in ineqs]
   eq_c = [[_dot(b, s) for b in basis_rows] for s in eqs]
   C = Cone.from_inequalities(ineq_c, eq_c, k)
-  gens_c = []
-  for b in C.lineality_basis:
-    gens_c.append(b)
-    gens_c.append(_neg(b))
+  gens_c = _both_signs(C.lineality_basis)
   if C.rays and not C.lineality_basis:
     gens_c.extend(hilbert_basis(C))
   elif C.rays:
@@ -341,6 +338,26 @@ def nth_root(P: AffineMonoid, n: int) -> tuple[AffineMonoid, IntMatrix]:
   return AffineMonoid.make(P.gens, d), ref
 
 
+def _gp_map(theta: MonoidHom) -> IntMatrix:
+  """Matrix of the induced map on group completions.
+
+  Rows index a basis of the target group, columns a basis of the source
+  group, so the cokernel of this matrix is the group-level cokernel.
+  """
+  src = _gp_basis(theta.source)
+  dst = [list(r) for r in _gp_basis(theta.target)]
+  cols = []
+  for b in src:
+    img = theta.gp_matrix.apply(list(b))
+    coords = express_in_rows(dst, list(img))
+    if coords is None:
+      raise RuntimeError("image %s of %s is outside the target group"
+                         % (img, b))
+    cols.append(coords)
+  m, k = len(dst), len(cols)
+  return IntMatrix(m, k, tuple(cols[j][i] for i in range(m) for j in range(k)))
+
+
 def is_kummer(theta: MonoidHom) -> bool:
   """Whether theta is injective with rationally surjective induced cone map.
 
@@ -349,12 +366,10 @@ def is_kummer(theta: MonoidHom) -> bool:
   multiple of each target element comes from the source.
   """
   P, Q, M = theta.source, theta.target, theta.gp_matrix
-  bp = [list(b) for b in _gp_basis(P)]
-  K = kernel_basis(M)
-  if K:
-    stacked = rank(IntMatrix.from_rows(bp + K)) if bp else len(K)
-    if stacked != (rank(IntMatrix.from_rows(bp)) if bp else 0) + len(K):
-      return False
+  # injective on P^gp iff the group map has full column rank
+  n = _gp_map(theta)
+  if rank(n) != n.cols:
+    return False
   img_cone = Cone.from_rays([M.apply(g) for g in P.gens], Q.ambient_rank)
   return all(img_cone.contains(q) for q in Q.gens)
 

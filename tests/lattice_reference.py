@@ -6,7 +6,8 @@ IntMatrix products, solve takes a fresh Smith form for every right-hand
 side, and the monoid functions lift each Hilbert basis element of the
 projected cone through solve, also when the projection is the identity.
 The tests compare logfan's row-list Smith form and its one coordinate
-change per monoid against these.  Self-checks raise AssertionError
+change per monoid against these.  is_kummer's injectivity is kept as it
+was decided from a kernel basis of the ambient map and two stacked ranks.  Self-checks raise AssertionError
 explicitly, so they also run under python -O.
 """
 
@@ -17,6 +18,7 @@ from logfan.lattice import (
     _xgcd,
     hnf,
     kernel_basis,
+    rank,
     row_lattice_basis,
 )
 from logfan.monoid import MAX_AMBIENT_RANK, AffineMonoid, _gp_basis, membership
@@ -244,3 +246,18 @@ def reference_preimage_generators(theta) -> list:
     if any(x):
       out.append(tuple(x))
   return out
+
+
+def reference_is_kummer(theta) -> bool:
+  """is_kummer with injectivity on P^gp decided from the kernel K of the
+  ambient map: P^gp meets K only in 0 iff stacking K under a basis of P^gp
+  adds len(K) to its rank."""
+  P, Q, M = theta.source, theta.target, theta.gp_matrix
+  bp = [list(b) for b in _gp_basis(P)]
+  K = kernel_basis(M)
+  if K:
+    stacked = rank(IntMatrix.from_rows(bp + K)) if bp else len(K)
+    if stacked != (rank(IntMatrix.from_rows(bp)) if bp else 0) + len(K):
+      return False
+  img_cone = Cone.from_rays([M.apply(g) for g in P.gens], Q.ambient_rank)
+  return all(img_cone.contains(q) for q in Q.gens)

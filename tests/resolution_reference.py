@@ -6,9 +6,12 @@ earlier code as a differential oracle: smoothness by a rank check plus the
 Smith normal form of the ray matrix, the stellar insertion of one ray, and
 a resolution loop that inserts one ray at a time, takes a fresh Hilbert
 basis each time and re-tests every maximal cone after each insertion.  It
-also draws the singular rank-2 fans of acceptance criterion 11.
+keeps the completion that restarts after every inserted ray and drops the
+old ray cones through Fan.make's filter, and it draws the singular rank-2
+fans of acceptance criterion 11.
 """
 
+import functools
 import math
 
 from logfan.cone import Cone, hilbert_basis
@@ -67,6 +70,69 @@ def reference_resolve_2d(fan: Fan) -> tuple[Fan, list]:
       raise AssertionError("singular rank-2 cone with no interior Hilbert element")
     cur = insert_ray_2d(cur, extra[0])
     steps.append(extra[0])
+
+
+def _cross(a, b) -> int:
+  return a[0] * b[1] - a[1] * b[0]
+
+
+def _ccw_cmp(a, b):
+  # angle class 0 is the open upper half plane plus the positive x-axis
+  ha = 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
+  hb = 0 if b[1] > 0 or (b[1] == 0 and b[0] > 0) else 1
+  if a == b:
+    return 0
+  if ha != hb:
+    return -1 if ha < hb else 1
+  cr = _cross(a, b)
+  if cr == 0:
+    return 0
+  return -1 if cr > 0 else 1
+
+
+def reference_complete_2d(fan: Fan) -> Fan:
+  """The completion that inserts one ray at a time, re-sorts and restarts
+  from the first gap, then closes every uncovered gap with one cone and
+  filters the result through Fan.make."""
+  if fan.ambient_rank != 2:
+    raise ValueError("completion rule is specific to rank 2")
+  rays = [tuple(r) for r in fan.rays]
+  if not rays:
+    rays = [(1, 0)]
+  two_cones = [c for c in fan.max_cones if c.dim == 2]
+
+  def sort_ccw(rs):
+    return sorted(rs, key=functools.cmp_to_key(_ccw_cmp))
+
+  def sector_covered(a, b):
+    return _cross(a, b) > 0 and any(set((a, b)) == set(c.rays)
+                                    for c in two_cones)
+
+  while True:
+    rays = sort_ccw(rays)
+    inserted = False
+    for i, a in enumerate(rays):
+      b = rays[(i + 1) % len(rays)]
+      if sector_covered(a, b):
+        continue
+      cr = _cross(a, b)
+      if len(rays) == 1 or cr < 0:
+        rays.append((-a[0], -a[1]))
+        inserted = True
+        break
+      if cr == 0:
+        rays.append((-a[1], a[0]))
+        inserted = True
+        break
+    if not inserted:
+      break
+  rays = sort_ccw(rays)
+  out = list(fan.max_cones)
+  for i, a in enumerate(rays):
+    b = rays[(i + 1) % len(rays)]
+    if not sector_covered(a, b):
+      out.append(Cone.from_rays([a, b], 2))
+  return Fan.make(out, 2)
 
 
 def criterion_11_fans(rng, count):

@@ -20,7 +20,9 @@ from logfan.monoid import (
     MonoidHom,
     _member,
     _preimage_generators,
+    _gp_map,
     _unit_split,
+    is_kummer,
     membership,
     saturation,
     structure_queries,
@@ -28,6 +30,7 @@ from logfan.monoid import (
 
 from lattice_reference import (
     reference_complement_projection,
+    reference_is_kummer,
     reference_preimage_generators,
     reference_saturation_gens,
     reference_snf,
@@ -97,10 +100,10 @@ def test_saturation_and_structure_match_the_old_path(seed, with_units):
   assert got == _outcome(reference_structure, P)
 
 
-@pytest.mark.parametrize("with_units", [False, True])
-@pytest.mark.parametrize("seed", range(60))
-def test_preimage_generators_match_the_old_path(seed, with_units):
-  rng = random.Random(1000 + seed)
+def _hom(rng, with_units):
+  """A seeded homomorphism from a monoid of rank 2-4 to rank 1-3, onto a
+  target holding the image generators plus up to two more, and with
+  with_units a unit line."""
   P = _monoid(rng, with_units=False)
   dq = rng.randint(1, 3)
   M = _matrix(rng, dq, P.ambient_rank, -2, 2)
@@ -109,9 +112,30 @@ def test_preimage_generators_match_the_old_path(seed, with_units):
   if with_units:
     extra += [(1,) + (0,) * (dq - 1), (-1,) + (0,) * (dq - 1)]
   Q = AffineMonoid.make([M.apply(g) for g in P.gens] + extra, dq)
-  theta = MonoidHom(P, Q, M)
+  return MonoidHom(P, Q, M)
+
+
+@pytest.mark.parametrize("with_units", [False, True])
+@pytest.mark.parametrize("seed", range(60))
+def test_preimage_generators_match_the_old_path(seed, with_units):
+  theta = _hom(random.Random(1000 + seed), with_units)
   assert (_outcome(_preimage_generators, theta)
           == _outcome(reference_preimage_generators, theta))
+
+
+def test_is_kummer_matches_the_stacked_rank_test():
+  """The rank of the group map decides injectivity on P^gp as the kernel
+  basis and the two stacked ranks did, on seeded maps that are injective
+  and not, Kummer and not."""
+  rng = random.Random(2000)
+  seen = set()
+  for _ in range(400):
+    theta = _hom(rng, rng.random() < 0.5)
+    n = _gp_map(theta)
+    got = is_kummer(theta)
+    assert got == reference_is_kummer(theta)
+    seen.add((lattice.rank(n) == n.cols, got))
+  assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_the_seeded_cases_reach_both_branches():

@@ -168,20 +168,18 @@ def _not_fans(rng):
     chain = random_stars(rng, n, 3)
     fine, coarse = chain[-1], chain[0]
     for extra in [c for c in coarse.max_cones if c not in fine.max_cones][:2]:
-      bad = Fan(n, tuple(sorted(fine.max_cones + (extra,),
-                                key=lambda c: (c.dim, c.rays))))
+      bad = Fan(n, fine.max_cones + (extra,))
       out += [(_ident(fine), fine, bad), (_ident(fine), coarse, bad)]
     g = _shear(rng, n)
     tilted = Cone.from_rays([g.apply(r) for r in fine.max_cones[0].rays], n)
-    bad = Fan(n, tuple(sorted(set(fine.max_cones) | {tilted},
-                              key=lambda c: (c.dim, c.rays))))
+    bad = Fan(n, fine.max_cones + (tilted,))
     out += [(_ident(fine), fine, bad), (_ident(fine), coarse, bad)]
   two = [[(1, 0), (1, 1)], [(1, 1), (0, 1)], [(1, 0), (1, 2)], [(1, 2), (0, 1)]]
   sheets = Fan(2, tuple(Cone.from_rays(rs, 2) for rs in two))
   overlap = Fan.make([Cone.from_rays(rs, 2)
                       for rs in ([(1, 0), (1, 2)], [(1, 1), (0, 1)])], 2)
-  for fan in (Fan.make(sheets.max_cones[:2], 2),
-              Fan.make(sheets.max_cones[2:], 2),
+  for fan in (Fan(2, tuple(Cone.from_rays(rs, 2) for rs in two[:2])),
+              Fan(2, tuple(Cone.from_rays(rs, 2) for rs in two[2:])),
               Fan.make([Cone.from_rays([(1, 0), (0, 1)], 2)], 2)):
     for bad in (sheets, overlap):
       out.append((_ident(fan), fan, bad))

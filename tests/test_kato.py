@@ -10,7 +10,6 @@ from logfan.fan import Fan
 from logfan.kato import (
     MAX_PRIME_TEST,
     CharParam,
-    _gp_map,
     _is_prime,
     chart_smoothness,
     kummer_cover_chart,
@@ -19,7 +18,7 @@ from logfan.kato import (
 )
 from logfan.lattice import IntMatrix, cokernel
 from logfan.logpair import make_pair
-from logfan.monoid import AffineMonoid, MonoidHom, is_exact, is_kummer
+from logfan.monoid import AffineMonoid, MonoidHom, _gp_map, is_exact, is_kummer
 
 N1 = AffineMonoid.make([[1]], 1)
 N2 = AffineMonoid.make([[1, 0], [0, 1]], 2)

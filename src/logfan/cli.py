@@ -224,6 +224,15 @@ def _cone_at(fan: Fan, center: tuple) -> Cone:
                  % (center,))
 
 
+def _require_fan(fan: Fan, path: str):
+  """Refuse a document that fails validate, naming its first violation."""
+  report = validate(fan)
+  if not report.ok:
+    kind, first, second = report.violations[0]
+    raise CliError("%s is not a fan: %s -- %s vs %s"
+                   % (path, kind, first, second))
+
+
 def _cmd_check(args) -> int:
   doc = _load(args.file)
   fan = doc.fan()
@@ -274,6 +283,7 @@ def _cmd_subdivide(args) -> int:
   if len(center) != doc.rank:
     raise CliError("--center: length %d does not match rank %d"
                    % (len(center), doc.rank))
+  _require_fan(fan, args.file)
   tau = _cone_at(fan, center)
   result = star_subdivision(fan, tau)
   _emit(document_from_fan(result, doc.boundary_rays, doc.metadata), args.out)
@@ -284,7 +294,9 @@ def _cmd_blowup(args) -> int:
   doc = _load(args.file)
   if doc.boundary_rays is None:
     raise CliError("blowup needs a pair document with boundary_rays")
-  pair = make_pair(doc.fan(), doc.boundary_rays)
+  fan = doc.fan()
+  _require_fan(fan, args.file)
+  pair = make_pair(fan, doc.boundary_rays)
   center = _parse_vector(args.center, "--center")
   if len(center) != doc.rank:
     raise CliError("--center: length %d does not match rank %d"
@@ -430,7 +442,9 @@ def _build_parser() -> argparse.ArgumentParser:
   p.add_argument("file")
   p.set_defaults(func=_cmd_check)
 
-  p = sub.add_parser("subdivide", help="star-subdivide a fan")
+  p = sub.add_parser("subdivide", help="star-subdivide a fan",
+                     description="Star-subdivide a fan document.  A document "
+                                 "that is not a fan (see check) exits 2.")
   p.add_argument("file")
   p.add_argument("--star", action="store_true",
                  help="subdivide at the cone holding --center")
@@ -442,7 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
   p.add_argument("-o", "--out")
   p.set_defaults(func=_cmd_subdivide)
 
-  p = sub.add_parser("blowup", help="blow up a pair at an admissible center")
+  p = sub.add_parser("blowup", help="blow up a pair at an admissible center",
+                     description="Blow up a pair document at an admissible "
+                                 "center.  A document whose fan is not a fan "
+                                 "(see check) exits 2.")
   p.add_argument("file")
   p.add_argument("--center", required=True,
                  help="integer vector, e.g. --center=1,1")

@@ -5,11 +5,14 @@ ranks are checked and the cones are sorted.  Only Fan.make drops cones that
 lie in others, by an O(n^2) filter, for input whose cones may nest: parsed
 documents, fiber products, boundary subfans and the gallery.  No face
 closure is kept; the cones whose relative interior holds a point are read
-off the maximal cones (_cones_at).  One exact wall test (_tiles) decides
-every covering question: whether the mapped cones of a fan map fill each
-target cone, whether two fans have the same support, and whether a fan is
-complete.  It pairs up the facets of the pieces and checks a single point,
-in integer arithmetic, so there is no sampling anywhere on the decision
+off the maximal cones (_cones_at).  One common-face test decides validate:
+a separation certificate on the stored ray-facet incidence (_certified),
+with the intersection of the two cones as the exact fallback for a pair
+it leaves open.  One exact wall test (_tiles) decides every covering
+question: whether the mapped cones of a fan map fill each target cone,
+whether two fans have the same support, and whether a fan is complete.
+It pairs up the facets of the pieces and checks a single point, in
+integer arithmetic, so there is no sampling anywhere on the decision
 path.  One holder search (_holders) answers both is_fan_map and the pieces
 of subdivision_predicates: the target cones that hold a mapped source cone
 are found through an index from rays to cones, one holder per source cone
@@ -97,14 +100,70 @@ def _cones_at(fan: Fan, x) -> list:
   return sorted(out, key=_order_key)
 
 
+def _cut(n, rays, bits):
+  """The int bitset of the rays among bits on the kernel of n, or None when
+  n is positive on one of them."""
+  on = 0
+  for j, r in enumerate(rays):
+    if bits >> j & 1:
+      v = _dot(n, r)
+      if v > 0:
+        return None
+      if not v:
+        on |= 1 << j
+  return on
+
+
+def _certified(s: Cone, t: Cone) -> bool:
+  """Whether a separation certificate shows that the strictly convex cones
+  s and t meet in a common face.
+
+  A and B start as all rays of s and of t, as int bitsets.  A form n with
+  n >= 0 on A and n <= 0 on B vanishes on cone(A) & cone(B), so that
+  meeting is unchanged when A and B shrink to their rays on n's kernel;
+  and since n >= 0 on cone(A), the cone on the rays of A in the kernel is
+  a face of cone(A), hence of s (the same holds for B and t).  So at every
+  step s & t = cone(A) & cone(B) with cone(A) a face of s and cone(B) a
+  face of t, and once A and B are the same rays, s & t is that common
+  face.  The forms tried, until none shrinks A or B, are the facet normals
+  of s and the negated facet normals of t (the separation lemma: Fulton
+  1993, 1.2; Cox-Little-Schenck 2011, 1.2.13).  A facet normal is >= 0 on
+  its own cone, and its rays on the kernel are read off facet_rays, so
+  only its values on the other cone's rays take dot products.  False
+  proves nothing: the caller decides the pair exactly.
+  """
+  cones = (s, t)
+  bits = [(1 << len(s.rays)) - 1, (1 << len(t.rays)) - 1]
+  changed = True
+  while changed:
+    changed = False
+    for i in (0, 1):
+      own, other = cones[i], cones[1 - i]
+      for n, keep in zip(own.facet_normals, own.facet_rays):
+        on = _cut(n, other.rays, bits[1 - i])
+        if on is None or (on == bits[1 - i] and bits[i] & keep == bits[i]):
+          continue
+        bits[i] &= keep
+        bits[1 - i] = on
+        if _pick(s.rays, bits[0]) == _pick(t.rays, bits[1]):
+          return True
+        changed = True
+  return False
+
+
 def validate(fan: Fan) -> SimpleNamespace:
-  """Check strict convexity and the pairwise common-face condition.
+  """Check strict convexity and that any two maximal cones meet in a
+  common face.
 
   The report lists one entry per violation instead of raising, so callers
-  can show all problems at once.  Face closure is structural here (the
-  closure is derived), so the meaningful conditions are convexity and that
-  any two maximal cones meet in a common face.  A cone that is not strictly
-  convex is reported once and left out of the pairwise test.
+  can show all problems at once.  A cone that is not strictly convex is
+  reported once and left out of the pairwise test.  Each pair of strictly
+  convex maximal cones is first tried by the separation certificate of
+  _certified, which holds only for a pair meeting in a common face; a pair
+  it leaves open is decided exactly by intersecting the two cones and
+  testing the intersection to be a face of each.  So the report does not
+  depend on the certificate, and fallbacks counts the pairs that took the
+  exact test.
   """
   problems = []
   for c in fan.max_cones:
@@ -112,13 +171,18 @@ def validate(fan: Fan) -> SimpleNamespace:
       problems.append(("not strictly convex", c.rays, c.lineality_basis))
   # the face test needs strictly convex cones; the others are reported above
   mc = [c for c in fan.max_cones if c.is_strictly_convex]
+  fallbacks = 0
   for i in range(len(mc)):
     for j in range(i + 1, len(mc)):
+      if _certified(mc[i], mc[j]):
+        continue
+      fallbacks += 1
       w = intersect(mc[i], mc[j])
       if not (is_face_of(w, mc[i]) and is_face_of(w, mc[j])):
         problems.append(("intersection not a common face",
                          mc[i].rays, mc[j].rays))
-  return SimpleNamespace(ok=not problems, violations=problems)
+  return SimpleNamespace(ok=not problems, violations=problems,
+                         fallbacks=fallbacks)
 
 
 def support_query(fan: Fan) -> SimpleNamespace:

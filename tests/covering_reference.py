@@ -7,7 +7,9 @@ coordinates into the container's span, and compares sums of rational
 section volumes.  It also keeps the 500-point sampling check that once
 guarded the completeness flag of support_query, and the holder search that
 tested every mapped source cone against every maximal target cone, which
-the library replaced by a search through a ray index.  The seeded fans
+the library replaced by a search through a ray index, and the common-face
+test of validate that intersected every pair of maximal cones, which the
+library now decides by separation certificates first.  The seeded fans
 that the differential tests share are drawn here too.
 """
 
@@ -15,7 +17,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from logfan.cone import Cone, _dot, intersect
+from logfan.cone import Cone, _dot, intersect, is_face_of
 from logfan.fan import Fan, _tiles, star_subdivision
 from logfan.gallery import run_gallery
 from logfan.lattice import express_in_rows, is_unimodular, saturate_row_lattice
@@ -143,6 +145,23 @@ def reference_subdivision_predicates(matrix, source, target) -> SimpleNamespace:
         full = False
         break
   return SimpleNamespace(is_partial_subdivision=partial, is_subdivision=full)
+
+
+def reference_validate(fan) -> SimpleNamespace:
+  """validate as it was: every pair of strictly convex maximal cones is
+  intersected and the intersection tested to be a face of both."""
+  problems = []
+  for c in fan.max_cones:
+    if not c.is_strictly_convex:
+      problems.append(("not strictly convex", c.rays, c.lineality_basis))
+  mc = [c for c in fan.max_cones if c.is_strictly_convex]
+  for i in range(len(mc)):
+    for j in range(i + 1, len(mc)):
+      w = intersect(mc[i], mc[j])
+      if not (is_face_of(w, mc[i]) and is_face_of(w, mc[j])):
+        problems.append(("intersection not a common face",
+                         mc[i].rays, mc[j].rays))
+  return SimpleNamespace(ok=not problems, violations=problems)
 
 
 def sampled_completeness(fan) -> bool:

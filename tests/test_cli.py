@@ -210,19 +210,55 @@ def test_subdivide_refine_rejects_a_fan_that_overlaps_itself(tmp_path, optimize)
   for name, doc in (("overlapping", overlapping), ("upper", upper)):
     paths.append(tmp_path / ("%s.json" % name))
     paths[-1].write_text(serialize_document(doc))
-  env = dict(os.environ)
-  src = str(pathlib.Path(logfan.__file__).parent.parent)
-  env["PYTHONPATH"] = os.pathsep.join(
-      p for p in (src, env.get("PYTHONPATH")) if p)
-  proc = subprocess.run(
-      [sys.executable] + optimize
-      + ["-m", "logfan", "subdivide", str(paths[0]), "--refine", str(paths[1])],
-      capture_output=True, text=True, env=env)
+  proc = _logfan(optimize, ["subdivide", str(paths[0]),
+                            "--refine", str(paths[1])])
   assert proc.returncode == 2
   assert proc.stdout == ""
   assert proc.stderr.startswith("error: the fan to refine is not a fan: "
                                 "intersection not a common face")
   assert "Traceback" not in proc.stderr
+
+
+def _logfan(optimize, argv):
+  """Run logfan in a new interpreter, with python's -O if optimize asks."""
+  env = dict(os.environ)
+  src = str(pathlib.Path(logfan.__file__).parent.parent)
+  env["PYTHONPATH"] = os.pathsep.join(
+      p for p in (src, env.get("PYTHONPATH")) if p)
+  return subprocess.run([sys.executable] + optimize + ["-m", "logfan"] + argv,
+                        capture_output=True, text=True, env=env)
+
+
+NESTED = FanDocument(2, (((0, 1), (1, 0)), ((-1, 1), (1, 1))), None,
+                     "quadrant and a cone across it")
+SMOOTH_OVERLAP = FanDocument(2, (((1, 0), (0, 1)), ((1, 1), (-1, 0))),
+                             ((1, 0),), "overlapping smooth pair")
+
+
+# each input fails check, so the write commands must not write a document
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("doc, argv, pair", [
+    (NESTED, ["subdivide", "--star", "--center=2,1"],
+     "((-1, 1), (1, 1)) vs ((0, 1), (1, 0))"),
+    (None, ["subdivide", "--star", "--center=1,1"],
+     "((0, 1), (1, 1)) vs ((1, 0), (1, 2))"),
+    (SMOOTH_OVERLAP, ["blowup", "--center=1,0"],
+     "((-1, 0), (1, 1)) vs ((0, 1), (1, 0))"),
+], ids=["nested-subdivide", "overlap-subdivide", "overlap-blowup"])
+def test_write_commands_refuse_a_non_fan(tmp_path, optimize, doc, argv, pair):
+  if doc is None:
+    path = FIXTURES / "overlap.json"
+  else:
+    path = tmp_path / "doc.json"
+    path.write_text(serialize_document(doc))
+  assert run(["check", str(path)])[0] == 1
+  out = tmp_path / "out.json"
+  proc = _logfan(optimize, argv[:1] + [str(path)] + argv[1:] + ["-o", str(out)])
+  assert proc.returncode == 2
+  assert proc.stdout == ""
+  assert proc.stderr == ("error: %s is not a fan: intersection not a common "
+                         "face -- %s\n" % (path, pair))
+  assert not out.exists()
 
 
 def test_subdivide_refine_respects_depth_env(tmp_path, monkeypatch):

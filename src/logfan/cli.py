@@ -14,12 +14,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .cone import Cone, is_smooth
 from .fan import (
     Fan,
     _cones_at,
+    _require_fan,
     search_refinement,
     star_subdivision,
     support_query,
@@ -224,15 +225,6 @@ def _cone_at(fan: Fan, center: tuple) -> Cone:
                  % (center,))
 
 
-def _require_fan(fan: Fan, path: str):
-  """Refuse a document that fails validate, naming its first violation."""
-  report = validate(fan)
-  if not report.ok:
-    kind, first, second = report.violations[0]
-    raise CliError("%s is not a fan: %s -- %s vs %s"
-                   % (path, kind, first, second))
-
-
 def _cmd_check(args) -> int:
   doc = _load(args.file)
   fan = doc.fan()
@@ -312,7 +304,9 @@ def _cmd_strata(args) -> int:
   doc = _load(args.file)
   if doc.boundary_rays is None:
     raise CliError("strata needs a pair document with boundary_rays")
-  pair = make_pair(doc.fan(), doc.boundary_rays)
+  fan = doc.fan()
+  _require_fan(fan, args.file)
+  pair = make_pair(fan, doc.boundary_rays)
   counts = boundary_strata_counts(pair)
   for a, count in enumerate(counts, start=1):
     print("a=%d: %d" % (a, count))
@@ -401,7 +395,7 @@ def render_svg(doc: FanDocument) -> str:
       '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
       'width="%d" height="%d" viewBox="0 0 %d %d">'
       % (_VIEW, _VIEW, _VIEW, _VIEW),
-      "  <title>%s</title>" % escape(doc.metadata or "fan"),
+      "  <title>%s</title>" % escape(doc.metadata or "fan", quote=False),
       '  <rect width="%d" height="%d" fill="white"/>' % (_VIEW, _VIEW),
   ]
   for cone in fan.max_cones:
@@ -466,7 +460,9 @@ def _build_parser() -> argparse.ArgumentParser:
   p.add_argument("-o", "--out")
   p.set_defaults(func=_cmd_blowup)
 
-  p = sub.add_parser("strata", help="count boundary strata of a pair")
+  p = sub.add_parser("strata", help="count boundary strata of a pair",
+                     description="Count the boundary strata of a pair "
+                                 "document.  A non-fan (see check) exits 2.")
   p.add_argument("file")
   p.set_defaults(func=_cmd_strata)
 

@@ -589,6 +589,16 @@ def _support_equal(f1: Fan, f2: Fan) -> bool:
   return True
 
 
+def _require_fan(fan: Fan, label: str):
+  """Raise ValueError, naming label and the first violation, if fan fails
+  validate."""
+  report = validate(fan)
+  if not report.ok:
+    kind, first, second = report.violations[0]
+    raise ValueError("%s is not a fan: %s -- %s vs %s"
+                     % (label, kind, first, second))
+
+
 def search_refinement(fan: Fan, goal: Fan, depth: int = 4):
   """Breadth-first search for star subdivisions taking fan below goal.
 
@@ -603,12 +613,8 @@ def search_refinement(fan: Fan, goal: Fan, depth: int = 4):
   """
   if fan.ambient_rank != goal.ambient_rank:
     raise ValueError("ambient ranks differ")
-  for label, f in (("fan to refine", fan), ("goal fan", goal)):
-    report = validate(f)
-    if not report.ok:
-      kind, first, second = report.violations[0]
-      raise ValueError("the %s is not a fan: %s -- %s vs %s"
-                       % (label, kind, first, second))
+  _require_fan(fan, "the fan to refine")
+  _require_fan(goal, "the goal fan")
   for c in list(fan.max_cones) + list(goal.max_cones):
     if not is_smooth(c):
       raise ValueError("search requires smooth fans on both sides")

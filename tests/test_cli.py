@@ -261,6 +261,19 @@ def test_write_commands_refuse_a_non_fan(tmp_path, optimize, doc, argv, pair):
   assert not out.exists()
 
 
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+def test_strata_refuses_a_non_fan(tmp_path, optimize):
+  path = tmp_path / "doc.json"
+  path.write_text(serialize_document(SMOOTH_OVERLAP))
+  assert run(["check", str(path)])[0] == 1
+  proc = _logfan(optimize, ["strata", str(path)])
+  assert proc.returncode == 2
+  assert proc.stdout == ""
+  assert proc.stderr == ("error: %s is not a fan: intersection not a common "
+                         "face -- ((-1, 0), (1, 1)) vs ((0, 1), (1, 0))\n"
+                         % path)
+
+
 def test_subdivide_refine_respects_depth_env(tmp_path, monkeypatch):
   goal = FanDocument(2, (((1, 0), (2, 1)), ((1, 1), (2, 1)), ((0, 1), (1, 1))),
                      None, "twice subdivided")
@@ -484,6 +497,24 @@ def test_render_endpoints_match_document_rays(tmp_path):
 def test_render_is_deterministic():
   doc = parse_document((FIXTURES / "box-pair.json").read_text())
   assert render_svg(doc) == render_svg(doc)
+
+
+def test_render_escapes_the_title():
+  doc = FanDocument(2, (((1, 0), (0, 1)),), None, 'a<b & "c">')
+  assert '<title>a&lt;b &amp; "c"&gt;</title>' in render_svg(doc)
+
+
+def test_import_pulls_in_no_url_or_http_modules():
+  env = dict(os.environ)
+  src = str(pathlib.Path(logfan.__file__).parent.parent)
+  env["PYTHONPATH"] = os.pathsep.join(
+      p for p in (src, env.get("PYTHONPATH")) if p)
+  script = ("import sys, logfan.cli; print(sorted(m for m in ('xml.sax', "
+            "'urllib.request', 'http.client') if m in sys.modules))")
+  proc = subprocess.run([sys.executable, "-c", script],
+                        capture_output=True, text=True, env=env)
+  assert proc.returncode == 0, proc.stderr
+  assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("cone", [

@@ -9,8 +9,11 @@ each cone keeps (facet_rays) with the zero sets of dot products.  Work-count
 guards check, without timing, that each enumeration makes only the objects
 of its answer, that a pointed cone takes one conversion, that faces and the
 triangulation make no dot product, and that no Hermite kernel is taken
-where the rank shows it is {0}; the Hilbert-basis budget and the behaviour
-under python -O are checked last.
+where the rank shows it is {0}, and that the Hilbert-basis reduction makes
+no containment test.  Hilbert bases in ranks 7 and 8 and near the budget,
+and duals in ranks 5 to 8, are checked where the earlier code refused them
+or took seconds; the Hilbert-basis budget and the behaviour under python -O
+are checked last.
 """
 
 import math
@@ -36,6 +39,7 @@ from logfan.cone import (
     _pointed_extreme_rays,
     _simplicial_pieces,
     _span_coordinates,
+    dual_cone,
     faces,
     hilbert_basis,
     intersect,
@@ -317,6 +321,72 @@ def test_hilbert_basis_of_a_cone_with_a_long_reduction_chain():
   assert hilbert_basis(sigma) == [(1, 0), (1, 1), (999, 1000)]
 
 
+def _high_rank_cone(rng, d):
+  """e_1, ..., e_{d-1} and one or two vectors of last entry 2 to 5: pointed,
+  of small index, and with a bounding box the oracle can walk."""
+  rays = [tuple(int(i == j) for j in range(d)) for i in range(d - 1)]
+  for _ in range(rng.randint(1, 2)):
+    rays.append(tuple(_vec(rng, d - 1, -1, 1) + [rng.randint(2, 5)]))
+  return Cone.from_rays(rays, d)
+
+
+def test_hilbert_basis_matches_reference_in_ranks_7_and_8():
+  rng = random.Random(7)
+  for n in range(30):
+    sigma = _high_rank_cone(rng, 7 + n % 2)
+    assert hilbert_basis(sigma) == reference_hilbert_basis(sigma), sigma.rays
+
+
+# three cones near the budget: index 1 927 with 986 basis elements, a
+# simplicial rank-4 cone of index 1 000 whose 999 box points are all in the
+# basis, and two pieces of index 999 whose 2 000 candidates share one grading
+LARGE_INDEX = {
+    "index-1927": [(1, 0, 0), (1, 41, 0), (1, 5, 47)],
+    "simplicial-1000": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                        (1, 1, 1, 1000)],
+    "square-2x999": [(1, 0, 0), (1, 1, 0), (1, 0, 999), (1, 1, 999)],
+}
+
+
+@pytest.mark.parametrize("rays", LARGE_INDEX.values(), ids=LARGE_INDEX.keys())
+def test_hilbert_basis_of_large_index_cones_matches_reference(rays):
+  sigma = Cone.from_rays(rays, len(rays[0]))
+  assert hilbert_basis(sigma) == reference_hilbert_basis(sigma)
+
+
+def test_hilbert_basis_reduces_the_index_1927_cone_quickly():
+  sigma = Cone.from_rays(LARGE_INDEX["index-1927"], 3)
+  t0 = time.perf_counter()
+  basis = hilbert_basis(sigma)
+  assert time.perf_counter() - t0 < 0.5
+  assert len(basis) == 986
+
+
+def _cyclic(d, n, pad=0):
+  """The cone over the cyclic polytope with n vertices in rank d, followed
+  by pad zero coordinates."""
+  return Cone.from_rays([(1,) + tuple(t ** k for k in range(1, d)) + (0,) * pad
+                         for t in range(n)], d + pad)
+
+
+def _fields(c):
+  return (c.ambient_rank, c.rays, c.lineality_basis, c.facet_normals,
+          c.facet_rays, c.span_normals, c.dim)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_dual_cone_answers_above_rank_4(d):
+  for sigma in (_cyclic(d, d + 2), _cyclic(d, d + 4), _cyclic(d - 1, d + 2, 1)):
+    dual = dual_cone(sigma)
+    want = Cone.from_rays(list(sigma.facet_normals)
+                          + [w for s in sigma.span_normals for w in (s, _neg(s))],
+                          d)
+    assert _fields(dual) == _fields(want)
+    assert len(dual.rays) == len(sigma.facet_normals)
+    assert len(dual.lineality_basis) == len(sigma.span_normals)
+    assert _fields(dual_cone(dual)) == _fields(sigma)
+
+
 # ------------------------------------------------------------ work counts
 
 def _count_calls(monkeypatch, owner, name, static=False):
@@ -482,6 +552,13 @@ def test_faces_and_pieces_read_the_stored_incidence(monkeypatch):
     faces(sigma)
     if sigma.is_strictly_convex:
       list(_simplicial_pieces(sigma))
+  assert calls == []
+
+
+def test_hilbert_reduction_makes_no_containment_test(monkeypatch):
+  calls = _count_calls(monkeypatch, Cone, "contains")
+  for rays in LARGE_INDEX.values():
+    hilbert_basis(Cone.from_rays(rays, len(rays[0])))
   assert calls == []
 
 

@@ -8,28 +8,32 @@ on it.  All computations are integer-exact, and each enumeration makes only
 the objects of its answer: rays and facets convert into each other by one
 double description, started from one adjugate; a pointed cone's rays are
 read from the incidences of its generators with its facets, so only a cone
-with lineality converts a second time.  The incidence is kept from that
-conversion, never recomputed: faces come from closing facet_rays under
-intersection, the triangulation recurses on it, and the face test and the
-fan layer read the smallest face holding a point off it (_smallest_face).
+with lineality converts a second time.  Conversions go through one bounded
+least-recently-used cache (_cone_from_gens), which faces fills too.  The
+incidence is kept from that conversion, never recomputed: faces come from
+closing facet_rays under intersection and are built from the parent's
+rays, lineality and normals with no conversion (_face), the triangulation
+recurses on it, and the face test and the fan layer read the smallest face
+holding a point off it (_smallest_face).
 Hilbert-basis candidates come from the group of the lattice modulo the rays
 of each simplicial piece, and are reduced by comparing their facet values,
 the numbers their grading is the sum of.  The lattice work is only what the
-answer needs: a Hermite kernel (_kernel_rows, for span normals or
-lineality) is taken only when the rank shows the kernel is not {0}, and the
-conversion's start and each simplicial piece get their adjugate and
-determinant from one fraction-free elimination (_adjugate).  Both, and the
-back-substitution of _span_coordinates (_echelon_coords), are lattice.py's,
-on row lists.  Hilbert bases have one work budget, MAX_HILBERT_INDEX, and
-neither they nor dual_cone have a rank cap.
+answer needs: a Hermite kernel (_kernel_rows, one Hermite pass, for span
+normals or lineality) is taken only when the rank shows the kernel is not
+{0}, and the conversion's start, each simplicial piece and each face's
+projection onto its span get their adjugate and determinant from one
+fraction-free elimination (_adjugate).  Both, and the back-substitution of
+_span_coordinates (_echelon_coords), are lattice.py's, on row lists.
+Hilbert bases have one work budget, MAX_HILBERT_INDEX, and faces one,
+MAX_FACES; neither they nor dual_cone have a rank cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd
 from operator import le, mul
 
@@ -43,6 +47,22 @@ from .lattice import _adjugate, _echelon_coords, _kernel_rows, primitive
 # 8; the rank needs no cap, as the triangulation of the cone over C(16, 8)
 # in rank 9 (330 pieces) takes 0.025 s.
 MAX_HILBERT_INDEX = 2000
+
+# faces refuses a cone with more faces than this, counted as closed ray
+# sets before any face is built.  The most met in the tests (other than
+# those of the budget itself), the gallery and the benchmark is 286.  At
+# the budget (Python 3.11, x86-64) the rank-12 orthant's 4 096 faces take
+# 1.5 s; the cone over C(16, 8) in rank 9 (13 826 faces, 12-13 s) is
+# refused in 0.2 s.
+MAX_FACES = 4096
+
+# The conversion cache (_cone_from_gens) keeps this many cones, dropping
+# the least recently used: a cone keyed by its sorted primitive generators
+# and its rank.  Cone.from_rays and faces both read and fill it.
+CONVERSION_CACHE_SIZE = 65536
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_conversions = OrderedDict()
+_conversion_counts = [0, 0]  # hits, misses
 
 
 def _dot(a, b):
@@ -275,9 +295,60 @@ class Cone:
     return True
 
 
-@lru_cache(maxsize=65536)
+def _cached(key):
+  """The cone that the conversion cache holds under key, or None.  A hit
+  makes the cone the most recently used."""
+  cone = _conversions.get(key)
+  if cone is None:
+    _conversion_counts[1] += 1
+  else:
+    _conversion_counts[0] += 1
+    _conversions.move_to_end(key)
+  return cone
+
+
+def _store(key, cone: Cone) -> Cone:
+  """Put cone in the conversion cache under key, dropping the least
+  recently used cone past CONVERSION_CACHE_SIZE, and return it."""
+  _conversions[key] = cone
+  if len(_conversions) > CONVERSION_CACHE_SIZE:
+    _conversions.popitem(last=False)
+  return cone
+
+
 def _cone_from_gens(gens: tuple, d: int) -> Cone:
-  """The cone on sorted distinct primitive generators.
+  """The cone on sorted distinct primitive generators, through the
+  conversion cache.
+
+  The cache is one bounded least-recently-used dict, keyed (gens, d);
+  faces fills it too, under the same key that Cone.from_rays of the face's
+  rays and lineality would use, so that fans find the faces they share.
+  _cone_from_gens.cache_info() gives its hits and misses, and
+  _cone_from_gens.cache_clear() empties it.
+  """
+  key = (gens, d)
+  cone = _cached(key)
+  if cone is None:
+    cone = _store(key, _convert(gens, d))
+  return cone
+
+
+def _cache_info() -> CacheInfo:
+  hits, misses = _conversion_counts
+  return CacheInfo(hits, misses, CONVERSION_CACHE_SIZE, len(_conversions))
+
+
+def _cache_clear():
+  _conversions.clear()
+  _conversion_counts[:] = [0, 0]
+
+
+_cone_from_gens.cache_info = _cache_info
+_cone_from_gens.cache_clear = _cache_clear
+
+
+def _convert(gens: tuple, d: int) -> Cone:
+  """The cone on sorted distinct primitive generators, by conversion.
 
   One conversion gives the facet normals, the span normals (its lineality)
   and the facets each generator lies on.  Some generator lies on every
@@ -493,12 +564,17 @@ def faces(sigma: Cone) -> list:
   A face's rays are those of the whole cone cut by some set of facets, so
   the ray sets of the faces are the full set closed under intersection with
   each facet's ray set, sigma.facet_rays (Kaibel & Pfetsch 2002); the sets
-  are int bitsets over the rays, and each closed set makes one cone through
-  Cone.from_rays, so that its cache holds the faces that fans share.
-  Sorted by _order_key so the output is deterministic.
+  are int bitsets over the rays.  They are counted against MAX_FACES before
+  any face is built.  Each proper face is then built from sigma's stored
+  data (_face), with no conversion, and goes through the conversion cache
+  under the key Cone.from_rays would give it, so that fans find the faces
+  they share.  Sorted by _order_key so the output is deterministic.
+
+  Raises:
+    ValueError: if the cone has more than MAX_FACES faces.
   """
   rays = sigma.rays
-  lin_gens = _both_signs(sigma.lineality_basis)
+  d = sigma.ambient_rank
   facet_sets = set(sigma.facet_rays)
   full = (1 << len(rays)) - 1
   closed = {full}
@@ -509,10 +585,68 @@ def faces(sigma: Cone) -> list:
       y = x & v
       if y not in closed:
         closed.add(y)
+        if len(closed) > MAX_FACES:
+          raise ValueError("faces capped at %d faces; this cone has more"
+                           % MAX_FACES)
         todo.append(y)
-  out = [Cone.from_rays(list(_pick(rays, y)) + lin_gens, sigma.ambient_rank)
-         for y in closed]
+  lin_gens = tuple(_both_signs(sigma.lineality_basis))
+  out = []
+  for y in closed:
+    face_rays = _pick(rays, y)
+    key = (tuple(sorted(face_rays + lin_gens)) if lin_gens else face_rays, d)
+    cone = _cached(key)
+    if cone is None:
+      cone = _store(key, sigma if y == full else _face(sigma, y, face_rays))
+    out.append(cone)
   return sorted(out, key=_order_key)
+
+
+def _face(sigma: Cone, y: int, face_rays: tuple) -> Cone:
+  """The proper face of sigma on the rays in the int bitset y, built from
+  sigma's stored data, field by field as the conversion would give it.
+
+  The lineality is sigma's, and the span normals are the Hermite kernel of
+  the rays and the lineality (_kernel_rows).  The facets of the face are
+  its maximal proper cuts y & s by sigma's facet ray sets, as
+  _simplicial_pieces reads them, re-indexed to the face's rays.  The facet
+  normal of a cut is the primitive orthogonal projection onto the face's
+  span of a normal n of sigma that makes the cut: with S the span normals
+  and G = S S^T, that is det(G) n - S^T adj(G) S n, which agrees with n on
+  the span, so it vanishes on the cut and is positive on the rest of the
+  face; det(G) > 0 as the rows of S are independent.  The normals are
+  sorted, as the conversion sorts them.
+  """
+  d = sigma.ambient_rank
+  lin = sigma.lineality_basis
+  span = _kernel_rows(list(face_rays) + list(lin), d)
+  cuts = {}
+  for n, s in zip(sigma.facet_normals, sigma.facet_rays):
+    x = y & s
+    if x != y and x not in cuts:
+      cuts[x] = n
+  facets = []
+  if cuts:
+    # a cut inside another lies inside a maximal one, so the maximal cuts
+    # are found largest first against those kept
+    kept = []
+    for x in sorted(cuts, key=int.bit_count, reverse=True):
+      if not any(x & z == x for z in kept):
+        kept.append(x)
+    adj, det = _adjugate([[_dot(a, b) for b in span] for a in span])
+    cols = list(zip(*span))
+    where = [j for j in range(len(sigma.rays)) if y >> j & 1]
+    for x in kept:
+      n = cuts[x]
+      sn = [_dot(a, n) for a in span]
+      w = [_dot(row, sn) for row in adj]
+      normal = primitive([det * c - _dot(w, col) for c, col in zip(n, cols)])
+      facets.append((normal, sum(1 << t for t, j in enumerate(where)
+                                 if x >> j & 1)))
+    facets.sort()
+  return Cone(ambient_rank=d, rays=face_rays, lineality_basis=lin,
+              facet_normals=tuple(nu for nu, _ in facets),
+              facet_rays=tuple(bits for _, bits in facets),
+              span_normals=tuple(span), _dim=d - len(span))
 
 
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:

@@ -20,7 +20,8 @@ first, exact for any target, and the rest read off the smallest face of it
 that holds the image, which rests on the target being a fan.  Completion
 (per uncovered gap) and resolution (one Hilbert basis per singular cone)
 are rank-2 only.  The refinement search is a plain bounded breadth-first
-search over star subdivision moves.
+search over star subdivision moves, with a budget on the moves it tries
+(MAX_SEARCH_STARS).
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from .cone import (Cone, _both_signs, _dot, _neg, _order_key, _pick,
                    is_smooth)
 from .cone import faces as cone_faces
 from .lattice import IntMatrix, is_unimodular
+
+# search_refinement refuses to try more star subdivisions than this.  The
+# most tried in the tests (other than those of the budget itself), the
+# gallery and the benchmark is 5.  At the budget (Python 3.11, x86-64) the
+# search from the rank-10 orthant to its star subdivision at the whole
+# cone, which tries every face of dimension >= 2 before the whole cone and
+# took 13 s, is refused after 1.3 s.
+MAX_SEARCH_STARS = 200
 
 
 @dataclass(frozen=True)
@@ -609,7 +618,8 @@ def search_refinement(fan: Fan, goal: Fan, depth: int = 4):
 
   Raises:
     ValueError: if either input fails validate (the message names which),
-      has a singular cone, or the two supports differ.
+      has a singular cone, or the two supports differ, or if the search
+      would try more than MAX_SEARCH_STARS star subdivisions.
   """
   if fan.ambient_rank != goal.ambient_rank:
     raise ValueError("ambient ranks differ")
@@ -629,12 +639,17 @@ def search_refinement(fan: Fan, goal: Fan, depth: int = 4):
     return []
   frontier = [(fan, [])]
   seen = {fan}
+  tried = 0
   for _ in range(depth):
     nxt = []
     for cur, path in frontier:
       for tau in sorted(cur.all_cones, key=_order_key):
         if tau.dim < 2:
           continue
+        tried += 1
+        if tried > MAX_SEARCH_STARS:
+          raise ValueError("refinement search capped at %d star subdivisions"
+                           % MAX_SEARCH_STARS)
         cand = star_subdivision(cur, tau)
         if cand in seen:
           continue

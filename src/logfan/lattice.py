@@ -10,7 +10,10 @@ directly: _hnf_rows (the Hermite form), _snf_rows (the Smith form),
 _adjugate (one Bareiss elimination for adjugates and determinants, det
 included), _kernel_rows (the Hermite kernel) and _echelon_coords
 (back-substitution against echelon rows).  The public functions wrap them,
-and only they build an IntMatrix.
+and only they build an IntMatrix.  The Hermite form, the kernel and the
+Smith form carry their transforms beside the matrix in augmented rows, and
+each row step on them is one _row_op_gcd; the Hermite form and the kernel
+share one Hermite pass (_hermite).
 """
 
 from __future__ import annotations
@@ -114,32 +117,30 @@ class AbelianQuotient:
     return self.free_rank == 0 and not self.invariant_factors
 
 
-def _row_op_gcd(rows, urows, r0, r1, c):
-  """Left-multiply by the 2x2 unimodular matrix that puts gcd at (r0, c) and
-  zero at (r1, c).
+def _row_op_gcd(rows, r0, r1, c):
+  """Left-multiply the rows by the 2x2 unimodular matrix that puts the gcd
+  at (r0, c) and zero at (r1, c).
 
-  When the pivot already divides the target a plain elimination is used; the
-  Bezout transform is reserved for the strict-gcd case so that repeated calls
-  always make progress.
+  The rows are augmented: each carries its transform's row after its own
+  entries, so one step updates both.  When the pivot already divides the
+  target a plain elimination is used; the Bezout transform is reserved for
+  the strict-gcd case so that repeated calls always make progress.
   """
   a, b = rows[r0][c], rows[r1][c]
   if b == 0:
     return
   if a == 0:
     rows[r0], rows[r1] = rows[r1], rows[r0]
-    urows[r0], urows[r1] = urows[r1], urows[r0]
     return
+  ra, rb = rows[r0], rows[r1]
   if b % a == 0:
     q = b // a
-    rows[r1] = [v - q * u for u, v in zip(rows[r0], rows[r1])]
-    urows[r1] = [v - q * u for u, v in zip(urows[r0], urows[r1])]
+    rows[r1] = [v - q * u for u, v in zip(ra, rb)]
     return
   g, x, y = _xgcd(a, b)
   p, q = a // g, b // g
-  for mat in (rows, urows):
-    ra, rb = mat[r0], mat[r1]
-    mat[r0] = [x * u + y * v for u, v in zip(ra, rb)]
-    mat[r1] = [-q * u + p * v for u, v in zip(ra, rb)]
+  rows[r0] = [x * u + y * v for u, v in zip(ra, rb)]
+  rows[r1] = [-q * u + p * v for u, v in zip(ra, rb)]
 
 
 def _xgcd(a: int, b: int):
@@ -154,39 +155,54 @@ def _xgcd(a: int, b: int):
   return a, x0, y0
 
 
-def _hnf_rows(a, m: int, n: int) -> tuple[list, list]:
-  """Row Hermite normal form of an m x n matrix given as a list of rows.
+def _hermite(rows, cols, top: int = 0) -> int:
+  """Bring the rows from top on into row Hermite form over the columns
+  cols, in place, and return the index after the last pivot row.
 
-  Returns (H, U) as lists of rows, with U unimodular and H = U*A; see hnf
-  for the convention.  The self-check U*A == H is computed on the lists.
+  Pivots are made positive, and the entries above a pivot, in the rows
+  from top on, are reduced into [0, pivot).  Every step runs on whole rows
+  (_row_op_gcd), so entries outside cols, such as a transform carried
+  beside the matrix, take the same steps.
   """
-  rows = [list(r) for r in a]
-  urows = [[int(i == j) for j in range(m)] for i in range(m)]
-  r = 0
-  for c in range(n):
-    piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+  m = len(rows)
+  r = top
+  for c in cols:
+    if r == m:
+      break
+    piv = next((i for i in range(r, m) if rows[i][c]), None)
     if piv is None:
       continue
     if piv != r:
       rows[r], rows[piv] = rows[piv], rows[r]
-      urows[r], urows[piv] = urows[piv], urows[r]
     for i in range(r + 1, m):
-      _row_op_gcd(rows, urows, r, i, c)
+      if rows[i][c]:
+        _row_op_gcd(rows, r, i, c)
     if rows[r][c] < 0:
       rows[r] = [-x for x in rows[r]]
-      urows[r] = [-x for x in urows[r]]
-    p = rows[r][c]
-    for i in range(r):
-      q = rows[i][c] // p
+    p = rows[r]
+    for i in range(top, r):
+      q = rows[i][c] // p[c]
       if q:
-        rows[i] = [u - q * v for u, v in zip(rows[i], rows[r])]
-        urows[i] = [u - q * v for u, v in zip(urows[i], urows[r])]
+        rows[i] = [u - q * v for u, v in zip(rows[i], p)]
     r += 1
-    if r == m:
-      break
+  return r
+
+
+def _hnf_rows(a, m: int, n: int) -> tuple[list, list]:
+  """Row Hermite normal form of an m x n matrix given as a list of rows.
+
+  Returns (H, U) as lists of rows, with U unimodular and H = U*A; see hnf
+  for the convention.  One Hermite pass (_hermite) runs on the rows of
+  [A | I], whose left block ends as H and right block as U; the self-check
+  is that every row's left block is its right block times A.
+  """
+  rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
+  _hermite(rows, range(n))
   cols = [[row[j] for row in a] for j in range(n)]
-  assert [[sum(map(mul, u, c)) for c in cols] for u in urows] == rows
-  return rows, urows
+  for row in rows:
+    u = row[n:]
+    assert row[:n] == [sum(map(mul, u, c)) for c in cols]
+  return [row[:n] for row in rows], [row[n:] for row in rows]
 
 
 def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -212,40 +228,41 @@ def _snf_rows(rows, m: int, n: int) -> tuple[list, list, list]:
   """Smith normal form of an m x n matrix given as a list of rows.
 
   Returns (D, U, V) as lists of rows, with U, V unimodular and D = U*A*V;
-  see snf for the convention.  The self-checks U*A*V == D and the
-  divisibility chain are computed on the lists.
+  see snf for the convention.  The row steps run on the rows of [A | I],
+  which carry U beside the matrix; the column steps are row steps on the
+  transpose, whose rows carry V's columns the same way, and both go through
+  _row_op_gcd.  The self-checks U*A*V == D and the divisibility chain are
+  computed on the lists.
   """
-  work = [list(r) for r in rows]
-  u = [[int(i == j) for j in range(m)] for i in range(m)]
+  a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
   v = [[int(i == j) for j in range(n)] for i in range(n)]  # V's columns, as rows
 
   def clear_position(t):
+    nonlocal a, v
     while True:
       for i in range(t + 1, m):
-        _row_op_gcd(work, u, t, i, t)
-      if all(work[t][j] == 0 for j in range(t + 1, n)):
+        _row_op_gcd(a, t, i, t)
+      if all(a[t][j] == 0 for j in range(t + 1, n)):
         break
-      # the column steps are row steps on the transpose, and v holds V's
-      # columns as rows
-      cols = [list(c) for c in zip(*work)]
+      cols = [[row[j] for row in a] + v[j] for j in range(n)]
       for j in range(t + 1, n):
-        _row_op_gcd(cols, v, t, j, t)
-      work[:] = [list(r) for r in zip(*cols)]
-      if all(work[i][t] == 0 for i in range(t + 1, m)):
+        _row_op_gcd(cols, t, j, t)
+      v = [c[m:] for c in cols]
+      a = [[c[i] for c in cols] + row[n:] for i, row in enumerate(a)]
+      if all(a[i][t] == 0 for i in range(t + 1, m)):
         break
 
   t = 0
   while t < min(m, n):
     piv = next(((i, j) for i in range(t, m) for j in range(t, n)
-                if work[i][j] != 0), None)
+                if a[i][j] != 0), None)
     if piv is None:
       break
     i, j = piv
     if i != t:
-      work[t], work[i] = work[i], work[t]
-      u[t], u[i] = u[i], u[t]
+      a[t], a[i] = a[i], a[t]
     if j != t:
-      for row in work:
+      for row in a:
         row[t], row[j] = row[j], row[t]
       v[t], v[j] = v[j], v[t]
     clear_position(t)
@@ -256,26 +273,27 @@ def _snf_rows(rows, m: int, n: int) -> tuple[list, list, list]:
   while changed:
     changed = False
     for i in range(min(m, n) - 1):
-      a, b = work[i][i], work[i + 1][i + 1]
-      if a != 0 and b % a != 0:
+      x, y = a[i][i], a[i + 1][i + 1]
+      if x != 0 and y % x != 0:
         # fold the next diagonal entry into column i, then re-eliminate
-        for row_idx in range(m):
-          work[row_idx][i] += work[row_idx][i + 1]
-        v[i] = [x + y for x, y in zip(v[i], v[i + 1])]
+        for row in a:
+          row[i] += row[i + 1]
+        v[i] = [p + q for p, q in zip(v[i], v[i + 1])]
         clear_position(i)
         clear_position(i + 1)
         changed = True
 
   for i in range(min(m, n)):
-    if work[i][i] < 0:
-      work[i] = [-x for x in work[i]]
-      u[i] = [-x for x in u[i]]
+    if a[i][i] < 0:
+      a[i] = [-x for x in a[i]]
 
+  work = [row[:n] for row in a]
+  u = [row[n:] for row in a]
   cols = [[row[j] for row in rows] for j in range(n)]
   ua = [[sum(map(mul, r, c)) for c in cols] for r in u]
   assert [[sum(map(mul, r, c)) for c in v] for r in ua] == work
   diag = [work[i][i] for i in range(min(m, n))]
-  assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a != 0)
+  assert all(y % x == 0 for x, y in zip(diag, diag[1:]) if x != 0)
   return work, u, [list(r) for r in zip(*v)]
 
 
@@ -297,19 +315,26 @@ def _kernel_rows(rows, n: int) -> list:
   """Basis of the right kernel {x in Z^n : r.x = 0 for each row r}, as
   tuples, in row Hermite normal form, so it is canonical.
 
-  The rows of U that _hnf_rows(A^T) maps to zero span the kernel, and a
-  second _hnf_rows makes their basis canonical.  Both run on row lists, and
-  the self-check A*x == 0 is made on the result.
+  One Hermite pass (_hermite) runs over the rows of [A^T | I]: the first k
+  columns give the Hermite form of A^T beside its transform, and the rows
+  that vanish on that block are the transform rows spanning the kernel.
+  The pass goes on over the right block among those rows alone, so the
+  kernel comes out already in Hermite form.  The self-check is that every
+  row's left block is A times its right block, which on the kernel rows
+  says A*x == 0.
   """
-  H, U = _hnf_rows([[r[j] for r in rows] for j in range(n)], n, len(rows))
-  vecs = [u for h, u in zip(H, U) if not any(h)]
-  if not vecs:
-    return []
-  K, _ = _hnf_rows(vecs, len(vecs), n)
-  out = [tuple(k) for k in K if any(k)]
-  for x in out:
-    assert not any(sum(map(mul, r, x)) for r in rows)
-  return out
+  k = len(rows)
+  aug = []
+  for j in range(n):
+    row = [r[j] for r in rows] + [0] * n
+    row[k + j] = 1
+    aug.append(row)
+  r = _hermite(aug, range(k))
+  _hermite(aug, range(k, k + n), r)
+  for row in aug:
+    x = row[k:]
+    assert row[:k] == [sum(map(mul, a, x)) for a in rows]
+  return [tuple(row[k:]) for row in aug[r:]]
 
 
 def kernel_basis(A: IntMatrix) -> list:

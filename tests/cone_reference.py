@@ -11,7 +11,8 @@ the earlier code as a differential oracle:
   the lean row eliminations _kernel_small and _rank_small;
 - a simplicial cone's facets by one kernel solve per generator, its
   ray-facet incidence by dot products, and the zero cone built directly;
-- faces by one cone per subset of facet normals;
+- faces by one cone per subset of facet normals, and by one conversion per
+  closed ray set of the incidence;
 - parallelepiped points by a walk over every integer point of the bounding
   box;
 - Hilbert bases reduced by a recursive search for a way to write each
@@ -25,7 +26,15 @@ import itertools
 
 from math import gcd
 
-from logfan.cone import Cone, _dot, _neg
+from logfan.cone import (
+    Cone,
+    _both_signs,
+    _convert,
+    _dot,
+    _neg,
+    _order_key,
+    _pick,
+)
 from logfan.lattice import _kernel_rows, primitive
 
 
@@ -344,3 +353,29 @@ def reference_is_face_of(gamma: Cone, sigma: Cone) -> bool:
          if all(_dot(nu, r) == 0 for r in gamma.rays)]
   keep = [r for r in sigma.rays if all(_dot(nu, r) == 0 for nu in cut)]
   return Cone.from_rays(keep, sigma.ambient_rank) == gamma
+
+
+def reference_faces_by_conversion(sigma: Cone) -> list:
+  """All faces of the cone, one conversion per closed ray set.
+
+  The ray sets of the faces are the full set closed under intersection with
+  each facet's ray set; each set is converted on its own, as Cone.from_rays
+  of its rays and both signs of the lineality would, but past the
+  conversion cache.  Sorted by _order_key.
+  """
+  rays = sigma.rays
+  lin_gens = _both_signs(sigma.lineality_basis)
+  facet_sets = set(sigma.facet_rays)
+  full = (1 << len(rays)) - 1
+  closed = {full}
+  todo = [full]
+  while todo:
+    x = todo.pop()
+    for v in facet_sets:
+      y = x & v
+      if y not in closed:
+        closed.add(y)
+        todo.append(y)
+  out = [_convert(tuple(sorted(list(_pick(rays, y)) + lin_gens)),
+                  sigma.ambient_rank) for y in closed]
+  return sorted(out, key=_order_key)

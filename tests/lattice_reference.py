@@ -7,14 +7,19 @@ side, and the monoid functions lift each Hilbert basis element of the
 projected cone through solve, also when the projection is the identity.
 The tests compare logfan's row-list Smith form and its one coordinate
 change per monoid against these.  is_kummer's injectivity is kept as it
-was decided from a kernel basis of the ambient map and two stacked ranks.  Self-checks raise AssertionError
-explicitly, so they also run under python -O.
+was decided from a kernel basis of the ambient map and two stacked ranks.
+
+The Hermite form and the Hermite kernel are kept as they were before the
+eliminations ran on augmented rows: the Hermite form carries its transform
+as a second row list through a two-matrix row step, and the kernel takes
+one Hermite form of A^T, keeps the transform rows that map to zero, and
+makes them canonical with a second Hermite form.  Self-checks raise
+AssertionError explicitly, so they also run under python -O.
 """
 
 from logfan.cone import Cone, _dot, _neg, hilbert_basis
 from logfan.lattice import (
     IntMatrix,
-    _row_op_gcd,
     _xgcd,
     hnf,
     kernel_basis,
@@ -22,6 +27,77 @@ from logfan.lattice import (
     row_lattice_basis,
 )
 from logfan.monoid import MAX_AMBIENT_RANK, AffineMonoid, _gp_basis, membership
+
+
+def _pair_row_op_gcd(rows, urows, r0, r1, c):
+  """The 2x2 unimodular row step on a matrix and, separately, its
+  transform: gcd at (r0, c), zero at (r1, c)."""
+  a, b = rows[r0][c], rows[r1][c]
+  if b == 0:
+    return
+  if a == 0:
+    rows[r0], rows[r1] = rows[r1], rows[r0]
+    urows[r0], urows[r1] = urows[r1], urows[r0]
+    return
+  if b % a == 0:
+    q = b // a
+    rows[r1] = [v - q * u for u, v in zip(rows[r0], rows[r1])]
+    urows[r1] = [v - q * u for u, v in zip(urows[r0], urows[r1])]
+    return
+  g, x, y = _xgcd(a, b)
+  p, q = a // g, b // g
+  for mat in (rows, urows):
+    ra, rb = mat[r0], mat[r1]
+    mat[r0] = [x * u + y * v for u, v in zip(ra, rb)]
+    mat[r1] = [-q * u + p * v for u, v in zip(ra, rb)]
+
+
+def reference_hnf_rows(a, m: int, n: int):
+  """Row Hermite form (H, U) of the m x n rows a, with H = U*A, the
+  transform kept as its own row list."""
+  rows = [list(r) for r in a]
+  urows = [[int(i == j) for j in range(m)] for i in range(m)]
+  r = 0
+  for c in range(n):
+    piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    if piv is None:
+      continue
+    if piv != r:
+      rows[r], rows[piv] = rows[piv], rows[r]
+      urows[r], urows[piv] = urows[piv], urows[r]
+    for i in range(r + 1, m):
+      _pair_row_op_gcd(rows, urows, r, i, c)
+    if rows[r][c] < 0:
+      rows[r] = [-x for x in rows[r]]
+      urows[r] = [-x for x in urows[r]]
+    p = rows[r][c]
+    for i in range(r):
+      q = rows[i][c] // p
+      if q:
+        rows[i] = [u - q * v for u, v in zip(rows[i], rows[r])]
+        urows[i] = [u - q * v for u, v in zip(urows[i], urows[r])]
+    r += 1
+    if r == m:
+      break
+  cols = [[row[j] for row in a] for j in range(n)]
+  if [[sum(x * y for x, y in zip(u, c)) for c in cols] for u in urows] != rows:
+    raise AssertionError("U*A != H")
+  return rows, urows
+
+
+def reference_kernel_rows(rows, n: int) -> list:
+  """Hermite basis of the right kernel of rows, by two Hermite forms."""
+  H, U = reference_hnf_rows([[r[j] for r in rows] for j in range(n)], n,
+                            len(rows))
+  vecs = [u for h, u in zip(H, U) if not any(h)]
+  if not vecs:
+    return []
+  K, _ = reference_hnf_rows(vecs, len(vecs), n)
+  out = [tuple(k) for k in K if any(k)]
+  for x in out:
+    if any(_dot(r, x) for r in rows):
+      raise AssertionError("kernel vector %s misses a row" % (x,))
+  return out
 
 
 def reference_snf(A: IntMatrix):
@@ -59,7 +135,7 @@ def reference_snf(A: IntMatrix):
   def clear_position(t):
     while True:
       for i in range(t + 1, m):
-        _row_op_gcd(work, u, t, i, t)
+        _pair_row_op_gcd(work, u, t, i, t)
       if all(work[t][j] == 0 for j in range(t + 1, n)):
         break
       for j in range(t + 1, n):

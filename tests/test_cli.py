@@ -21,6 +21,7 @@ from logfan.cli import (
     render_svg,
     serialize_document,
 )
+from logfan.fan import MAX_SEARCH_STARS
 from logfan.gallery import CASES
 from logfan.kato import MAX_PRIME_TEST
 from logfan.monoid import MAX_MEMBER_NODES
@@ -217,6 +218,34 @@ def test_subdivide_refine_rejects_a_fan_that_overlaps_itself(tmp_path, optimize)
   assert proc.stderr.startswith("error: the fan to refine is not a fan: "
                                 "intersection not a common face")
   assert "Traceback" not in proc.stderr
+
+
+def _unit(i, d):
+  return tuple(int(i == j) for j in range(d))
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+def test_subdivide_refine_refuses_a_search_past_the_budget(tmp_path, optimize):
+  # the rank-10 orthant against its star subdivision at the whole cone: the
+  # breadth-first search stars every face of dimension >= 2 before the
+  # whole cone, and once took 13 s; at rank 13 it ran past 60 s
+  d = 10
+  units = [_unit(i, d) for i in range(d)]
+  orthant = FanDocument(d, (tuple(units),), None, "orthant")
+  goal = FanDocument(d, tuple(tuple(units[:i] + units[i + 1:] + [(1,) * d])
+                              for i in range(d)), None, "starred orthant")
+  paths = []
+  for name, doc in (("orthant", orthant), ("goal", goal)):
+    paths.append(tmp_path / ("%s.json" % name))
+    paths[-1].write_text(serialize_document(doc))
+  t0 = time.perf_counter()
+  proc = _logfan(optimize, ["subdivide", str(paths[0]),
+                            "--refine", str(paths[1])])
+  assert time.perf_counter() - t0 < 10.0
+  assert proc.returncode == 2
+  assert proc.stdout == ""
+  assert proc.stderr == ("error: refinement search capped at %d star "
+                         "subdivisions\n" % MAX_SEARCH_STARS)
 
 
 def _logfan(optimize, argv):

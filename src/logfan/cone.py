@@ -22,22 +22,23 @@ answer needs: a Hermite kernel (_kernel_rows, one Hermite pass, for span
 normals or lineality) is taken only when the rank shows the kernel is not
 {0}, and the conversion's start, each simplicial piece and each face's
 projection onto its span get their adjugate and determinant from one
-fraction-free elimination (_adjugate).  Both, and the back-substitution of
-_span_coordinates (_echelon_coords), are lattice.py's, on row lists.
+fraction-free elimination (_adjugate).  Smoothness is one Hermite pass
+over the transposed rays (_extends_to_basis), not a loop over maximal
+minors.  These, and the back-substitution of _span_coordinates
+(_echelon_coords), are lattice.py's, on row lists.
 Hilbert bases have one work budget, MAX_HILBERT_INDEX, and faces one,
 MAX_FACES; neither they nor dual_cone have a rank cap.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from math import gcd
 from operator import le, mul
 
-from .lattice import _adjugate, _echelon_coords, _kernel_rows, primitive
+from .lattice import (_adjugate, _echelon_coords, _extends_to_basis,
+                      _kernel_rows, primitive)
 
 # hilbert_basis refuses a cone whose simplicial pieces have a total index
 # (|det| per piece, in the span lattice) above this: the number of candidate
@@ -696,20 +697,12 @@ def intersect(sigma: Cone, tau: Cone) -> Cone:
 def is_smooth(sigma: Cone) -> bool:
   """Whether the rays extend to a basis of the ambient lattice.
 
-  For k rays in rank d, the gcd of the k x k minors of the ray matrix (its
-  k-th determinantal divisor) is the product of its invariant factors, and
-  0 when the rays are dependent.  So the rays extend to a basis exactly when
-  that gcd is 1; the loop stops at the first partial gcd of 1.  More rays
-  than the rank leave no minor, gcd 0.  The zero cone has one empty minor,
-  of determinant 1, and is smooth.
+  Decided by one Hermite pass over the transposed ray matrix
+  (_extends_to_basis): the rays extend exactly when each gets a pivot and
+  every pivot is 1, the pivots' product being the gcd of the maximal
+  minors.  Dependent rays, and more rays than the rank, leave a ray
+  without a pivot.  The zero cone has no rays and is smooth.
   """
   if not sigma.is_strictly_convex:
     raise ValueError("smoothness is defined here for strictly convex cones")
-  rays = sigma.rays
-  g = 0
-  for cols in itertools.combinations(range(sigma.ambient_rank), len(rays)):
-    g = gcd(g, _adjugate([[r[c] for c in cols] for r in rays])[1])
-    if g == 1:
-      return True
-  return False
-
+  return _extends_to_basis(sigma.rays, sigma.ambient_rank)

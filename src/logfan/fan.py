@@ -32,9 +32,9 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (Cone, _both_signs, _dot, _neg, _order_key, _pick,
-                   _smallest_face, hilbert_basis, intersect, is_face_of,
-                   is_smooth)
+from .cone import (MAX_FACES, Cone, _both_signs, _dot, _neg, _order_key,
+                   _pick, _smallest_face, hilbert_basis, intersect,
+                   is_face_of, is_smooth)
 from .cone import faces as cone_faces
 from .lattice import IntMatrix, is_unimodular
 
@@ -77,8 +77,21 @@ class Fan:
 
   @property
   def all_cones(self) -> frozenset:
-    """Every face of every maximal cone, enumerated on each read."""
-    return frozenset(f for c in self.max_cones for f in cone_faces(c))
+    """Every face of every maximal cone, enumerated on each read.
+
+    The faces budget MAX_FACES holds for the whole fan: the union grows
+    cone by cone and is refused as soon as it passes the budget.
+
+    Raises:
+      ValueError: if the fan has more than MAX_FACES cones.
+    """
+    out = set()
+    for c in self.max_cones:
+      out.update(cone_faces(c))
+      if len(out) > MAX_FACES:
+        raise ValueError("faces capped at %d faces; this fan has more"
+                         % MAX_FACES)
+    return frozenset(out)
 
   @property
   def rays(self) -> tuple:

@@ -6,14 +6,17 @@ can track bases, kernels and cokernels exactly.  No floating point is used
 anywhere in this package.
 
 Each elimination exists once, on row lists, and the other modules call it
-directly: _hnf_rows (the Hermite form), _snf_rows (the Smith form),
+directly: _hermite (one Hermite pass), _snf_rows (the Smith form),
 _adjugate (one Bareiss elimination for adjugates and determinants, det
 included), _kernel_rows (the Hermite kernel) and _echelon_coords
 (back-substitution against echelon rows).  The public functions wrap them,
-and only they build an IntMatrix.  The Hermite form, the kernel and the
-Smith form carry their transforms beside the matrix in augmented rows, and
-each row step on them is one _row_op_gcd; the Hermite form and the kernel
-share one Hermite pass (_hermite).
+and only they build an IntMatrix.  A question that reads no transform runs
+_hermite alone: rank and row_lattice_basis on the rows, and
+_extends_to_basis (is_smooth, is_unimodular) on their transpose, whose
+pivots multiply to the gcd of the maximal minors.  Only the Hermite form
+(_hnf_rows, behind hnf), the kernel and the Smith form carry their
+transforms beside the matrix in augmented rows, and each row step on them
+is one _row_op_gcd; the Hermite form and the kernel share _hermite.
 """
 
 from __future__ import annotations
@@ -220,8 +223,8 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def rank(A: IntMatrix) -> int:
-  H, _ = _hnf_rows(A.row_list(), A.rows, A.cols)
-  return sum(1 for r in H if any(r))
+  """The number of pivots of one Hermite pass (_hermite) over the rows."""
+  return _hermite(A.row_list(), range(A.cols))
 
 
 def _snf_rows(rows, m: int, n: int) -> tuple[list, list, list]:
@@ -395,16 +398,34 @@ def det(A: IntMatrix) -> int:
   return _adjugate(A.row_list())[1]
 
 
+def _extends_to_basis(rows, n: int) -> bool:
+  """Whether the rows, vectors of length n, extend to a basis of Z^n.
+
+  They do iff the gcd of the k x k minors of the k x n row matrix A is 1.
+  That gcd is unchanged by unimodular row steps on A^T, and the Hermite
+  form of A^T is upper triangular on its first k rows and zero below, with
+  one nonzero k x k minor: the product of its pivots, or none when a column
+  gets no pivot (Newman, Integral Matrices, 1972, Ch. II).  So one Hermite
+  pass (_hermite) over A^T decides it: every one of the k columns must get
+  a pivot, and every pivot must be 1.  The empty row list (k = 0)
+  extends.
+  """
+  k = len(rows)
+  t = [[r[j] for r in rows] for j in range(n)]
+  return _hermite(t, range(k)) == k and all(t[i][i] == 1 for i in range(k))
+
+
 def is_unimodular(A: IntMatrix) -> bool:
-  return A.rows == A.cols and det(A) in (1, -1)
+  """Whether A is square with determinant +-1: its rows extend to, so
+  form, a basis (_extends_to_basis)."""
+  return A.rows == A.cols and _extends_to_basis(A.row_list(), A.cols)
 
 
 def row_lattice_basis(vectors: list, dim: int) -> list:
-  """Canonical (HNF) basis of the sublattice of Z^dim generated by vectors."""
-  if not vectors:
-    return []
-  H, _ = _hnf_rows(vectors, len(vectors), dim)
-  return [r for r in H if any(r)]
+  """Canonical (HNF) basis of the sublattice of Z^dim generated by vectors:
+  the nonzero rows of one Hermite pass (_hermite)."""
+  rows = [list(v) for v in vectors]
+  return rows[:_hermite(rows, range(dim))]
 
 
 def saturate_row_lattice(vectors: list, dim: int) -> list:
@@ -436,31 +457,6 @@ def _echelon_coords(rows, v) -> list | None:
       rem = [a - c * b for a, b in zip(rem, row)]
     coeffs.append(c)
   return None if any(rem) else coeffs
-
-
-def express_in_rows(basis: list, v) -> list | None:
-  """Integer coefficients c with sum(c_i * basis_i) = v, or None.
-
-  basis need not be square but must consist of independent rows.  v is
-  solved for against the Hermite form H = U*B of the basis (_echelon_coords),
-  and its coefficients c*H = c*U*B are carried back through U.
-
-  Raises:
-    ValueError: if v or a basis row does not have the length of the first
-      basis row.
-  """
-  if not basis:
-    return [] if not any(v) else None
-  m, n = len(basis), len(basis[0])
-  for row in [v] + list(basis):
-    if len(row) != n:
-      raise ValueError("vector %s does not have the basis width %d"
-                       % (tuple(row), n))
-  H, U = _hnf_rows(basis, m, n)
-  coeffs = _echelon_coords(H, v)
-  if coeffs is None:
-    return None
-  return [sum(c * u[k] for c, u in zip(coeffs, U)) for k in range(m)]
 
 
 def complement_projection(sub_basis: list, dim: int) -> IntMatrix:

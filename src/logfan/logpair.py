@@ -8,8 +8,8 @@ perform admissible blow-ups, and decide the log-modification predicate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .cone import Cone, is_smooth
 from .fan import (
@@ -70,19 +70,44 @@ def boundary_strata_counts(pair: ToricLogPair) -> list:
   On a smooth fan each a-element subset of the boundary rays spanning a
   cone of the fan contributes exactly one irreducible component of the
   a-fold boundary intersection: these subsets are the distinct subsets of
-  each maximal cone's boundary rays.
+  each maximal cone's boundary rays.  They are counted, not listed
+  (_subset_counts), so a cone with many boundary rays costs no more than
+  its binomial coefficients.
 
   Precondition: the pair's fan is a fan (see validate); otherwise a
   boundary ray inside a cone but not one of its rays is missed.
   """
   b = set(pair.boundary_rays)
-  strata = set()
-  for c in pair.fan.max_cones:
-    on = [r for r in c.rays if r in b]
-    strata.update(s for a in range(len(on))
-                  for s in itertools.combinations(on, a + 1))
-  return [sum(len(s) == a for s in strata)
-          for a in range(1, pair.fan.ambient_rank + 1)]
+  return _subset_counts([frozenset(r for r in c.rays if r in b)
+                         for c in pair.fan.max_cones],
+                        pair.fan.ambient_rank)
+
+
+def _subset_counts(sets, n: int) -> list:
+  """For a = 1..n, the number of distinct a-element sets that lie inside
+  some set of sets.
+
+  The sets are swept largest first.  The a-subsets of s met for the first
+  time are those of s less those inside s & t for an earlier t, which are
+  counted the same way; only an earlier t that meets s has such subsets.
+  A set inside an earlier one adds nothing and is skipped, so every s & t
+  passed down is a proper subset of s, and the recursion is at most as
+  deep as the largest set is large.
+  """
+  out = [0] * n
+  swept = []
+  holding = {}  # element -> indices into swept of the sets holding it
+  for s in sorted(set(sets), key=len, reverse=True):
+    earlier = {j for x in s for j in holding.get(x, ())}
+    if not s or any(s <= swept[j] for j in earlier):
+      continue
+    inner = _subset_counts([s & swept[j] for j in earlier], n)
+    for a in range(n):
+      out[a] += comb(len(s), a + 1) - inner[a]
+    for x in s:
+      holding.setdefault(x, []).append(len(swept))
+    swept.append(s)
+  return out
 
 
 def admissible_blowup(pair: ToricLogPair, tau: Cone) -> ToricLogPair:

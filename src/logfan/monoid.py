@@ -12,7 +12,6 @@ ValueError.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -21,9 +20,9 @@ from .cone import Cone, _both_signs, _dot, _neg, hilbert_basis
 from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
+    _echelon_coords,
     _snf_rows,
     complement_projection,
-    express_in_rows,
     kernel_basis,
     rank,
     row_lattice_basis,
@@ -31,9 +30,13 @@ from .lattice import (
 
 MAX_AMBIENT_RANK = 6
 MAX_GENERATORS = 16
-# Search nodes one membership test may visit.  The most any test, the
-# gallery or a benchmark workload (seeds 1, 2 and 11) visits is 249, so this
-# leaves a factor of 400, and 100 000 nodes take about a second.
+# Search nodes one membership test may visit.  A node counts each time it
+# is reached, a memo hit included, so that the budget bounds the work: the
+# memo bounds only the distinct nodes, and (137^2) in the monoid of 5, 6, 9
+# reaches its 25 027 distinct nodes 6.5 million times.  The most any test,
+# the gallery or a benchmark workload (seeds 1, 2 and 11) visits is 2 291,
+# so this leaves a factor of 40, and 100 000 visits take about 0.5 s
+# (Python 3.11, x86-64).
 MAX_MEMBER_NODES = 100_000
 
 
@@ -115,10 +118,11 @@ def _member(P: AffineMonoid, v: tuple) -> bool:
   if not P.cone.contains(v):
     return False
   units, rest, pi, pgens, pc, grade_vec = _unit_split(P)
-  if express_in_rows([list(b) for b in _gp_basis(P)], v) is None:
+  # both bases are Hermite, so echelon: one back-substitution each
+  if _echelon_coords(_gp_basis(P), v) is None:
     return False
   if not rest:
-    return express_in_rows([list(b) for b in units], v) is not None
+    return _echelon_coords(units, v) is not None
   if not pc.is_strictly_convex:
     raise RuntimeError("the cone of the non-unit generators modulo the units "
                        "has lineality")
@@ -126,19 +130,20 @@ def _member(P: AffineMonoid, v: tuple) -> bool:
   gr = {i: _dot(grade_vec, pg) for i, pg in enumerate(pgens)}
   if not all(g > 0 for g in gr.values()):
     raise RuntimeError("a non-unit generator has grading <= 0: %s" % (gr,))
-  ubasis = [list(b) for b in units]
   memo = {}
+  visits = 0
 
   def search(i, w_left, v_left):
+    nonlocal visits
+    visits += 1
+    if visits > MAX_MEMBER_NODES:
+      raise ValueError("membership search capped at %d nodes; %s needs more"
+                       % (MAX_MEMBER_NODES, v))
     key = (i, v_left)
     if key in memo:
       return memo[key]
-    # memo holds one entry per finished node
-    if len(memo) >= MAX_MEMBER_NODES:
-      raise ValueError("membership search capped at %d nodes; %s needs more"
-                       % (MAX_MEMBER_NODES, v))
     if i == len(rest):
-      out = not any(w_left) and express_in_rows(ubasis, v_left) is not None
+      out = not any(w_left) and _echelon_coords(units, v_left) is not None
       memo[key] = out
       return out
     out = False
@@ -345,11 +350,12 @@ def _gp_map(theta: MonoidHom) -> IntMatrix:
   group, so the cokernel of this matrix is the group-level cokernel.
   """
   src = _gp_basis(theta.source)
-  dst = [list(r) for r in _gp_basis(theta.target)]
+  dst = _gp_basis(theta.target)
   cols = []
   for b in src:
-    img = theta.gp_matrix.apply(list(b))
-    coords = express_in_rows(dst, list(img))
+    img = theta.gp_matrix.apply(b)
+    # dst is a Hermite basis, so echelon
+    coords = _echelon_coords(dst, img)
     if coords is None:
       raise RuntimeError("image %s of %s is outside the target group"
                          % (img, b))

@@ -20,9 +20,10 @@ from types import SimpleNamespace
 from logfan.cone import Cone, _dot, intersect, is_face_of
 from logfan.fan import Fan, _tiles, star_subdivision
 from logfan.gallery import run_gallery
-from logfan.lattice import express_in_rows, is_unimodular, saturate_row_lattice
+from logfan.lattice import is_unimodular, saturate_row_lattice
 
 from cone_reference import reference_simplicial_pieces
+from lattice_reference import express_in_rows
 
 
 def _frac_det(rows) -> Fraction:

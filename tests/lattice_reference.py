@@ -15,11 +15,19 @@ as a second row list through a two-matrix row step, and the kernel takes
 one Hermite form of A^T, keeps the transform rows that map to zero, and
 makes them canonical with a second Hermite form.  Self-checks raise
 AssertionError explicitly, so they also run under python -O.
+
+express_in_rows is the solver logfan used before its bases were read as
+the echelon rows they are: it takes a Hermite form with its transform of
+the basis on every call and carries the coefficients back through it.
+The tests and oracles that solve against an arbitrary independent basis
+use it.
 """
 
 from logfan.cone import Cone, _dot, _neg, hilbert_basis
 from logfan.lattice import (
     IntMatrix,
+    _echelon_coords,
+    _hnf_rows,
     _xgcd,
     hnf,
     kernel_basis,
@@ -83,6 +91,31 @@ def reference_hnf_rows(a, m: int, n: int):
   if [[sum(x * y for x, y in zip(u, c)) for c in cols] for u in urows] != rows:
     raise AssertionError("U*A != H")
   return rows, urows
+
+
+def express_in_rows(basis: list, v) -> list | None:
+  """Integer coefficients c with sum(c_i * basis_i) = v, or None.
+
+  basis need not be square but must consist of independent rows.  v is
+  solved for against the Hermite form H = U*B of the basis (_echelon_coords),
+  and its coefficients c*H = c*U*B are carried back through U.
+
+  Raises:
+    ValueError: if v or a basis row does not have the length of the first
+      basis row.
+  """
+  if not basis:
+    return [] if not any(v) else None
+  m, n = len(basis), len(basis[0])
+  for row in [v] + list(basis):
+    if len(row) != n:
+      raise ValueError("vector %s does not have the basis width %d"
+                       % (tuple(row), n))
+  H, U = _hnf_rows(basis, m, n)
+  coeffs = _echelon_coords(H, v)
+  if coeffs is None:
+    return None
+  return [sum(c * u[k] for c, u in zip(coeffs, U)) for k in range(m)]
 
 
 def reference_kernel_rows(rows, n: int) -> list:

@@ -1,9 +1,10 @@
 """Test-only reference code for the rank-2 resolution of logfan.fan.
 
-The library decides smoothness by the gcd of maximal minors and resolves a
-rank-2 fan from one Hilbert basis per singular cone.  This module keeps the
-earlier code as a differential oracle: smoothness by a rank check plus the
-Smith normal form of the ray matrix, the stellar insertion of one ray, and
+The library decides smoothness by one Hermite pass over the transposed ray
+matrix and resolves a rank-2 fan from one Hilbert basis per singular cone.
+This module keeps the earlier code as a differential oracle: smoothness by
+a rank check plus the Smith normal form of the ray matrix, smoothness by
+the gcd of the maximal minors, the stellar insertion of one ray, and
 a resolution loop that inserts one ray at a time, takes a fresh Hilbert
 basis each time and re-tests every maximal cone after each insertion.  It
 keeps the completion that restarts after every inserted ray and drops the
@@ -12,11 +13,12 @@ fans of acceptance criterion 11.
 """
 
 import functools
+import itertools
 import math
 
 from logfan.cone import Cone, hilbert_basis
 from logfan.fan import Fan, complete_2d
-from logfan.lattice import IntMatrix, snf
+from logfan.lattice import IntMatrix, _adjugate, snf
 
 from cone_reference import _rank_small
 
@@ -36,6 +38,27 @@ def reference_is_smooth(sigma: Cone) -> bool:
     return False
   D, _, _ = snf(IntMatrix.from_rows(rows))
   return all(D.entry(i, i) == 1 for i in range(len(rows)))
+
+
+def reference_is_smooth_by_minors(sigma: Cone) -> bool:
+  """Whether the rays extend to a basis of the ambient lattice.
+
+  For k rays in rank d, the gcd of the k x k minors of the ray matrix (its
+  k-th determinantal divisor) is the product of its invariant factors, and
+  0 when the rays are dependent.  So the rays extend to a basis exactly when
+  that gcd is 1; the loop stops at the first partial gcd of 1.  More rays
+  than the rank leave no minor, gcd 0.  The zero cone has one empty minor,
+  of determinant 1, and is smooth.  The loop takes C(d, k) minors.
+  """
+  if not sigma.is_strictly_convex:
+    raise ValueError("smoothness is defined here for strictly convex cones")
+  rays = sigma.rays
+  g = 0
+  for cols in itertools.combinations(range(sigma.ambient_rank), len(rays)):
+    g = math.gcd(g, _adjugate([[r[c] for c in cols] for r in rays])[1])
+    if g == 1:
+      return True
+  return False
 
 
 def insert_ray_2d(fan: Fan, ray) -> Fan:

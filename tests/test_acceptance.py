@@ -38,7 +38,7 @@ from logfan.gallery import (
     run_gallery,
 )
 from logfan.kato import CharParam, chart_smoothness
-from logfan.lattice import IntMatrix, express_in_rows
+from logfan.lattice import IntMatrix
 from logfan.logpair import (
     admissible_blowup,
     boundary_strata_counts,
@@ -52,6 +52,7 @@ from logfan.monoid import (
     membership,
     saturation,
 )
+from lattice_reference import express_in_rows
 from resolution_reference import insert_ray_2d
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

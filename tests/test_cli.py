@@ -129,6 +129,25 @@ def test_check_singular_fan_reports_but_passes():
   assert "smooth: no" in out
 
 
+RANK_20 = ('{"rank":20,"max_cones":[[%s]]}' % ",".join(
+    "[%s]" % ",".join(map(str, r)) for r in
+    [(1, 1) + (0,) * 18, (1, -1) + (0,) * 18]
+    + [tuple(int(i == j) for j in range(20)) for i in range(2, 10)]))
+
+
+def test_check_decides_smoothness_of_a_rank_20_cone_at_once(tmp_path):
+  # 448 bytes; smoothness by the gcd of the C(20, 10) maximal minors took
+  # 33 s on this cone
+  assert len(RANK_20) == 448
+  path = tmp_path / "rank20.json"
+  path.write_text(RANK_20)
+  start = time.perf_counter()
+  code, out, _ = run(["check", str(path)])
+  assert time.perf_counter() - start < 1.0
+  assert code == 0
+  assert "smooth: no" in out
+
+
 def test_check_overlap_fails_and_names_the_pair():
   code, out, _ = run(["check", str(FIXTURES / "overlap.json")])
   assert code == 1

@@ -1,4 +1,5 @@
-"""No private function or class of logfan may be left without a caller.
+"""No private function or class of logfan may be left without a caller,
+and no module of it may import a name it does not use.
 
 A private definition (a name with one leading underscore, not a dunder) is
 live when its name is used somewhere in the package outside its own body;
@@ -35,3 +36,24 @@ def test_every_private_definition_is_used():
   dead = ["%s (line %d)" % (node.name, node.lineno) for node in defs
           if total[node.name] == _uses(node)[node.name]]
   assert dead == []
+
+
+def test_every_imported_name_is_used():
+  # __init__ imports to re-export, and __future__ imports switch on a
+  # feature; every other imported name must be used in its own module
+  package = pathlib.Path(logfan.__file__).parent
+  unused = []
+  for path in sorted(package.glob("*.py")):
+    if path.name == "__init__.py":
+      continue
+    tree = ast.parse(path.read_text(), str(path))
+    used = _uses(tree)
+    for node in ast.walk(tree):
+      if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        continue
+      if isinstance(node, (ast.Import, ast.ImportFrom)):
+        for alias in node.names:
+          name = (alias.asname or alias.name).split(".")[0]
+          if not used[name]:
+            unused.append("%s: %s (line %d)" % (path.name, name, node.lineno))
+  assert unused == []

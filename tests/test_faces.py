@@ -8,7 +8,9 @@ their order, the incidence facet_rays, span normals and dimension.  The
 work guards count calls: faces makes no conversion and no Cone.from_rays
 call, at most one Hermite kernel per face it builds, and leaves every face
 where Cone.from_rays finds it.  The face budget refuses the cone over the
-cyclic polytope C(16, 8) and the rank-14 orthant before building a face.
+cyclic polytope C(16, 8) and the rank-14 orthant before building a face,
+and holds for a fan's all_cones as a whole: the complete rank-12
+projective fan, whose 13 maximal cones are each within it, is refused.
 """
 
 import random
@@ -24,6 +26,8 @@ from logfan.cone import (
     _cone_from_gens,
     faces,
 )
+
+from logfan.fan import Fan
 
 from cone_reference import reference_faces_by_conversion
 from test_cone_core import CUBE_13, CYCLIC_8, REACH_13_RAYS, _count_calls
@@ -152,6 +156,21 @@ def test_faces_refuses_a_cone_past_the_budget(gens, d, count):
   with pytest.raises(ValueError, match="capped at %d faces" % MAX_FACES):
     faces(sigma)
   assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_face_budget_holds_for_the_faces_of_a_whole_fan():
+  # 13 maximal cones of 4 096 faces each, 8 191 faces in all, which
+  # all_cones once built in 3.6 s; it stops at the second cone, and the
+  # message shows that no single cone passed the budget
+  d = 12
+  rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+  rays.append((-1,) * d)
+  fan = Fan(d, tuple(Cone.from_rays(rays[:i] + rays[i + 1:], d)
+                     for i in range(d + 1)))
+  with pytest.raises(ValueError,
+                     match="faces capped at %d faces; this fan has more"
+                     % MAX_FACES):
+    fan.all_cones
 
 
 def test_the_face_budget_admits_the_rank_10_orthant():

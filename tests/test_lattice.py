@@ -19,7 +19,6 @@ from logfan.lattice import (
     cokernel,
     complement_projection,
     det,
-    express_in_rows,
     hnf,
     is_unimodular,
     kernel_basis,
@@ -29,6 +28,8 @@ from logfan.lattice import (
     saturate_row_lattice,
     snf,
 )
+
+from lattice_reference import express_in_rows
 
 
 def sy(A):

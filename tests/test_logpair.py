@@ -1,4 +1,14 @@
-"""Tests for toric pairs with boundary: strata counts, blow-ups, log modifications."""
+"""Tests for toric pairs with boundary: strata counts, blow-ups, log modifications.
+
+Strata are counted without listing them (_subset_counts); the listing they
+replaced, every subset of each maximal cone's boundary rays, is kept here
+as reference_strata_counts and compared on seeded pairs and set families.
+"""
+
+import itertools
+import math
+import random
+import time
 
 import pytest
 
@@ -7,6 +17,7 @@ from logfan.fan import Fan, product_fan, star_subdivision
 from logfan.lattice import IntMatrix
 from logfan.logpair import (
     ToricLogPair,
+    _subset_counts,
     admissible_blowup,
     boundary_strata_counts,
     is_log_modification,
@@ -202,3 +213,62 @@ def test_subfan_of_iterated_blowups_stays_inside_boundary():
   assert p.boundary_subfan == p.fan
   n = len(p.boundary_rays)
   assert boundary_strata_counts(p)[0] == n
+
+
+def reference_strata_counts(pair):
+  """Boundary strata counts by listing the distinct subsets of each maximal
+  cone's boundary rays: 2^k subsets for a cone with k boundary rays."""
+  b = set(pair.boundary_rays)
+  strata = set()
+  for c in pair.fan.max_cones:
+    on = [r for r in c.rays if r in b]
+    strata.update(s for a in range(len(on))
+                  for s in itertools.combinations(on, a + 1))
+  return [sum(len(s) == a for s in strata)
+          for a in range(1, pair.fan.ambient_rank + 1)]
+
+
+def test_subset_counts_agree_with_listing_on_seeded_families():
+  rng = random.Random(16)
+  for _ in range(300):
+    n = rng.randint(1, 7)
+    sets = [frozenset(rng.sample(range(n + 2), rng.randint(0, n)))
+            for _ in range(rng.randint(0, 8))]
+    if sets and rng.random() < 0.3:
+      sets.append(sets[0])  # a repeat
+    if sets and rng.random() < 0.3:
+      sets.append(frozenset(list(sets[-1])[:1]))  # a set inside another
+    listed = {sub for s in sets for a in range(1, len(s) + 1)
+              for sub in itertools.combinations(sorted(s), a)}
+    want = [sum(len(x) == a for x in listed) for a in range(1, n + 1)]
+    assert _subset_counts(sets, n) == want, sets
+
+
+def _seeded_pairs(rng):
+  box3 = product(product(BOX, BOX), BOX)
+  for _ in range(12):
+    pair = box3 if rng.random() < 0.5 else product(BOX, BOX)
+    for _ in range(rng.randint(0, 3)):
+      tau = rng.choice([c for c in pair.fan.max_cones
+                        if set(c.rays) & set(pair.boundary_rays)])
+      pair = admissible_blowup(pair, tau)
+    rays = list(pair.fan.rays)
+    yield make_pair(pair.fan, rng.sample(rays, rng.randint(0, len(rays))))
+
+
+def test_strata_counts_agree_with_the_listing_on_seeded_pairs():
+  pairs = list(_seeded_pairs(random.Random(17)))
+  assert max(len(p.fan.max_cones) for p in pairs) >= 8
+  for pair in pairs:
+    assert boundary_strata_counts(pair) == reference_strata_counts(pair)
+
+
+def test_strata_of_a_rank_64_orthant_are_counted_not_listed():
+  # the listing took 6 s at rank 20 and grows as 2^rank
+  d = 64
+  units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+  pair = make_pair(Fan(d, (Cone.from_rays(units, d),)), units)
+  start = time.perf_counter()
+  assert boundary_strata_counts(pair) == [math.comb(d, a)
+                                          for a in range(1, d + 1)]
+  assert time.perf_counter() - start < 1.0

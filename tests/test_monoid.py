@@ -14,6 +14,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import logfan
 from logfan.lattice import IntMatrix
 from logfan.monoid import (
+    MAX_MEMBER_NODES,
     AffineMonoid,
     MonoidHom,
     _preimage_generators,
@@ -117,6 +119,16 @@ def test_membership_never_misses_a_witnessed_sum():
       assert membership(p, v), (p.gens, cs)
 
 
+def test_membership_budget_counts_memo_hits():
+  # 25 027 distinct nodes, reached 6.5 million times: a budget on the
+  # distinct nodes alone let this run 18 s
+  p = _mono([(5,), (6,), (9,)], 1)
+  start = time.perf_counter()
+  with pytest.raises(ValueError, match="capped at %d nodes" % MAX_MEMBER_NODES):
+    membership(p, (137 ** 2,))
+  assert time.perf_counter() - start < 5.0
+
+
 def test_membership_dimension_mismatch():
   with pytest.raises(ValueError):
     membership(N2, (1, 2, 3))
@@ -139,7 +151,7 @@ def test_group_completion_index_two_sublattice():
 def _brute_saturation(p, box):
   """Lattice points of cone(P) inside P^gp within the box, reduced to an
   irredundant generating set by pairwise-sum elimination."""
-  from logfan.lattice import express_in_rows
+  from lattice_reference import express_in_rows
   basis = group_completion(p)
   c = p.cone
   pts = [v for v in itertools.product(range(-box, box + 1), repeat=p.ambient_rank)

@@ -13,8 +13,10 @@ least-recently-used cache (_cone_from_gens), which faces fills too.  The
 incidence is kept from that conversion, never recomputed: faces come from
 closing facet_rays under intersection and are built from the parent's
 rays, lineality and normals with no conversion (_face), the triangulation
-recurses on it, and the face test and the fan layer read the smallest face
-holding a point off it (_smallest_face).
+recurses on it, the fan layer reads the smallest face holding a point off
+it (_smallest_face), and the face test reads the smallest face holding a
+set of rays off it, one AND of facet ray sets with no dot product
+(_closure).
 Hilbert-basis candidates come from the group of the lattice modulo the rays
 of each simplicial piece, and are reduced by comparing their facet values,
 the numbers their grading is the sum of.  The lattice work is only what the
@@ -565,19 +567,29 @@ def faces(sigma: Cone) -> list:
   A face's rays are those of the whole cone cut by some set of facets, so
   the ray sets of the faces are the full set closed under intersection with
   each facet's ray set, sigma.facet_rays (Kaibel & Pfetsch 2002); the sets
-  are int bitsets over the rays.  They are counted against MAX_FACES before
-  any face is built.  Each proper face is then built from sigma's stored
-  data (_face), with no conversion, and goes through the conversion cache
-  under the key Cone.from_rays would give it, so that fans find the faces
-  they share.  Sorted by _order_key so the output is deterministic.
+  are int bitsets over the rays, counted against MAX_FACES before any face
+  is built (_closed_sets).  Each proper face is then built from sigma's
+  stored data (_face), with no conversion, and goes through the conversion
+  cache under the key Cone.from_rays would give it, so that fans find the
+  faces they share (_cached_face).  Sorted by _order_key so the output is
+  deterministic.
 
   Raises:
     ValueError: if the cone has more than MAX_FACES faces.
   """
-  rays = sigma.rays
-  d = sigma.ambient_rank
+  return sorted((_cached_face(sigma, y) for y in _closed_sets(sigma)),
+                key=_order_key)
+
+
+def _closed_sets(sigma: Cone) -> set:
+  """The int bitsets of the rays of sigma's faces: the full set closed
+  under intersection with each of sigma.facet_rays.
+
+  Raises:
+    ValueError: past MAX_FACES sets, as soon as the count passes it.
+  """
   facet_sets = set(sigma.facet_rays)
-  full = (1 << len(rays)) - 1
+  full = (1 << len(sigma.rays)) - 1
   closed = {full}
   todo = [full]
   while todo:
@@ -590,16 +602,22 @@ def faces(sigma: Cone) -> list:
           raise ValueError("faces capped at %d faces; this cone has more"
                            % MAX_FACES)
         todo.append(y)
+  return closed
+
+
+def _cached_face(sigma: Cone, y: int) -> Cone:
+  """The face of sigma on the rays in the closed int bitset y, read from
+  the conversion cache under the key Cone.from_rays of its rays and both
+  signs of sigma's lineality would use, or built by _face and stored."""
+  face_rays = _pick(sigma.rays, y)
   lin_gens = tuple(_both_signs(sigma.lineality_basis))
-  out = []
-  for y in closed:
-    face_rays = _pick(rays, y)
-    key = (tuple(sorted(face_rays + lin_gens)) if lin_gens else face_rays, d)
-    cone = _cached(key)
-    if cone is None:
-      cone = _store(key, sigma if y == full else _face(sigma, y, face_rays))
-    out.append(cone)
-  return sorted(out, key=_order_key)
+  key = (tuple(sorted(face_rays + lin_gens)) if lin_gens else face_rays,
+         sigma.ambient_rank)
+  cone = _cached(key)
+  if cone is None:
+    full = (1 << len(sigma.rays)) - 1
+    cone = _store(key, sigma if y == full else _face(sigma, y, face_rays))
+  return cone
 
 
 def _face(sigma: Cone, y: int, face_rays: tuple) -> Cone:
@@ -653,19 +671,35 @@ def _face(sigma: Cone, y: int, face_rays: tuple) -> Cone:
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:
   """Whether gamma is a face of the strictly convex cone sigma.
 
-  The smallest face of sigma holding gamma is the smallest face holding
-  gamma's interior point, the sum of its rays (_smallest_face).  gamma is
-  that face iff its rays are exactly that face's: both cones are strictly
-  convex and every kept ray is an extreme ray of sigma, so no cone needs
-  to be built to compare them.
+  The extreme rays of a face of sigma are extreme rays of sigma, and a set
+  of sigma's rays spans a face iff it is closed: equal to the rays of the
+  smallest face holding it (_closure).  Both cones are strictly convex, so
+  gamma is the face on its rays iff every ray of gamma is a ray of sigma
+  and their int bitset is closed; no dot product is taken.
   """
   if gamma.ambient_rank != sigma.ambient_rank:
     raise ValueError("ambient rank mismatch")
   if gamma.lineality_basis or sigma.lineality_basis:
     raise ValueError("face test implemented for strictly convex cones")
-  if not all(sigma.contains(r) for r in gamma.rays):
-    return False
-  return _smallest_face(sigma, gamma.interior_point()) == gamma.rays
+  where = {r: j for j, r in enumerate(sigma.rays)}
+  y = 0
+  for r in gamma.rays:
+    j = where.get(r)
+    if j is None:
+      return False
+    y |= 1 << j
+  return _closure(sigma, y) == y
+
+
+def _closure(sigma: Cone, y: int) -> int:
+  """The int bitset of the rays of the smallest face of sigma that holds
+  the rays in the int bitset y: the rays on every facet that holds them,
+  the AND of the facet_rays that contain y (Kaibel & Pfetsch 2002)."""
+  face = (1 << len(sigma.rays)) - 1
+  for on in sigma.facet_rays:
+    if on & y == y:
+      face &= on
+  return face
 
 
 def _smallest_face(sigma: Cone, x) -> tuple:

@@ -2,22 +2,27 @@
 
 A Fan is its set of maximal cones, canonical by construction: repeats go,
 ranks are checked and the cones are sorted.  Only Fan.make drops cones that
-lie in others, by an O(n^2) filter, for input whose cones may nest: parsed
-documents, fiber products, boundary subfans and the gallery.  No face
-closure is kept; the cones whose relative interior holds a point are read
-off the maximal cones (_cones_at).  One common-face test decides validate:
-a separation certificate on the stored ray-facet incidence (_certified),
-with the intersection of the two cones as the exact fallback for a pair
-it leaves open.  One exact wall test (_tiles) decides every covering
-question: whether the mapped cones of a fan map fill each target cone,
-whether two fans have the same support, and whether a fan is complete.
-It pairs up the facets of the pieces and checks a single point, in
-integer arithmetic, so there is no sampling anywhere on the decision
-path.  One holder search (_holders) answers both is_fan_map and the pieces
-of subdivision_predicates: the target cones that hold a mapped source cone
-are found through an index from rays to cones, one holder per source cone
-first, exact for any target, and the rest read off the smallest face of it
-that holds the image, which rests on the target being a fan.  Completion
+lie in others, for input whose cones may nest: parsed documents, fiber
+products, boundary subfans and the gallery.  It looks at every pair, but
+runs contains_cone only on the pairs past three exact screens (dimension,
+the coordinate half-spaces that hold each cone, the interior point), which
+on the cones of a fan reject every pair.  No face closure is kept; the
+cones whose relative interior holds a point are read off the maximal cones
+(_cones_at).  One common-face test decides validate: a separation
+certificate on the stored ray-facet incidence (_certified), with the
+intersection of the two cones as the exact fallback for a pair it leaves
+open.  One exact wall test (_tiles) decides every covering question:
+whether the mapped cones of a fan map fill each target cone, whether two
+fans have the same support, and whether a fan is complete.  It pairs up
+the facets of the pieces and checks a single point, in integer
+arithmetic, so there is no sampling anywhere on the decision path.  One
+holder search (_holders) answers both is_fan_map and the pieces of
+subdivision_predicates.  It maps the rays of each source cone and both
+signs of its lineality, and finds the target cones that hold the image
+through an index from rays to cones: the cones that have every image
+vector among their rays, with no dot product, or else one holder, exact
+for any target, and the rest read off the smallest face of it that holds
+the image.  Both rest on the target being a fan.  Completion
 (per uncovered gap) and resolution (one Hilbert basis per singular cone)
 are rank-2 only.  The refinement search is a plain bounded breadth-first
 search over star subdivision moves, with a budget on the moves it tries
@@ -32,10 +37,9 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (MAX_FACES, Cone, _both_signs, _dot, _neg, _order_key,
-                   _pick, _smallest_face, hilbert_basis, intersect,
-                   is_face_of, is_smooth)
-from .cone import faces as cone_faces
+from .cone import (MAX_FACES, Cone, _both_signs, _cached_face, _closed_sets,
+                   _dot, _neg, _order_key, _pick, _smallest_face,
+                   hilbert_basis, intersect, is_face_of, is_smooth)
 from .lattice import IntMatrix, is_unimodular
 
 # search_refinement refuses to try more star subdivisions than this.  The
@@ -67,31 +71,54 @@ class Fan:
   def make(cones, ambient_rank: int) -> "Fan":
     """Build a fan from any iterable of cones, dropping non-maximal ones.
 
+    One exact filter, contains_cone, decides whether a cone o holds a cone
+    c; a pair reaches it only past three necessary conditions, each read
+    from data taken once per cone per call.  o must have at least c's
+    dimension.  Every coordinate half-space x_i >= 0 or x_i <= 0 that holds
+    o must hold c, since it holds every cone inside o (_halfspaces).  And o
+    must hold c's interior point, the sum of c's rays, which lies in c.  In
+    a fan no maximal cone holds a point of another's relative interior, so
+    on the cones of a fan the last screen settles every pair.
+
     No fan axioms are checked here; run validate for that.
     """
-    pool = _distinct(cones, ambient_rank)
-    # a cone lies only in cones of at least its dimension
-    return Fan(ambient_rank, tuple(
-        c for c in pool if not any(o is not c and o.dim >= c.dim
-                                   and o.contains_cone(c) for o in pool)))
+    groups = {}
+    for c in _distinct(cones, ambient_rank):
+      groups.setdefault(_halfspaces(c), []).append(c)
+    out = []
+    for held, group in groups.items():
+      # the cones whose coordinate half-spaces all hold this group's cones
+      outer = [o for oheld, g in groups.items() if not oheld & ~held
+               for o in g]
+      for c in group:
+        x = c.interior_point()
+        if not any(o is not c and o.dim >= c.dim and o.contains(x)
+                   and o.contains_cone(c) for o in outer):
+          out.append(c)
+    return Fan(ambient_rank, tuple(out))
 
   @property
   def all_cones(self) -> frozenset:
     """Every face of every maximal cone, enumerated on each read.
 
-    The faces budget MAX_FACES holds for the whole fan: the union grows
-    cone by cone and is refused as soon as it passes the budget.
+    The faces budget MAX_FACES holds for the whole fan: the ray sets of
+    the cones' faces (_closed_sets), keyed by their rays and lineality, are
+    united cone by cone and refused as soon as they pass the budget, before
+    any face is built.
 
     Raises:
       ValueError: if the fan has more than MAX_FACES cones.
     """
-    out = set()
+    sets = {}
     for c in self.max_cones:
-      out.update(cone_faces(c))
-      if len(out) > MAX_FACES:
-        raise ValueError("faces capped at %d faces; this fan has more"
-                         % MAX_FACES)
-    return frozenset(out)
+      for y in _closed_sets(c):
+        key = (_pick(c.rays, y), c.lineality_basis)
+        if key not in sets:
+          sets[key] = (c, y)
+          if len(sets) > MAX_FACES:
+            raise ValueError("faces capped at %d faces; this fan has more"
+                             % MAX_FACES)
+    return frozenset(_cached_face(c, y) for c, y in sets.values())
 
   @property
   def rays(self) -> tuple:
@@ -100,6 +127,23 @@ class Fan:
     for c in self.max_cones:
       out.update(c.rays)
     return tuple(sorted(out))
+
+
+def _halfspaces(c: Cone) -> int:
+  """The int bitset of the coordinate half-spaces that hold c: bit 2i for
+  x_i >= 0 and bit 2i + 1 for x_i <= 0, read off c's rays and both signs
+  of its lineality.  A cone inside c lies in every half-space that holds
+  c."""
+  bits = (1 << 2 * c.ambient_rank) - 1
+  for r in c.rays:
+    for i, a in enumerate(r):
+      if a:
+        bits &= ~(1 << 2 * i + (a > 0))
+  for b in c.lineality_basis:
+    for i, a in enumerate(b):
+      if a:
+        bits &= ~(3 << 2 * i)
+  return bits
 
 
 def _distinct(cones, d: int) -> list:
@@ -235,28 +279,40 @@ def _holds(t: Cone, imgs) -> bool:
 
 
 def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
-  """For each maximal source cone, its image rays and the indices of the
+  """For each maximal source cone, its image vectors and the indices of the
   maximal target cones that contain them.
 
-  The search runs on an index from each target ray to the maximal target
-  cones that have it.  First one holder t is found: a target cone that has
-  every image vector among its rays holds the image, with no test;
-  otherwise the target cones that have some image vector among their rays
-  are tried first, then all of them in order, so finding none is exact for
-  any target.  The sum x of the image rays lies in the relative interior
-  of the image, so the smallest face F of t holding the image is the
-  smallest face holding x, whose rays are read off the stored incidence of
-  t (_smallest_face); when x is interior to t, F is t itself.  If the
-  target is a fan, every maximal target cone t' holding the image meets t
-  in a common face that contains x, hence F; so F is a face of t' and its
-  rays are among the rays of t'.  The holders are therefore the maximal
-  target cones whose rays include those of F, found through the ray index,
-  and for x interior to t that is t alone.
+  The image vectors are the images of the cone's rays and of both signs of
+  each lineality generator, so that they generate the image of the whole
+  cone; each distinct source vector is mapped once.  The search runs on an
+  index from each target ray to the maximal target cones that have it.
 
-  Precondition: the target is a fan; the source need not be one.  Each
-  cone listed is checked to contain the image, so for a target that is not
-  a fan the lists hold only true holders but may miss some, and a list is
-  empty exactly when no target cone holds the image.
+  A target cone that has every image vector among its rays holds the
+  image, with no test.  When there are such cones, they are the holders:
+  if the target is a fan, a maximal target cone t' holding the image meets
+  such a cone t in a common face, which holds the image and so contains
+  the smallest face F of t holding it; the image vectors are rays of t in
+  F, hence rays of F, and F is a face of t', so they are rays of t'.
+
+  Otherwise one holder t is searched for: the target cones that have some
+  image vector among their rays are tried first, then all of them in
+  order, so finding none is exact for any target.  The sum x of the image
+  vectors lies in the relative interior of the image, so the smallest face
+  F of t holding the image is the smallest face holding x, whose rays are
+  read off the stored incidence of t (_smallest_face); when x is interior
+  to t, F is t itself.  As above, if the target is a fan, every maximal
+  target cone holding the image has F as a face, so its rays include
+  those of F.  The holders are therefore the maximal target cones whose
+  rays include those of F, found through the ray index, and for x
+  interior to t that is t alone.
+
+  Precondition: the target is a fan; the source need not be one.  A cone
+  listed either has every image vector among its rays or has every ray of
+  F, which holds the image; for a strictly convex t that shows it holds
+  the image with no test, and for a t with lineality each cone is tested.
+  So for a target that is not a fan the lists hold only true holders but
+  may miss some, and a list is empty exactly when no target cone holds the
+  image.
   """
   if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
     raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
@@ -268,34 +324,43 @@ def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
     for r in t.rays:
       index.setdefault(r, set()).add(i)
   rows = [matrix.row(i) for i in range(matrix.rows)]
+  gens = [c.rays + tuple(_both_signs(c.lineality_basis))
+          for c in source.max_cones]
+  image = {v: tuple(_dot(row, v) for row in rows)
+           for v in dict.fromkeys(itertools.chain.from_iterable(gens))}
   out = []
-  for c in source.max_cones:
-    imgs = [tuple(_dot(row, r) for row in rows) for r in c.rays]
-    sets = [index.get(v, set()) for v in imgs]
-    common = set.intersection(*sets) if sets else set()
+  for g in gens:
+    imgs = [image[v] for v in g]
+    sets = [index.get(v, ()) for v in imgs]
+    common = set(sets[0]).intersection(*sets[1:]) if sets else ()
     if common:
-      first = min(common)
-    else:
-      near = sorted(set().union(*sets))
-      first = next((i for i in itertools.chain(near, range(len(cones)))
-                    if _holds(cones[i], imgs)), None)
+      out.append((imgs, sorted(common)))
+      continue
+    near = sorted(set().union(*sets))
+    first = next((i for i in itertools.chain(near, range(len(cones)))
+                  if _holds(cones[i], imgs)), None)
     if first is None:
       out.append((imgs, []))
       continue
+    t = cones[first]
     x = [sum(col) for col in zip(*imgs)] or [0] * target.ambient_rank
-    face = _smallest_face(cones[first], x)
-    near = set.intersection(*(index[r] for r in face)) if face else range(len(cones))
-    out.append((imgs, sorted(i for i in near
-                             if i == first or _holds(cones[i], imgs))))
+    face = _smallest_face(t, x)
+    near = (set.intersection(*(index[r] for r in face)) if face
+            else range(len(cones)))
+    if not t.is_strictly_convex:
+      near = [i for i in near if i == first or _holds(cones[i], imgs)]
+    out.append((imgs, sorted(near)))
   return out
 
 
 def is_fan_map(matrix: IntMatrix, source: Fan, target: Fan) -> bool:
   """Whether the lattice map sends every source cone into some target cone.
 
-  A holder list of _holders is empty exactly when no target cone holds the
-  image, so the answer assumes nothing of the target: it is exact also
-  when the target is not a fan.
+  The image of a source cone is generated by the images of its rays and
+  of both signs of its lineality, so a cone with lineality is held only by
+  a target cone holding its whole image.  A holder list of _holders is
+  empty exactly when no target cone holds the image, so the answer assumes
+  nothing of the target: it is exact also when the target is not a fan.
   """
   return all(held for _, held in _holders(matrix, source, target))
 
@@ -376,6 +441,8 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
   mapped cones, but a False answer may be wrong.  The proof of the wall
   test is in the docstring of _tiles.
 
+  The mapped cone of a source cone is generated by the image vectors of
+  _holders, the images of its rays and of both signs of its lineality.
   The pieces are read off the holder lists of _holders, whose search also
   assumes a target fan.  On a target that is not a fan a list may miss a
   holder, so a cone may lack a piece: with a fan as source, that can turn

@@ -9,20 +9,23 @@ guarded the completeness flag of support_query, and the holder search that
 tested every mapped source cone against every maximal target cone, which
 the library replaced by a search through a ray index, and the common-face
 test of validate that intersected every pair of maximal cones, which the
-library now decides by separation certificates first.  The seeded fans
-that the differential tests share are drawn here too.
+library now decides by separation certificates first, and Fan.make's
+maximality filter that ran contains_cone on every pair of cones, which the
+library now screens by sign patterns and interior points first.  The holder
+search maps the rays and both signs of the lineality of each source cone.
+The seeded fans that the differential tests share are drawn here too.
 """
 
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from logfan.cone import Cone, _dot, intersect, is_face_of
-from logfan.fan import Fan, _tiles, star_subdivision
+from logfan.cone import Cone, _both_signs, _dot, intersect
+from logfan.fan import Fan, _distinct, _tiles, star_subdivision
 from logfan.gallery import run_gallery
 from logfan.lattice import is_unimodular, saturate_row_lattice
 
-from cone_reference import reference_simplicial_pieces
+from cone_reference import reference_is_face_of, reference_simplicial_pieces
 from lattice_reference import express_in_rows
 
 
@@ -94,15 +97,17 @@ def _covers(pieces, container: Cone) -> bool:
 
 
 def reference_holders(matrix, source, target) -> list:
-  """For each maximal source cone, its image rays and the indices of all
-  maximal target cones that contain them, each pair tested."""
+  """For each maximal source cone, the images of its rays and of both
+  signs of each lineality generator, and the indices of all maximal target
+  cones that contain them, each pair tested."""
   if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
     raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
                      % (matrix.rows, matrix.cols, source.ambient_rank,
                         target.ambient_rank))
   out = []
   for c in source.max_cones:
-    imgs = [matrix.apply(r) for r in c.rays]
+    imgs = [matrix.apply(r)
+            for r in list(c.rays) + _both_signs(c.lineality_basis)]
     out.append((imgs, [i for i, t in enumerate(target.max_cones)
                        if all(t.contains(v) for v in imgs)]))
   return out
@@ -137,7 +142,8 @@ def reference_subdivision_predicates(matrix, source, target) -> SimpleNamespace:
   full = False
   if partial:
     full = True
-    mapped = [Cone.from_rays([matrix.apply(r) for r in c.rays],
+    mapped = [Cone.from_rays([matrix.apply(r) for r in list(c.rays)
+                              + _both_signs(c.lineality_basis)],
                              target.ambient_rank)
               for c in source.max_cones]
     for t in target.max_cones:
@@ -159,10 +165,20 @@ def reference_validate(fan) -> SimpleNamespace:
   for i in range(len(mc)):
     for j in range(i + 1, len(mc)):
       w = intersect(mc[i], mc[j])
-      if not (is_face_of(w, mc[i]) and is_face_of(w, mc[j])):
+      if not (reference_is_face_of(w, mc[i])
+              and reference_is_face_of(w, mc[j])):
         problems.append(("intersection not a common face",
                          mc[i].rays, mc[j].rays))
   return SimpleNamespace(ok=not problems, violations=problems)
+
+
+def reference_make(cones, ambient_rank: int) -> Fan:
+  """Fan.make as it was: a cone is dropped when contains_cone finds it in
+  another cone of at least its dimension, every pair tested."""
+  pool = _distinct(cones, ambient_rank)
+  return Fan(ambient_rank, tuple(
+      c for c in pool if not any(o is not c and o.dim >= c.dim
+                                 and o.contains_cone(c) for o in pool)))
 
 
 def sampled_completeness(fan) -> bool:

@@ -10,7 +10,8 @@ call, at most one Hermite kernel per face it builds, and leaves every face
 where Cone.from_rays finds it.  The face budget refuses the cone over the
 cyclic polytope C(16, 8) and the rank-14 orthant before building a face,
 and holds for a fan's all_cones as a whole: the complete rank-12
-projective fan, whose 13 maximal cones are each within it, is refused.
+projective fan, whose 13 maximal cones are each within it, is refused
+before any face is built.
 """
 
 import random
@@ -158,19 +159,25 @@ def test_faces_refuses_a_cone_past_the_budget(gens, d, count):
   assert time.perf_counter() - t0 < 1.0
 
 
-def test_the_face_budget_holds_for_the_faces_of_a_whole_fan():
+def test_the_face_budget_holds_for_the_faces_of_a_whole_fan(monkeypatch):
   # 13 maximal cones of 4 096 faces each, 8 191 faces in all, which
-  # all_cones once built in 3.6 s; it stops at the second cone, and the
-  # message shows that no single cone passed the budget
+  # all_cones once built in 3.6 s, and once refused after building two
+  # cones' faces (2.2-2.8 s); it stops at the second cone's ray sets,
+  # before building any face, and the message shows that no single cone
+  # passed the budget
   d = 12
   rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
   rays.append((-1,) * d)
   fan = Fan(d, tuple(Cone.from_rays(rays[:i] + rays[i + 1:], d)
                      for i in range(d + 1)))
+  built = _count_calls(monkeypatch, cone_module, "_face")
+  t0 = time.perf_counter()
   with pytest.raises(ValueError,
                      match="faces capped at %d faces; this fan has more"
                      % MAX_FACES):
     fan.all_cones
+  assert time.perf_counter() - t0 < 0.5
+  assert built == []
 
 
 def test_the_face_budget_admits_the_rank_10_orthant():

@@ -218,10 +218,11 @@ def test_pair_strata_and_boundary_subfan_match_the_closure(label):
 
 
 def _count_faces(monkeypatch):
-  """Replace every binding of cone.faces in the logfan modules by a
+  """Replace every binding of cone._closed_sets, the face enumeration that
+  both cone.faces and Fan.all_cones run, in the logfan modules by a
   counting wrapper; return the list the calls are appended to."""
   calls = []
-  orig = cone_module.faces
+  orig = cone_module._closed_sets
 
   def counted(sigma):
     calls.append(sigma)

@@ -10,22 +10,23 @@ double description, started from one adjugate; a pointed cone's rays are
 read from the incidences of its generators with its facets, so only a cone
 with lineality converts a second time.  Conversions go through one bounded
 least-recently-used cache (_cone_from_gens), which faces fills too.  The
-incidence is kept from that conversion, never recomputed: faces come from
-closing facet_rays under intersection and are built from the parent's
-rays, lineality and normals with no conversion (_face), the triangulation
-recurses on it, the fan layer reads the smallest face holding a point off
-it (_smallest_face), and the face test reads the smallest face holding a
-set of rays off it, one AND of facet ray sets with no dot product
-(_closure).
+incidence is kept from that conversion, never recomputed: faces are
+counted by closing facet_rays under intersection, then walked top-down,
+each built from a parent face one dimension up with no conversion
+(_walk_faces, _child_face); the triangulation recurses on it, the fan
+layer reads the smallest face holding a point off it (_smallest_face), and
+the face test reads the smallest face holding a set of rays off it, one
+AND of facet ray sets with no dot product (_closure).
 Hilbert-basis candidates come from the group of the lattice modulo the rays
 of each simplicial piece, and are reduced by comparing their facet values,
 the numbers their grading is the sum of.  The lattice work is only what the
 answer needs: a Hermite kernel (_kernel_rows, one Hermite pass, for span
 normals or lineality) is taken only when the rank shows the kernel is not
-{0}, and the conversion's start, each simplicial piece and each face's
-projection onto its span get their adjugate and determinant from one
-fraction-free elimination (_adjugate).  Smoothness is one Hermite pass
-over the transposed rays (_extends_to_basis), not a loop over maximal
+{0}, and the conversion's start and each simplicial piece get their
+adjugate and determinant from one fraction-free elimination (_adjugate).
+A face's facet normals need no adjugate: each is a parent's normal
+projected onto the face's span by two terms.  Smoothness is one Hermite
+pass over the transposed rays (_extends_to_basis), not a loop over maximal
 minors.  These, and the back-substitution of _span_coordinates
 (_echelon_coords), are lattice.py's, on row lists.
 Hilbert bases have one work budget, MAX_HILBERT_INDEX, and faces one,
@@ -568,17 +569,21 @@ def faces(sigma: Cone) -> list:
   the ray sets of the faces are the full set closed under intersection with
   each facet's ray set, sigma.facet_rays (Kaibel & Pfetsch 2002); the sets
   are int bitsets over the rays, counted against MAX_FACES before any face
-  is built (_closed_sets).  Each proper face is then built from sigma's
-  stored data (_face), with no conversion, and goes through the conversion
-  cache under the key Cone.from_rays would give it, so that fans find the
-  faces they share (_cached_face).  Sorted by _order_key so the output is
-  deterministic.
+  is built (_closed_sets).  The faces are then walked top-down, each built
+  from a parent one dimension up with no conversion and no Gram matrix,
+  through the conversion cache under the key Cone.from_rays would give it,
+  so that fans find the faces they share (_walk_faces).  Sorted by
+  _order_key so the output is deterministic.
 
   Raises:
     ValueError: if the cone has more than MAX_FACES faces.
   """
-  return sorted((_cached_face(sigma, y) for y in _closed_sets(sigma)),
-                key=_order_key)
+  closed = _closed_sets(sigma)
+  out = {}
+  _walk_faces(sigma, out)
+  if len(out) != len(closed):
+    raise RuntimeError("the walk found %d faces of %d" % (len(out), len(closed)))
+  return sorted(out.values(), key=_order_key)
 
 
 def _closed_sets(sigma: Cone) -> set:
@@ -605,44 +610,65 @@ def _closed_sets(sigma: Cone) -> set:
   return closed
 
 
-def _cached_face(sigma: Cone, y: int) -> Cone:
-  """The face of sigma on the rays in the closed int bitset y, read from
-  the conversion cache under the key Cone.from_rays of its rays and both
-  signs of sigma's lineality would use, or built by _face and stored."""
-  face_rays = _pick(sigma.rays, y)
-  lin_gens = tuple(_both_signs(sigma.lineality_basis))
-  key = (tuple(sorted(face_rays + lin_gens)) if lin_gens else face_rays,
-         sigma.ambient_rank)
-  cone = _cached(key)
-  if cone is None:
-    full = (1 << len(sigma.rays)) - 1
-    cone = _store(key, sigma if y == full else _face(sigma, y, face_rays))
-  return cone
-
-
-def _face(sigma: Cone, y: int, face_rays: tuple) -> Cone:
-  """The proper face of sigma on the rays in the int bitset y, built from
-  sigma's stored data, field by field as the conversion would give it.
-
-  The lineality is sigma's, and the span normals are the Hermite kernel of
-  the rays and the lineality (_kernel_rows).  The facets of the face are
-  its maximal proper cuts y & s by sigma's facet ray sets, as
-  _simplicial_pieces reads them, re-indexed to the face's rays.  The facet
-  normal of a cut is the primitive orthogonal projection onto the face's
-  span of a normal n of sigma that makes the cut: with S the span normals
-  and G = S S^T, that is det(G) n - S^T adj(G) S n, which agrees with n on
-  the span, so it vanishes on the cut and is positive on the rest of the
-  face; det(G) > 0 as the rows of S are independent.  The normals are
-  sorted, as the conversion sorts them.
+def _walk_faces(sigma: Cone, out: dict):
+  """Put every face of sigma in out, keyed as the conversion cache keys
+  it, walking down from sigma through the facets of each face: every face
+  but sigma is a facet of a face one dimension up.  A face is read from
+  the conversion cache, or built from its parent (_child_face) and stored;
+  either way its children come from its own facet_normals and facet_rays.
+  A face already in out (from another cone that shares it, for
+  Fan.all_cones) is not walked again, nor are its faces, which out holds.
   """
   d = sigma.ambient_rank
-  lin = sigma.lineality_basis
-  span = _kernel_rows(list(face_rays) + list(lin), d)
+  lin_gens = tuple(_both_signs(sigma.lineality_basis))
+
+  def key(rays):
+    return (tuple(sorted(rays + lin_gens)) if lin_gens else rays, d)
+
+  top = key(sigma.rays)
+  if top in out:
+    return
+  out[top] = _cached(top) or _store(top, sigma)
+  todo = [out[top]]
+  while todo:
+    parent = todo.pop()
+    for k, f in enumerate(parent.facet_rays):
+      rays = _pick(parent.rays, f)
+      face_key = key(rays)
+      if face_key in out:
+        continue
+      face = _cached(face_key)
+      if face is None:
+        face = _store(face_key, _child_face(parent, k, rays))
+      out[face_key] = face
+      todo.append(face)
+
+
+def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
+  """The facet F of parent on its facet normal nu = parent.facet_normals[k],
+  with the given rays, built field by field as the conversion gives it.
+
+  The span normals are the Hermite kernel of the rays and the lineality
+  (_kernel_rows).  A ridge of the parent lies in exactly two of its facets
+  (the diamond property; Ziegler, Lectures on Polytopes, 1995, ch. 2), so
+  F's facets are its cuts F & G by other facets G that are ridges; every
+  proper cut lies in one, so as ray sets they are the maximal proper cuts,
+  re-indexed to F's rays.  G's normal mu gives the cut the normal
+  primitive(<nu, nu> mu - <mu, nu> nu), exactly: the parent's normals lie
+  in its span, where nu spans the orthogonal complement of span(F), so
+  this is mu projected onto span(F), scaled by <nu, nu> > 0.  It agrees
+  with mu on F, and as a primitive vector of span(F) it is the normal the
+  conversion gives.  The normals are sorted, as the conversion sorts them.
+  """
+  d = parent.ambient_rank
+  lin = parent.lineality_basis
+  span = _kernel_rows(list(rays) + list(lin), d)
+  f = parent.facet_rays[k]
   cuts = {}
-  for n, s in zip(sigma.facet_normals, sigma.facet_rays):
-    x = y & s
-    if x != y and x not in cuts:
-      cuts[x] = n
+  for j, s in enumerate(parent.facet_rays):
+    x = f & s
+    if x != f and x not in cuts:
+      cuts[x] = j
   facets = []
   if cuts:
     # a cut inside another lies inside a maximal one, so the maximal cuts
@@ -651,18 +677,17 @@ def _face(sigma: Cone, y: int, face_rays: tuple) -> Cone:
     for x in sorted(cuts, key=int.bit_count, reverse=True):
       if not any(x & z == x for z in kept):
         kept.append(x)
-    adj, det = _adjugate([[_dot(a, b) for b in span] for a in span])
-    cols = list(zip(*span))
-    where = [j for j in range(len(sigma.rays)) if y >> j & 1]
+    nu = parent.facet_normals[k]
+    nn = _dot(nu, nu)
+    # bit t of the parent's rays, for each ray of F in order
+    on = [1 << t for t in range(len(parent.rays)) if f >> t & 1]
     for x in kept:
-      n = cuts[x]
-      sn = [_dot(a, n) for a in span]
-      w = [_dot(row, sn) for row in adj]
-      normal = primitive([det * c - _dot(w, col) for c, col in zip(n, cols)])
-      facets.append((normal, sum(1 << t for t, j in enumerate(where)
-                                 if x >> j & 1)))
+      mu = parent.facet_normals[cuts[x]]
+      c = _dot(mu, nu)
+      normal = primitive([nn * a - c * b for a, b in zip(mu, nu)])
+      facets.append((normal, sum(1 << i for i, b in enumerate(on) if x & b)))
     facets.sort()
-  return Cone(ambient_rank=d, rays=face_rays, lineality_basis=lin,
+  return Cone(ambient_rank=d, rays=rays, lineality_basis=lin,
               facet_normals=tuple(nu for nu, _ in facets),
               facet_rays=tuple(bits for _, bits in facets),
               span_normals=tuple(span), _dim=d - len(span))

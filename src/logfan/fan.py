@@ -37,8 +37,8 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (MAX_FACES, Cone, _both_signs, _cached_face, _closed_sets,
-                   _dot, _neg, _order_key, _pick, _smallest_face,
+from .cone import (MAX_FACES, Cone, _both_signs, _closed_sets, _dot, _neg,
+                   _order_key, _pick, _smallest_face, _walk_faces,
                    hilbert_basis, intersect, is_face_of, is_smooth)
 from .lattice import IntMatrix, is_unimodular
 
@@ -104,21 +104,26 @@ class Fan:
     The faces budget MAX_FACES holds for the whole fan: the ray sets of
     the cones' faces (_closed_sets), keyed by their rays and lineality, are
     united cone by cone and refused as soon as they pass the budget, before
-    any face is built.
+    any face is built.  Then the faces are walked top-down from each cone
+    into one dict (_walk_faces), so a face that cones share is built once.
 
     Raises:
       ValueError: if the fan has more than MAX_FACES cones.
     """
-    sets = {}
+    sets = set()
     for c in self.max_cones:
       for y in _closed_sets(c):
-        key = (_pick(c.rays, y), c.lineality_basis)
-        if key not in sets:
-          sets[key] = (c, y)
-          if len(sets) > MAX_FACES:
-            raise ValueError("faces capped at %d faces; this fan has more"
-                             % MAX_FACES)
-    return frozenset(_cached_face(c, y) for c, y in sets.values())
+        sets.add((_pick(c.rays, y), c.lineality_basis))
+        if len(sets) > MAX_FACES:
+          raise ValueError("faces capped at %d faces; this fan has more"
+                           % MAX_FACES)
+    out = {}
+    for c in self.max_cones:
+      _walk_faces(c, out)
+    if len(out) != len(sets):
+      raise RuntimeError("the walk found %d faces of %d"
+                         % (len(out), len(sets)))
+    return frozenset(out.values())
 
   @property
   def rays(self) -> tuple:
@@ -180,6 +185,19 @@ def _cut(n, rays, bits):
   return on
 
 
+def _same_rays(a: int, b: int, to_s: list) -> bool:
+  """Whether the rays of s in the int bitset a are those of t in b, where
+  to_s[j] is the bit of t's ray j among s's rays (0 if s lacks it): the
+  map is one to one, so the sets are equal iff they have the same size
+  and a holds the image of every ray of b."""
+  if a.bit_count() != b.bit_count():
+    return False
+  for j, bit in enumerate(to_s):
+    if b >> j & 1 and not a & bit:
+      return False
+  return True
+
+
 def _certified(s: Cone, t: Cone) -> bool:
   """Whether a separation certificate shows that the strictly convex cones
   s and t meet in a common face.
@@ -195,11 +213,14 @@ def _certified(s: Cone, t: Cone) -> bool:
   of s and the negated facet normals of t (the separation lemma: Fulton
   1993, 1.2; Cox-Little-Schenck 2011, 1.2.13).  A facet normal is >= 0 on
   its own cone, and its rays on the kernel are read off facet_rays, so
-  only its values on the other cone's rays take dot products.  False
-  proves nothing: the caller decides the pair exactly.
+  only its values on the other cone's rays take dot products, and A and B
+  are compared as bitsets (_same_rays).  False proves nothing: the caller
+  decides the pair exactly.
   """
   cones = (s, t)
   bits = [(1 << len(s.rays)) - 1, (1 << len(t.rays)) - 1]
+  where = {r: j for j, r in enumerate(s.rays)}
+  to_s = [1 << where[r] if r in where else 0 for r in t.rays]
   changed = True
   while changed:
     changed = False
@@ -211,7 +232,7 @@ def _certified(s: Cone, t: Cone) -> bool:
           continue
         bits[i] &= keep
         bits[1 - i] = on
-        if _pick(s.rays, bits[0]) == _pick(t.rays, bits[1]):
+        if _same_rays(bits[0], bits[1], to_s):
           return True
         changed = True
   return False

@@ -482,9 +482,7 @@ def complement_projection(sub_basis: list, dim: int) -> IntMatrix:
 
 def primitive(v) -> tuple[int, ...]:
   """Scale a nonzero integer vector down by the gcd of its entries."""
-  g = 0
-  for x in v:
-    g = gcd(g, x)
+  g = gcd(*v)
   if g == 0:
     raise ValueError("zero vector has no primitive form")
   return tuple(x // g for x in v)

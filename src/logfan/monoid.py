@@ -95,11 +95,12 @@ def _unit_split(P: AffineMonoid):
   """Split the generators along the lineality of the recession cone, and
   project once to the quotient by the units.
 
-  Returns (units_basis, rest, pi, pgens, pc, grade_vec): units_basis
+  Returns (units_basis, rest, pi, pgens, pc, grade_vec, C): units_basis
   generates the unit group P*, rest is the tuple of the other generators, pi
-  kills the saturated span of the units, and pgens, pc and grade_vec are the
+  kills the saturated span of the units, pgens, pc and grade_vec are the
   images of rest, their cone and the sum of its facet normals (_member
-  checks that pc is pointed and the gradings positive).
+  checks that pc is pointed and the gradings positive), and C is the cone
+  of P, built here once per monoid.
   """
   C = P.cone
   unit_gens = [g for g in P.gens if C.contains(_neg(g))]
@@ -110,14 +111,14 @@ def _unit_split(P: AffineMonoid):
   pgens = tuple(pi.apply(r) for r in rest)
   pc = Cone.from_rays(pgens, pi.rows)
   grade_vec = tuple(sum(nu[i] for nu in pc.facet_normals) for i in range(pi.rows))
-  return basis, rest, pi, pgens, pc, grade_vec
+  return basis, rest, pi, pgens, pc, grade_vec, C
 
 
 @lru_cache(maxsize=65536)
 def _member(P: AffineMonoid, v: tuple) -> bool:
-  if not P.cone.contains(v):
+  units, rest, pi, pgens, pc, grade_vec, C = _unit_split(P)
+  if not C.contains(v):
     return False
-  units, rest, pi, pgens, pc, grade_vec = _unit_split(P)
   # both bases are Hermite, so echelon: one back-substitution each
   if _echelon_coords(_gp_basis(P), v) is None:
     return False
@@ -160,7 +161,12 @@ def _member(P: AffineMonoid, v: tuple) -> bool:
     memo[key] = out
     return out
 
-  return search(0, w, tuple(v))
+  try:
+    return search(0, w, tuple(v))
+  finally:
+    # search refers to itself, so its memo would wait for the cyclic
+    # garbage collector; dropping the name frees it here
+    del search
 
 
 def membership(P: AffineMonoid, x) -> bool:

@@ -13,6 +13,8 @@ the earlier code as a differential oracle:
   ray-facet incidence by dot products, and the zero cone built directly;
 - faces by one cone per subset of facet normals, and by one conversion per
   closed ray set of the incidence;
+- a face built from the whole cone's stored data, its facet normals as
+  orthogonal projections through the adjugate of a Gram matrix;
 - parallelepiped points by a walk over every integer point of the bounding
   box;
 - Hilbert bases reduced by a recursive search for a way to write each
@@ -35,7 +37,7 @@ from logfan.cone import (
     _order_key,
     _pick,
 )
-from logfan.lattice import _kernel_rows, primitive
+from logfan.lattice import _adjugate, _kernel_rows, primitive
 
 
 def _kernel_small(rows, d):
@@ -379,3 +381,49 @@ def reference_faces_by_conversion(sigma: Cone) -> list:
   out = [_convert(tuple(sorted(list(_pick(rays, y)) + lin_gens)),
                   sigma.ambient_rank) for y in closed]
   return sorted(out, key=_order_key)
+
+
+def reference_face_by_projection(sigma: Cone, y: int) -> Cone:
+  """The face of sigma on the rays in the closed int bitset y, built from
+  sigma's stored data, field by field as the conversion would give it.
+
+  The lineality is sigma's, and the span normals are the Hermite kernel of
+  the rays and the lineality.  The facets of the face are its maximal
+  proper cuts y & s by sigma's facet ray sets, re-indexed to the face's
+  rays.  The facet normal of a cut is the primitive orthogonal projection
+  onto the face's span of a normal n of sigma that makes the cut: with S
+  the span normals and G = S S^T, that is det(G) n - S^T adj(G) S n, which
+  agrees with n on the span.  The whole cone, y all ones, is sigma.
+  """
+  if y == (1 << len(sigma.rays)) - 1:
+    return sigma
+  d = sigma.ambient_rank
+  lin = sigma.lineality_basis
+  face_rays = _pick(sigma.rays, y)
+  span = _kernel_rows(list(face_rays) + list(lin), d)
+  cuts = {}
+  for n, s in zip(sigma.facet_normals, sigma.facet_rays):
+    x = y & s
+    if x != y and x not in cuts:
+      cuts[x] = n
+  facets = []
+  if cuts:
+    kept = []
+    for x in sorted(cuts, key=int.bit_count, reverse=True):
+      if not any(x & z == x for z in kept):
+        kept.append(x)
+    adj, det = _adjugate([[_dot(a, b) for b in span] for a in span])
+    cols = list(zip(*span))
+    where = [j for j in range(len(sigma.rays)) if y >> j & 1]
+    for x in kept:
+      n = cuts[x]
+      sn = [_dot(a, n) for a in span]
+      w = [_dot(row, sn) for row in adj]
+      normal = primitive([det * c - _dot(w, col) for c, col in zip(n, cols)])
+      facets.append((normal, sum(1 << t for t, j in enumerate(where)
+                                 if x >> j & 1)))
+    facets.sort()
+  return Cone(ambient_rank=d, rays=face_rays, lineality_basis=lin,
+              facet_normals=tuple(nu for nu, _ in facets),
+              facet_rays=tuple(bits for _, bits in facets),
+              span_normals=tuple(span), _dim=d - len(span))

@@ -10,6 +10,9 @@ of reference_validate, which intersects every pair: the same ok flag and
 the same violations in the same order.  A certificate never holds for a
 pair whose intersection is not a common face.  On fans no pair is left
 open, which fallbacks, the count of pairs that took the exact test, shows.
+The certificate compares its two ray sets as bitsets through one map from
+t's rays to s's (_same_rays), which must agree with comparing the ray
+tuples, and validate builds no ray tuple.
 """
 
 import pathlib
@@ -25,10 +28,12 @@ from covering_reference import (
 )
 from resolution_reference import criterion_11_fans
 from logfan.cli import parse_document
-from logfan.cone import Cone, intersect, is_face_of
+from logfan import fan as fan_module
+from logfan.cone import Cone, _pick, intersect, is_face_of
 from logfan.fan import (
     Fan,
     _certified,
+    _same_rays,
     product_fan,
     resolve_2d,
     star_subdivision,
@@ -180,3 +185,45 @@ def test_overlap_takes_one_fallback():
   report = validate(_overlap())
   assert not report.ok
   assert report.fallbacks == 1
+
+
+def _same_by_tuples(s, t, a, b):
+  return _pick(s.rays, a) == _pick(t.rays, b)
+
+
+def test_same_rays_agrees_with_the_ray_tuples():
+  rng = random.Random(41)
+  pairs = 0
+  for d in (2, 3, 4):
+    for _ in range(60):
+      pool = _pool(rng, d, d + 2)
+      s, t = _random_cone(rng, d, pool), _random_cone(rng, d, pool)
+      if s is None or t is None or not set(s.rays) & set(t.rays):
+        continue
+      pairs += 1
+      where = {r: j for j, r in enumerate(s.rays)}
+      to_s = [1 << where[r] if r in where else 0 for r in t.rays]
+      equal = 0
+      for a in range(1 << len(s.rays)):
+        for b in range(1 << len(t.rays)):
+          want = _same_by_tuples(s, t, a, b)
+          assert _same_rays(a, b, to_s) == want, (s.rays, t.rays, a, b)
+          equal += want
+      # at least the empty sets and the shared rays match
+      assert equal >= 2
+  assert pairs >= 60
+
+
+def test_validate_builds_no_ray_tuple(monkeypatch):
+  # a complete rank-2 fan of 62 cones: every pair is certified, and once
+  # each shrink built two ray tuples to compare
+  cones = [Cone.from_rays([(1, k), (1, k + 1)], 2) for k in range(-30, 30)]
+  cones += [Cone.from_rays([(1, 30), (-1, 0)], 2),
+            Cone.from_rays([(-1, 0), (1, -30)], 2)]
+  fan = Fan(2, tuple(cones))
+  calls = []
+  monkeypatch.setattr(fan_module, "_pick",
+                      lambda *args: calls.append(args) or _pick(*args))
+  report = validate(fan)
+  assert report.ok and report.fallbacks == 0
+  assert calls == []

@@ -1,17 +1,25 @@
-"""faces builds each face from the parent cone's incidence, with no
-conversion, and fills the conversion cache as Cone.from_rays would.
+"""faces builds each face from its parent face, with no conversion, and
+fills the conversion cache as Cone.from_rays would.
 
-Every face must equal, field by field, the cone that one conversion of its
-rays and lineality gives (reference_faces_by_conversion in
-cone_reference.py, the earlier faces): rays, lineality, facet normals in
-their order, the incidence facet_rays, span normals and dimension.  The
-work guards count calls: faces makes no conversion and no Cone.from_rays
-call, at most one Hermite kernel per face it builds, and leaves every face
-where Cone.from_rays finds it.  The face budget refuses the cone over the
-cyclic polytope C(16, 8) and the rank-14 orthant before building a face,
-and holds for a fan's all_cones as a whole: the complete rank-12
-projective fan, whose 13 maximal cones are each within it, is refused
-before any face is built.
+faces walks the faces of a cone top-down: each face is a facet of a parent
+one dimension up, its span normals come from one Hermite kernel, and each
+of its facet normals is the projection of the parent's other facet normal
+onto its span by two terms, with no Gram matrix (_child_face).  Every face
+must equal, field by field, the cone that one conversion of its rays and
+lineality gives (reference_faces_by_conversion in cone_reference.py, the
+earlier faces), and the face that the earlier builder gives from the whole
+cone's data through the adjugate of a Gram matrix
+(reference_face_by_projection): rays, lineality, facet normals in their
+order, the incidence facet_rays, span normals and dimension.  So must the
+faces of Fan.all_cones, for fans whose cones share faces.  The work guards
+count calls: faces makes no conversion, no Cone.from_rays call and no
+adjugate, at most one Hermite kernel per face it builds, builds no face
+that the cache holds (nor, for a fan, any shared face twice), and leaves
+every face where Cone.from_rays finds it.  The face budget refuses the
+cone over the cyclic polytope C(16, 8) and the rank-14 orthant before
+building a face, and holds for a fan's all_cones as a whole: the complete
+rank-12 projective fan, whose 13 maximal cones are each within it, is
+refused before any face is built.
 """
 
 import random
@@ -24,13 +32,20 @@ from logfan.cone import (
     MAX_FACES,
     Cone,
     _both_signs,
+    _closed_sets,
     _cone_from_gens,
+    _order_key,
+    _pick,
     faces,
 )
 
-from logfan.fan import Fan
+from logfan.fan import Fan, product_fan
 
-from cone_reference import reference_faces_by_conversion
+from cone_reference import (
+    reference_face_by_projection,
+    reference_faces_by_conversion,
+)
+from covering_reference import projective_fan
 from test_cone_core import CUBE_13, CYCLIC_8, REACH_13_RAYS, _count_calls
 
 
@@ -57,11 +72,17 @@ def _seeded_cones(d, count):
   return out
 
 
+def _by_projection(sigma):
+  """Every face of sigma by the earlier builder, sorted as faces sorts."""
+  return sorted((reference_face_by_projection(sigma, y)
+                 for y in _closed_sets(sigma)), key=_order_key)
+
+
 def _check(sigma):
   _cone_from_gens.cache_clear()
-  got = faces(sigma)
-  want = reference_faces_by_conversion(sigma)
-  assert [_fields(f) for f in got] == [_fields(f) for f in want], sigma
+  got = [_fields(f) for f in faces(sigma)]
+  assert got == [_fields(f) for f in reference_faces_by_conversion(sigma)], sigma
+  assert got == [_fields(f) for f in _by_projection(sigma)], sigma
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -105,10 +126,12 @@ def test_faces_make_no_conversion_and_one_kernel_per_face(monkeypatch, gens):
   _cone_from_gens.cache_clear()
   conversions = _count_calls(monkeypatch, cone_module, "_pointed_extreme_rays")
   from_rays = _count_calls(monkeypatch, Cone, "from_rays", static=True)
-  built = _count_calls(monkeypatch, cone_module, "_face")
+  built = _count_calls(monkeypatch, cone_module, "_child_face")
   kernels = _count_calls(monkeypatch, cone_module, "_kernel_rows")
+  # the facet normals are two-term projections, with no Gram matrix
+  adjugates = _count_calls(monkeypatch, cone_module, "_adjugate")
   out = faces(sigma)
-  assert conversions == [] and from_rays == []
+  assert conversions == [] and from_rays == [] and adjugates == []
   assert len(built) == len(out) - 1  # sigma itself is not rebuilt
   assert len(kernels) <= len(built)
 
@@ -130,11 +153,105 @@ def test_after_faces_every_face_is_a_conversion_cache_hit(monkeypatch, gens):
   assert conversions == []
 
 
+def _parents(monkeypatch):
+  """Count _child_face calls; return the list of the parents they got."""
+  parents = []
+  orig = cone_module._child_face
+
+  def counted(parent, *args):
+    parents.append(parent)
+    return orig(parent, *args)
+
+  monkeypatch.setattr(cone_module, "_child_face", counted)
+  return parents
+
+
+@pytest.mark.parametrize("gens", WORK_CONES,
+                         ids=["13-ray", "cyclic-8", "cube-13", "lineality-3",
+                              "square-in-rank-4"])
+def test_the_faces_of_a_cached_face_are_read_not_built(monkeypatch, gens):
+  d = len(gens[0])
+  sigma = Cone.from_rays(gens, d)
+  _cone_from_gens.cache_clear()
+  tau = max((f for f in faces(sigma) if f != sigma), key=_order_key)
+  assert tau.dim == sigma.dim - 1
+  parents = _parents(monkeypatch)
+  dots = _count_calls(monkeypatch, cone_module, "_dot")
+  got = faces(tau)
+  assert parents == [] and dots == []
+  assert ([_fields(f) for f in got]
+          == [_fields(f) for f in reference_faces_by_conversion(tau)])
+
+
+@pytest.mark.parametrize("gens", WORK_CONES,
+                         ids=["13-ray", "cyclic-8", "cube-13", "lineality-3",
+                              "square-in-rank-4"])
+def test_faces_build_below_a_facet_a_conversion_cached(monkeypatch, gens):
+  # the last facet is walked first, so its faces are built from the
+  # conversion's facet data, not from sigma's
+  d = len(gens[0])
+  sigma = Cone.from_rays(gens, d)
+  _cone_from_gens.cache_clear()
+  facet = Cone.from_rays(list(_pick(sigma.rays, sigma.facet_rays[-1]))
+                         + _both_signs(sigma.lineality_basis), d)
+  parents = _parents(monkeypatch)
+  out = faces(sigma)
+  assert next(f for f in out if f == facet) is facet
+  assert len(parents) == len(out) - 2
+  assert any(p is facet for p in parents)
+  assert ([_fields(f) for f in out]
+          == [_fields(f) for f in reference_faces_by_conversion(sigma)])
+
+
+def _lineality_fan():
+  """Three cones around the line through (0, 0, 1), each pair sharing a
+  face that holds the line."""
+  line = [(0, 0, 1), (0, 0, -1)]
+  return Fan(3, tuple(Cone.from_rays(list(g) + line, 3) for g in
+                      ([(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (-1, -1, 0)],
+                       [(-1, -1, 0), (1, 0, 0)])))
+
+
+SHARED_FANS = {
+    "projective-3": lambda: projective_fan(3),
+    "projective-4": lambda: projective_fan(4),
+    "cube-fan": lambda: product_fan(product_fan(projective_fan(1),
+                                                projective_fan(1)),
+                                    projective_fan(1)),
+    "p2-times-p1": lambda: product_fan(projective_fan(2), projective_fan(1)),
+    "around-a-line": _lineality_fan,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FANS))
+def test_all_cones_builds_each_shared_face_once(monkeypatch, name):
+  fan = SHARED_FANS[name]()
+  _cone_from_gens.cache_clear()
+  parents = _parents(monkeypatch)
+  kernels = _count_calls(monkeypatch, cone_module, "_kernel_rows")
+  adjugates = _count_calls(monkeypatch, cone_module, "_adjugate")
+  got = {(f.rays, f.lineality_basis): _fields(f) for f in fan.all_cones}
+  # every face but the maximal cones is built, once, however many maximal
+  # cones share it
+  assert len(parents) == len(got) - len(fan.max_cones)
+  assert len(kernels) <= len(parents) and adjugates == []
+  shared = set()
+  for i, c in enumerate(fan.max_cones):
+    for f in fan.max_cones[i + 1:]:
+      shared |= set(c.rays) & set(f.rays)
+  assert shared
+  for c in fan.max_cones:
+    for f in reference_faces_by_conversion(c):
+      assert got[(f.rays, f.lineality_basis)] == _fields(f)
+    for f in _by_projection(c):
+      assert got[(f.rays, f.lineality_basis)] == _fields(f)
+
+
 def test_faces_reads_the_faces_a_conversion_left_in_the_cache(monkeypatch):
   sigma = Cone.from_rays(CYCLIC_8, 5)
   _cone_from_gens.cache_clear()
   ray = Cone.from_rays([CYCLIC_8[0]], 5)
-  built = _count_calls(monkeypatch, cone_module, "_face")
+  built = _count_calls(monkeypatch, cone_module, "_child_face")
   out = faces(sigma)
   assert ray in out and next(f for f in out if f == ray) is ray
   assert len(built) == len(out) - 2
@@ -170,7 +287,7 @@ def test_the_face_budget_holds_for_the_faces_of_a_whole_fan(monkeypatch):
   rays.append((-1,) * d)
   fan = Fan(d, tuple(Cone.from_rays(rays[:i] + rays[i + 1:], d)
                      for i in range(d + 1)))
-  built = _count_calls(monkeypatch, cone_module, "_face")
+  built = _count_calls(monkeypatch, cone_module, "_child_face")
   t0 = time.perf_counter()
   with pytest.raises(ValueError,
                      match="faces capped at %d faces; this fan has more"

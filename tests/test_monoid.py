@@ -129,6 +129,32 @@ def test_membership_budget_counts_memo_hits():
   assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("gens, d", [
+    ([(1, 0), (0, 1)], 2),
+    ([(0, 3), (0, -3), (1, 0), (1, 1)], 2),
+    ([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)], 3),
+    ([(2,), (3,)], 1),
+], ids=["quadrant", "with-units", "square-cone", "numerical"])
+def test_membership_on_a_warm_monoid_builds_no_cone(monkeypatch, gens, d):
+  # the cone of the monoid comes from the record made once per monoid,
+  # not from a Cone.from_rays of every generator per vector
+  p = _mono(gens, d)
+  membership(p, (0,) * d)
+  calls = []
+  orig = logfan.cone.Cone.from_rays
+
+  def counted(*args, **kwargs):
+    calls.append(args)
+    return orig(*args, **kwargs)
+
+  monkeypatch.setattr(logfan.cone.Cone, "from_rays", staticmethod(counted))
+  rng = random.Random(3)
+  answers = {membership(p, tuple(rng.randint(-3, 5) for _ in range(d)))
+             for _ in range(30)}
+  assert answers == {True, False}
+  assert calls == []
+
+
 def test_membership_dimension_mismatch():
   with pytest.raises(ValueError):
     membership(N2, (1, 2, 3))

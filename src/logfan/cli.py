@@ -358,8 +358,20 @@ _CENTER = _VIEW / 2.0
 _RADIUS = 180.0
 
 
+def _drawn(ray) -> tuple:
+  """ray, or where its entries overflow the drawing's floats, ray over its
+  largest absolute entry, correctly rounded: the same direction."""
+  m = max(map(abs, ray))
+  try:
+    if math.isfinite(_RADIUS * m):
+      return ray
+  except OverflowError:
+    pass
+  return tuple(c / m for c in ray)
+
+
 def _endpoint(ray) -> tuple:
-  x, y = ray
+  x, y = _drawn(ray)
   norm = math.hypot(x, y)
   return (_CENTER + _RADIUS * x / norm, _CENTER - _RADIUS * y / norm)
 
@@ -369,10 +381,15 @@ def _fmt(value: float) -> str:
 
 
 def _wedge_path(cone: Cone) -> str:
-  a, b = cone.rays
+  a, b = map(_drawn, cone.rays)
   na = math.hypot(*a)
   nb = math.hypot(*b)
   mid = (a[0] / na + b[0] / nb, a[1] / na + b[1] / nb)
+  if mid == (0, 0):
+    # opposite in floats: a's normal on b's side, by the integer rays
+    (p, q), (r, t) = cone.rays
+    turn = 1 if p * t > q * r else -1
+    mid = (-turn * a[1], turn * a[0])
   points = [_endpoint(a), _endpoint(mid), _endpoint(b)]
   steps = " ".join("L%s,%s" % (_fmt(px), _fmt(py)) for px, py in points)
   return "M%s,%s %s Z" % (_fmt(_CENTER), _fmt(_CENTER), steps)

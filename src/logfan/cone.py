@@ -10,13 +10,12 @@ double description, started from one adjugate; a pointed cone's rays are
 read from the incidences of its generators with its facets, so only a cone
 with lineality converts a second time.  Conversions go through one bounded
 least-recently-used cache (_cone_from_gens), which faces fills too.  The
-incidence is kept from that conversion, never recomputed: faces are
-counted by closing facet_rays under intersection, then walked top-down,
-each built from a parent face one dimension up with no conversion
-(_walk_faces, _child_face); the triangulation recurses on it, the fan
-layer reads the smallest face holding a point off it (_smallest_face), and
-the face test reads the smallest face holding a set of rays off it, one
-AND of facet ray sets with no dot product (_closure).
+incidence is kept from that conversion, never recomputed, and every face
+question is answered on it here: one budgeted face walk for a cone or a
+fan, each face built from a parent one dimension up with no conversion
+(_face_map, _child_face); one facet rule, the maximal proper cuts
+(_facets_of); one face test, a closed ray set of the same lineality
+(_is_face); and the smallest face holding a point (_smallest_face).
 Hilbert-basis candidates come from the group of the lattice modulo the rays
 of each simplicial piece, and are reduced by comparing their facet values,
 the numbers their grading is the sum of.  The lattice work is only what the
@@ -91,7 +90,12 @@ def _order_key(c) -> tuple:
 
 def _pick(rays, bits) -> tuple:
   """The rays whose bits are set in the int bitset bits, in order."""
-  return tuple(r for j, r in enumerate(rays) if bits >> j & 1)
+  out = []
+  while bits:
+    low = bits & -bits
+    out.append(rays[low.bit_length() - 1])
+    bits ^= low
+  return tuple(out)
 
 
 def _independent(echelon, row) -> bool:
@@ -417,15 +421,11 @@ def _simplicial_pieces(sigma: Cone):
   ray.  Yields tuples of independent rays covering sigma without overlap of
   interiors.
 
-  The recursion runs on faces as int bitsets over sigma's rays.  The facets
-  of a face F are its maximal proper intersections with sigma's facet ray
-  sets, sigma.facet_rays (the sets that faces closes over): each is a face
-  of F, and a facet G of F is F cut by a facet of sigma that holds G but
-  not F.  A face of dimension k with k rays is simplicial; otherwise its
-  first ray r0 is coned over the pieces of each facet of F that misses r0.
-  No cone is built per face.  The maximality test is needed from rank 6
-  on, where a smaller intersection can have as many rays as a facet of F
-  has dimension, and would be taken for a simplicial piece.
+  The recursion runs on faces as int bitsets over sigma's rays, and a
+  face's facets are read off sigma.facet_rays (_facets_of).  A face of
+  dimension k with k rays is simplicial; otherwise its first ray r0 is
+  coned over the pieces of each facet that misses r0.  No cone is built
+  per face.
   """
   rays = sigma.rays
 
@@ -434,12 +434,10 @@ def _simplicial_pieces(sigma: Cone):
       yield _pick(rays, face)
       return
     low = face & -face
-    cuts = {face & s for s in sigma.facet_rays} - {face}
-    for x in cuts:
-      if x & low or any(x != y and x & y == x for y in cuts):
-        continue
-      for piece in pieces(x, dim - 1):
-        yield (rays[low.bit_length() - 1],) + piece
+    for x in _facets_of(face, sigma.facet_rays):
+      if not x & low:
+        for piece in pieces(x, dim - 1):
+          yield (rays[low.bit_length() - 1],) + piece
 
   yield from pieces((1 << len(rays)) - 1, sigma.dim)
 
@@ -563,36 +561,56 @@ def hilbert_basis(sigma: Cone) -> list:
 
 
 def faces(sigma: Cone) -> list:
-  """All faces of the cone, including the minimal face and the cone itself.
+  """All faces of the cone, the minimal face and the cone itself included,
+  sorted by _order_key (_face_map); ValueError past MAX_FACES faces."""
+  return sorted(_face_map([sigma]).values(), key=_order_key)
 
-  A face's rays are those of the whole cone cut by some set of facets, so
-  the ray sets of the faces are the full set closed under intersection with
-  each facet's ray set, sigma.facet_rays (Kaibel & Pfetsch 2002); the sets
-  are int bitsets over the rays, counted against MAX_FACES before any face
-  is built (_closed_sets).  The faces are then walked top-down, each built
-  from a parent one dimension up with no conversion and no Gram matrix,
-  through the conversion cache under the key Cone.from_rays would give it,
-  so that fans find the faces they share (_walk_faces).  Sorted by
-  _order_key so the output is deterministic.
 
-  Raises:
-    ValueError: if the cone has more than MAX_FACES faces.
+def _face_map(cones) -> dict:
+  """Every face of the cones, once each, keyed by (rays, lineality_basis):
+  the one face enumeration, behind faces and Fan.all_cones.
+
+  First the budget: a cone's faces are its closed ray sets (_closed_sets,
+  which refuses one cone past MAX_FACES; Kaibel & Pfetsch 2002), united,
+  keyed as the faces, and refused past MAX_FACES before any face is built.
+  Then the walk, top-down, every face but a cone being a facet of a face
+  one dimension up: a face is read from the conversion cache, or built from
+  its parent (_child_face) and stored there under the key Cone.from_rays
+  would use.  The walk must find the budget's keys exactly.
   """
-  closed = _closed_sets(sigma)
+  budget = set()
+  for sigma in cones:
+    for y in _closed_sets(sigma):
+      budget.add((_pick(sigma.rays, y), sigma.lineality_basis))
+      if len(budget) > MAX_FACES:
+        raise ValueError("faces capped at %d faces; this fan has more"
+                         % MAX_FACES)
   out = {}
-  _walk_faces(sigma, out)
-  if len(out) != len(closed):
-    raise RuntimeError("the walk found %d faces of %d" % (len(out), len(closed)))
-  return sorted(out.values(), key=_order_key)
+  for sigma in cones:
+    lin = sigma.lineality_basis
+    lin_gens = tuple(_both_signs(lin))
+    todo = [(None, 0, sigma.rays)]
+    while todo:
+      parent, k, rays = todo.pop()
+      if (rays, lin) in out:
+        continue
+      key = (tuple(sorted(rays + lin_gens)) if lin_gens else rays,
+             sigma.ambient_rank)
+      face = _cached(key) or _store(key, sigma if parent is None
+                                    else _child_face(parent, k, rays))
+      out[rays, lin] = face
+      todo.extend((face, j, _pick(face.rays, f))
+                  for j, f in enumerate(face.facet_rays))
+  if out.keys() != budget:
+    raise RuntimeError("the walk found %d faces of %d"
+                       % (len(out), len(budget)))
+  return out
 
 
 def _closed_sets(sigma: Cone) -> set:
   """The int bitsets of the rays of sigma's faces: the full set closed
-  under intersection with each of sigma.facet_rays.
-
-  Raises:
-    ValueError: past MAX_FACES sets, as soon as the count passes it.
-  """
+  under intersection with each of sigma.facet_rays.  ValueError past
+  MAX_FACES sets, as soon as the count passes it."""
   facet_sets = set(sigma.facet_rays)
   full = (1 << len(sigma.rays)) - 1
   closed = {full}
@@ -610,38 +628,30 @@ def _closed_sets(sigma: Cone) -> set:
   return closed
 
 
-def _walk_faces(sigma: Cone, out: dict):
-  """Put every face of sigma in out, keyed as the conversion cache keys
-  it, walking down from sigma through the facets of each face: every face
-  but sigma is a facet of a face one dimension up.  A face is read from
-  the conversion cache, or built from its parent (_child_face) and stored;
-  either way its children come from its own facet_normals and facet_rays.
-  A face already in out (from another cone that shares it, for
-  Fan.all_cones) is not walked again, nor are its faces, which out holds.
+def _facets_of(face: int, sets) -> dict:
+  """The facets of the face F (an int bitset of a cone P's rays), largest
+  first, as a dict from each facet's ray set x to an index j with
+  x = F & sets[j], sets being P's facet_rays.
+
+  They are F's maximal proper cuts F & G by facets G of P.  Each cut is a
+  face of P inside F, so of F.  A facet H of F is a face of P, the meet of
+  the facets of P that hold it, one of which, G, misses F; so H lies in
+  the proper cut F & G, which is H.  For F a facet of P, H is a ridge and
+  G the other facet through it (the diamond property; Ziegler, Lectures on
+  Polytopes, 1995, ch. 2).  A cut inside another has fewer rays, so the
+  maximal ones are found largest first against those kept; from rank 6 on
+  a cut inside a facet can have as many rays as the facet's dimension.
   """
-  d = sigma.ambient_rank
-  lin_gens = tuple(_both_signs(sigma.lineality_basis))
-
-  def key(rays):
-    return (tuple(sorted(rays + lin_gens)) if lin_gens else rays, d)
-
-  top = key(sigma.rays)
-  if top in out:
-    return
-  out[top] = _cached(top) or _store(top, sigma)
-  todo = [out[top]]
-  while todo:
-    parent = todo.pop()
-    for k, f in enumerate(parent.facet_rays):
-      rays = _pick(parent.rays, f)
-      face_key = key(rays)
-      if face_key in out:
-        continue
-      face = _cached(face_key)
-      if face is None:
-        face = _store(face_key, _child_face(parent, k, rays))
-      out[face_key] = face
-      todo.append(face)
+  cuts = {}
+  for j, s in enumerate(sets):
+    x = face & s
+    if x != face and x not in cuts:
+      cuts[x] = j
+  kept = {}
+  for x in sorted(cuts, key=int.bit_count, reverse=True):
+    if not any(x & z == x for z in kept):
+      kept[x] = cuts[x]
+  return kept
 
 
 def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
@@ -649,11 +659,9 @@ def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
   with the given rays, built field by field as the conversion gives it.
 
   The span normals are the Hermite kernel of the rays and the lineality
-  (_kernel_rows).  A ridge of the parent lies in exactly two of its facets
-  (the diamond property; Ziegler, Lectures on Polytopes, 1995, ch. 2), so
-  F's facets are its cuts F & G by other facets G that are ridges; every
-  proper cut lies in one, so as ray sets they are the maximal proper cuts,
-  re-indexed to F's rays.  G's normal mu gives the cut the normal
+  (_kernel_rows).  F's facets are its maximal proper cuts by the parent's
+  facets (_facets_of), re-indexed to F's rays.  The normal mu of a facet
+  that makes a cut gives the cut the normal
   primitive(<nu, nu> mu - <mu, nu> nu), exactly: the parent's normals lie
   in its span, where nu spans the orthogonal complement of span(F), so
   this is mu projected onto span(F), scaled by <nu, nu> > 0.  It agrees
@@ -664,29 +672,17 @@ def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
   lin = parent.lineality_basis
   span = _kernel_rows(list(rays) + list(lin), d)
   f = parent.facet_rays[k]
-  cuts = {}
-  for j, s in enumerate(parent.facet_rays):
-    x = f & s
-    if x != f and x not in cuts:
-      cuts[x] = j
+  nu = parent.facet_normals[k]
+  nn = _dot(nu, nu)
+  # bit t of the parent's rays, for each ray of F in order
+  on = [1 << t for t in range(len(parent.rays)) if f >> t & 1]
   facets = []
-  if cuts:
-    # a cut inside another lies inside a maximal one, so the maximal cuts
-    # are found largest first against those kept
-    kept = []
-    for x in sorted(cuts, key=int.bit_count, reverse=True):
-      if not any(x & z == x for z in kept):
-        kept.append(x)
-    nu = parent.facet_normals[k]
-    nn = _dot(nu, nu)
-    # bit t of the parent's rays, for each ray of F in order
-    on = [1 << t for t in range(len(parent.rays)) if f >> t & 1]
-    for x in kept:
-      mu = parent.facet_normals[cuts[x]]
-      c = _dot(mu, nu)
-      normal = primitive([nn * a - c * b for a, b in zip(mu, nu)])
-      facets.append((normal, sum(1 << i for i, b in enumerate(on) if x & b)))
-    facets.sort()
+  for x, j in _facets_of(f, parent.facet_rays).items():
+    mu = parent.facet_normals[j]
+    c = _dot(mu, nu)
+    normal = primitive([nn * a - c * b for a, b in zip(mu, nu)])
+    facets.append((normal, sum(1 << i for i, b in enumerate(on) if x & b)))
+  facets.sort()
   return Cone(ambient_rank=d, rays=rays, lineality_basis=lin,
               facet_normals=tuple(nu for nu, _ in facets),
               facet_rays=tuple(bits for _, bits in facets),
@@ -694,18 +690,24 @@ def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
 
 
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:
-  """Whether gamma is a face of the strictly convex cone sigma.
-
-  The extreme rays of a face of sigma are extreme rays of sigma, and a set
-  of sigma's rays spans a face iff it is closed: equal to the rays of the
-  smallest face holding it (_closure).  Both cones are strictly convex, so
-  gamma is the face on its rays iff every ray of gamma is a ray of sigma
-  and their int bitset is closed; no dot product is taken.
-  """
+  """Whether gamma is a face of the strictly convex cone sigma (_is_face);
+  ValueError if the ranks differ or either cone has lineality."""
   if gamma.ambient_rank != sigma.ambient_rank:
     raise ValueError("ambient rank mismatch")
   if gamma.lineality_basis or sigma.lineality_basis:
     raise ValueError("face test implemented for strictly convex cones")
+  return _is_face(gamma, sigma)
+
+
+def _is_face(gamma: Cone, sigma: Cone) -> bool:
+  """Whether gamma is a face of sigma, either with lineality, with no dot
+  product.  A face has sigma's lineality and some of sigma's rays, and a
+  set y of sigma's rays spans a face iff it is closed: y is the rays of
+  the smallest face holding it, those on every facet that holds y, the
+  AND of the facet_rays that contain y (Kaibel & Pfetsch 2002)."""
+  if (gamma.ambient_rank != sigma.ambient_rank
+      or gamma.lineality_basis != sigma.lineality_basis):
+    return False
   where = {r: j for j, r in enumerate(sigma.rays)}
   y = 0
   for r in gamma.rays:
@@ -713,18 +715,11 @@ def is_face_of(gamma: Cone, sigma: Cone) -> bool:
     if j is None:
       return False
     y |= 1 << j
-  return _closure(sigma, y) == y
-
-
-def _closure(sigma: Cone, y: int) -> int:
-  """The int bitset of the rays of the smallest face of sigma that holds
-  the rays in the int bitset y: the rays on every facet that holds them,
-  the AND of the facet_rays that contain y (Kaibel & Pfetsch 2002)."""
   face = (1 << len(sigma.rays)) - 1
   for on in sigma.facet_rays:
     if on & y == y:
       face &= on
-  return face
+  return face == y
 
 
 def _smallest_face(sigma: Cone, x) -> tuple:

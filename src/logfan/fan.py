@@ -2,31 +2,26 @@
 
 A Fan is its set of maximal cones, canonical by construction: repeats go,
 ranks are checked and the cones are sorted.  Only Fan.make drops cones that
-lie in others, for input whose cones may nest: parsed documents, fiber
-products, boundary subfans and the gallery.  It looks at every pair, but
-runs contains_cone only on the pairs past three exact screens (dimension,
-the coordinate half-spaces that hold each cone, the interior point), which
-on the cones of a fan reject every pair.  No face closure is kept; the
-cones whose relative interior holds a point are read off the maximal cones
-(_cones_at).  One common-face test decides validate: a separation
-certificate on the stored ray-facet incidence (_certified), with the
-intersection of the two cones as the exact fallback for a pair it leaves
-open.  One exact wall test (_tiles) decides every covering question:
-whether the mapped cones of a fan map fill each target cone, whether two
-fans have the same support, and whether a fan is complete.  It pairs up
-the facets of the pieces and checks a single point, in integer
-arithmetic, so there is no sampling anywhere on the decision path.  One
-holder search (_holders) answers both is_fan_map and the pieces of
-subdivision_predicates.  It maps the rays of each source cone and both
-signs of its lineality, and finds the target cones that hold the image
-through an index from rays to cones: the cones that have every image
-vector among their rays, with no dot product, or else one holder, exact
-for any target, and the rest read off the smallest face of it that holds
-the image.  Both rest on the target being a fan.  Completion
-(per uncovered gap) and resolution (one Hilbert basis per singular cone)
-are rank-2 only.  The refinement search is a plain bounded breadth-first
-search over star subdivision moves, with a budget on the moves it tries
-(MAX_SEARCH_STARS).
+lie in others, for input whose cones may nest (parsed documents, fiber
+products, boundary subfans, the gallery); it runs contains_cone only on the
+pairs past three exact screens (dimension, the coordinate half-spaces that
+hold each cone, the interior point), which reject every pair of a fan.
+Faces are cone.py's: all_cones is its one face walk, and star_subdivision
+asks its one face test of the maximal cones that have tau's rays.  No face
+closure is kept; the cones whose relative interior holds a point are read
+off the maximal cones (_cones_at).  One common-face test decides validate:
+a separation certificate on the stored incidence (_certified), with the
+intersection as the exact fallback.  One exact wall test (_tiles) decides
+every covering question (a fan map's image filling each target cone, equal
+supports, completeness) by pairing up the facets of the pieces and
+checking one point, in integers, with no sampling.  One holder search
+(_holders), for a target fan, answers is_fan_map and the pieces of
+subdivision_predicates: through an index from rays to target cones, the
+cones with every image vector among their rays, or else one holder and
+the rest read off the smallest face of it holding the image.  Completion
+and resolution are rank-2 only.  The refinement search is a bounded
+breadth-first search over star subdivisions, with a budget on the moves it
+tries (MAX_SEARCH_STARS).
 """
 
 from __future__ import annotations
@@ -37,9 +32,9 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (MAX_FACES, Cone, _both_signs, _closed_sets, _dot, _neg,
-                   _order_key, _pick, _smallest_face, _walk_faces,
-                   hilbert_basis, intersect, is_face_of, is_smooth)
+from .cone import (Cone, _both_signs, _dot, _face_map, _is_face, _neg,
+                   _order_key, _pick, _smallest_face, hilbert_basis,
+                   intersect, is_face_of, is_smooth)
 from .lattice import IntMatrix, is_unimodular
 
 # search_refinement refuses to try more star subdivisions than this.  The
@@ -99,31 +94,14 @@ class Fan:
 
   @property
   def all_cones(self) -> frozenset:
-    """Every face of every maximal cone, enumerated on each read.
-
-    The faces budget MAX_FACES holds for the whole fan: the ray sets of
-    the cones' faces (_closed_sets), keyed by their rays and lineality, are
-    united cone by cone and refused as soon as they pass the budget, before
-    any face is built.  Then the faces are walked top-down from each cone
-    into one dict (_walk_faces), so a face that cones share is built once.
+    """Every face of every maximal cone, enumerated on each read by the
+    face walk of cone.py (_face_map): a shared face is built once, and
+    MAX_FACES holds for the whole fan before any face is built.
 
     Raises:
       ValueError: if the fan has more than MAX_FACES cones.
     """
-    sets = set()
-    for c in self.max_cones:
-      for y in _closed_sets(c):
-        sets.add((_pick(c.rays, y), c.lineality_basis))
-        if len(sets) > MAX_FACES:
-          raise ValueError("faces capped at %d faces; this fan has more"
-                           % MAX_FACES)
-    out = {}
-    for c in self.max_cones:
-      _walk_faces(c, out)
-    if len(out) != len(sets):
-      raise RuntimeError("the walk found %d faces of %d"
-                         % (len(out), len(sets)))
-    return frozenset(out.values())
+    return frozenset(_face_map(self.max_cones).values())
 
   @property
   def rays(self) -> tuple:
@@ -499,17 +477,20 @@ def star_subdivision(fan: Fan, tau: Cone) -> Fan:
   the rest of the fan is untouched.  Containing cones must be smooth so
   that faces are ray subsets and the center is primitive.
 
+  tau is a cone of the fan iff it is a face (_is_face, on the stored
+  incidence) of a holder, a maximal cone with every ray of tau.
+
   Precondition: the input is a fan (see validate).  Then every cone of the
   result is maximal, so it skips Fan.make's filter; on a non-fan a new
   cone may lie in an untouched one, and the result lists both.
   """
   center = tau.interior_point()
-  if tau.ambient_rank != fan.ambient_rank or tau not in _cones_at(fan, center):
+  tset = set(tau.rays)
+  holders = [c for c in fan.max_cones if tset <= set(c.rays)]
+  if not any(_is_face(tau, c) for c in holders):
     raise ValueError("tau is not a cone of the fan")
   if tau.dim == 0:
     raise ValueError("cannot subdivide at the zero cone")
-  tset = set(tau.rays)
-  holders = [c for c in fan.max_cones if tset <= set(c.rays)]
   # every cone containing tau is a face of a holder, and faces of smooth
   # cones are smooth
   if not all(is_smooth(c) for c in holders):

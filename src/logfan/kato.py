@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .lattice import cokernel, rank
+from .lattice import cokernel
 from .monoid import AffineMonoid, MonoidHom, _gp_map, nth_root
 
 
@@ -80,8 +80,8 @@ def chart_smoothness(theta: MonoidHom, char: CharParam) -> SimpleNamespace:
   additionally needs the cokernel to be finite.
   """
   n = _gp_map(theta)
-  injective = rank(n) == n.cols
   coker = cokernel(n)
+  injective = n.rows - coker.free_rank == n.cols  # rank(n) == n.cols
   torsion_ok = all(not char.divides(f) for f in coker.invariant_factors)
   smooth = injective and torsion_ok
   return SimpleNamespace(

@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import logfan
+from logfan import cli as cli_module
 from logfan.cli import (
     MAX_RANK,
     CliError,
@@ -550,6 +551,48 @@ def test_render_is_deterministic():
 def test_render_escapes_the_title():
   doc = FanDocument(2, (((1, 0), (0, 1)),), None, 'a<b & "c">')
   assert '<title>a&lt;b &amp; "c"&gt;</title>' in render_svg(doc)
+
+
+def _render_cone(tmp_path, name, cone):
+  path = tmp_path / (name + ".json")
+  path.write_text(serialize_document(
+      FanDocument(2, (tuple(map(tuple, cone)),))))
+  out = tmp_path / (name + ".svg")
+  code, _, err = run(["render", str(path), "-o", str(out)])
+  assert code == 0, err
+  assert "Traceback" not in err
+  return out.read_text(encoding="utf-8")
+
+
+# 10^400 is past the float range, and math.hypot once raised OverflowError
+# on it, so render exited 1 with a traceback; 10^307 fits a float, but
+# 180 * 10^307 does not, and the line once ended at "inf"
+@pytest.mark.parametrize("huge", [10 ** 400, 10 ** 307], ids=["1e400", "1e307"])
+def test_render_draws_rays_with_huge_entries(tmp_path, huge):
+  big = [[1, 0], [3 * huge + 1, 4 * huge]]
+  svg = _render_cone(tmp_path, "big", big)
+  assert "inf" not in svg and "nan" not in svg
+  # the huge ray points where (3, 4) points, and is labelled exactly
+  label = "%d,%d" % tuple(big[1])
+  assert svg.replace(label, "3,4") == _render_cone(tmp_path, "small",
+                                                   [[1, 0], [3, 4]])
+  # entries the float arithmetic holds are drawn as before
+  assert cli_module._drawn((10 ** 300, 1)) == (10 ** 300, 1)
+
+
+@pytest.mark.parametrize("cone", [
+    [[1, 10 ** 200], [-1, -(10 ** 200 - 1)]],
+    [[1, 10 ** 200], [-1, -(10 ** 200 + 1)]],
+    [[0, 1], [-2, 1 - 10 ** 400]],
+], ids=["left", "right", "past-floats"])
+def test_render_draws_a_cone_whose_rays_are_opposite_in_floats(tmp_path,
+                                                               cone):
+  # the unit vectors of the rays cancel, and the wedge's middle point once
+  # divided by zero; the wedge is drawn as the half-plane on the cone's side
+  svg = _render_cone(tmp_path, "opposite", cone)
+  (p, q), (r, t) = cone
+  side = "30.00,210.00" if p * t > q * r else "390.00,210.00"
+  assert " L%s L" % side in svg
 
 
 def test_import_pulls_in_no_url_or_http_modules():

@@ -1,14 +1,17 @@
-"""Fuzzing the command line: every check, strata, subdivide --star and hom
-call exits 0, 1 or 2, within a deadline per example.
+"""Fuzzing the command line: every check, strata, subdivide --star,
+blowup, render (rank 2) and hom call exits 0, 1 or 2, within a deadline
+per example.
 
-Three families of input: documents of rank 1 to 24 whose cones have at
+Four families of input: documents of rank 1 to 24 whose cones have at
 most rank sparse rays (at most three nonzero entries, each in -2..2),
 documents of rank at most 5 with up to 8 rays per cone, entries in -2..2,
-and junk vector strings for hom.  The examples are derandomized, so every
-run tries the same inputs.  Two documents are pinned as examples: the
-448-byte rank-20 one, whose smoothness by maximal minors took 33 s, and
-the rank-24 orthant with every ray on the boundary, whose strata, listed
-as subsets, would number 2^24.  A hom call is pinned too: its membership
+rank-2 documents with entries up to 10^400 in absolute value, and junk
+vector strings for hom.  The examples are derandomized, so every
+run tries the same inputs.  Three documents are pinned as examples: the
+448-byte rank-20 one, whose smoothness by maximal minors took 33 s, the
+rank-24 orthant with every ray on the boundary, whose strata, listed as
+subsets, would number 2^24, and the cone of (1, 0) and (10^400, 1), which
+render once drew in floats until math.hypot raised OverflowError.  A hom call is pinned too: its membership
 search took 18 s within the node budget while the budget counted only
 distinct nodes.  Tier-1 runs this file under python and under python -O.
 """
@@ -51,6 +54,16 @@ def _dense_ray(rank):
   return st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
 
 
+HUGE = 10 ** 400
+HUGE_CONE = {"rank": 2, "max_cones": [[[1, 0], [HUGE, 1]]],
+             "boundary_rays": [[HUGE, 1]]}
+
+
+def _huge_ray(rank):
+  entry = st.integers(-2, 2) | st.integers(-HUGE, HUGE)
+  return st.lists(entry, min_size=rank, max_size=rank)
+
+
 @st.composite
 def _cases(draw, ranks, ray, max_rays):
   """A pair document (every cone's rays may be boundary rays) and a center
@@ -70,10 +83,13 @@ def _run_document_commands(doc, center):
     path = os.path.join(tmp, "doc.json")
     with open(path, "w", encoding="utf-8") as handle:
       json.dump(doc, handle)
+    at = "--center=%s" % ",".join(map(str, center))
     _exit_code(["check", path])
     _exit_code(["strata", path])
-    _exit_code(["subdivide", path, "--star",
-                "--center=%s" % ",".join(map(str, center))])
+    _exit_code(["subdivide", path, "--star", at])
+    _exit_code(["blowup", path, at])
+    if doc["rank"] == 2:
+      _exit_code(["render", path, "-o", os.path.join(tmp, "fan.svg")])
 
 
 @FUZZ
@@ -87,6 +103,13 @@ def test_sparse_documents_up_to_rank_24_exit_0_1_or_2(case):
 @FUZZ
 @given(case=_cases(st.integers(1, 5), _dense_ray, lambda rank: 8))
 def test_documents_up_to_rank_5_with_8_rays_exit_0_1_or_2(case):
+  _run_document_commands(*case)
+
+
+@FUZZ
+@given(case=_cases(st.just(2), _huge_ray, lambda rank: 4))
+@example(case=(HUGE_CONE, [HUGE + 1, 1]))
+def test_rank_2_documents_with_entries_up_to_10_400_exit_0_1_or_2(case):
   _run_document_commands(*case)
 
 

@@ -5,8 +5,10 @@ star_subdivision's membership test, the boundary subfan and the strata
 count of a pair) are compared against the closure-based references in
 locate_reference.py on gallery fans, seeded star-subdivided pairs of rank
 2-4, a fan with a lineality cone and the overlapping fixture, at the origin,
-rays, wall points, interior points and points outside the support.  The
-last test checks that the CLI's pair commands build no face closure.
+rays, wall points, interior points and points outside the support.
+star_subdivision's membership test runs with fan._cones_at refused, since
+it reads the holders' incidence and locates no point.  The last test
+checks that the CLI's pair commands build no face closure.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import sys
 import pytest
 
 from logfan import cone as cone_module
+from logfan import fan as fan_module
 from logfan.cli import (
     CliError,
     _cone_at,
@@ -191,7 +194,12 @@ def _candidates(fan, rng):
 
 
 @pytest.mark.parametrize("label", sorted(FANS))
-def test_star_subdivision_membership_matches_the_closure(label):
+def test_star_subdivision_membership_matches_the_closure(monkeypatch, label):
+  # the membership test reads the holders' incidence and locates no point
+  def refuse(*args):
+    raise AssertionError("star_subdivision located a point")
+
+  monkeypatch.setattr(fan_module, "_cones_at", refuse)
   fan = FANS[label]
   rng = random.Random(label)
   seen = set()
@@ -199,8 +207,9 @@ def test_star_subdivision_membership_matches_the_closure(label):
     member = reference_is_cone_of(fan, tau)
     seen.add(member)
     try:
-      star_subdivision(fan, tau)
+      out = star_subdivision(fan, tau)
       refused = False
+      assert tau.interior_point() in out.rays, tau
     except ValueError as err:
       refused = str(err) == "tau is not a cone of the fan"
     assert refused == (not member), tau

@@ -8,7 +8,7 @@ built to get past the screens: nested cones of equal and of lower
 dimension, cones on coordinate hyperplanes, lineality, the zero cone and
 repeats, in ranks 1 to 5, every criterion-11 resolution step and every
 pool the gallery hands to Fan.make.  is_face_of reads the closure of a ray
-set off facet_rays (_closure); it must agree with reference_is_face_of
+set off facet_rays (_is_face); it must agree with reference_is_face_of
 (cone_reference.py) on every face of seeded cones and on non-faces of each
 kind.  _holders maps the lineality of a source cone too; it must agree with
 reference_holders on sources with lineality.  The work guards count calls:

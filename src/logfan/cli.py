@@ -3,7 +3,9 @@
 Fans travel as a restricted JSON dialect with integer entries only; the
 serializer is canonical so that documents round-trip byte for byte.  Every
 subcommand follows the same exit convention: 0 on success, 1 when a check
-fails, 2 for parse or precondition problems.
+fails, 2 for parse or precondition problems and for arithmetic failures
+(an overflow or a division by zero), printed as "error: ..." with no
+traceback.
 """
 
 from __future__ import annotations
@@ -522,10 +524,7 @@ def execute(argv=None) -> int:
     return int(err.code or 0)
   try:
     return args.func(args)
-  except CliError as err:
-    print("error: %s" % err, file=sys.stderr)
-    return 2
-  except ValueError as err:
+  except (CliError, ValueError, ArithmeticError) as err:
     print("error: %s" % err, file=sys.stderr)
     return 2
 

@@ -12,17 +12,19 @@ with lineality converts a second time.  Conversions go through one bounded
 least-recently-used cache (_cone_from_gens), which faces fills too.  The
 incidence is kept from that conversion, never recomputed, and every face
 question is answered on it here: one budgeted face walk for a cone or a
-fan, each face built from a parent one dimension up with no conversion
-(_face_map, _child_face); one facet rule, the maximal proper cuts
-(_facets_of); one face test, a closed ray set of the same lineality
-(_is_face); and the smallest face holding a point (_smallest_face).
+fan, each face built from a parent one dimension up with no conversion and
+no lattice work (_face_map, _child_face); one facet rule, the maximal
+proper cuts (_facets_of); one face test, a closed ray set of the same
+lineality (_is_face); and the smallest face holding a point
+(_smallest_face).
 Hilbert-basis candidates come from the group of the lattice modulo the rays
 of each simplicial piece, and are reduced by comparing their facet values,
 the numbers their grading is the sum of.  The lattice work is only what the
 answer needs: a Hermite kernel (_kernel_rows, one Hermite pass, for span
 normals or lineality) is taken only when the rank shows the kernel is not
-{0}, and the conversion's start and each simplicial piece get their
-adjugate and determinant from one fraction-free elimination (_adjugate).
+{0}, and for a walked face only when its span normals are first read;
+the conversion's start and each simplicial piece get their adjugate and
+determinant from one fraction-free elimination (_adjugate).
 A face's facet normals need no adjugate: each is a parent's normal
 projected onto the face's span by two terms.  Smoothness is one Hermite
 pass over the transposed rays (_extends_to_basis), not a loop over maximal
@@ -203,16 +205,24 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   return [r for r, _ in out], lin, [z for _, z in out]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cone:
   """A rational polyhedral cone in canonical form.
 
   Equality and hashing use ambient_rank, rays and lineality_basis only; the
-  facet and span normals, the incidence facet_rays and the cached dimension
-  are derived data, required because a cone without them would answer from
+  facet and span normals, the incidence facet_rays and the dimension are
+  derived data, required because a cone without them would answer from
   empty normals.  facet_rays[k] is the int bitset of the rays on
   facet_normals[k] (bit j for rays[j]), kept from the conversion that found
   the facets (see _cone_from_gens).
+
+  The facet normals, facet_rays and the dimension are stored at
+  construction: every enumeration and test reads them.  The span normals
+  are stored too when the constructor gets them, as a conversion returns
+  them at no cost; span_normals=None, which _child_face passes, leaves
+  them to be filled on first read, as the Hermite kernel of the rays and
+  the lineality, and kept on the cone: the face walk needs none of them,
+  and most faces it builds never have them read.
   """
 
   ambient_rank: int
@@ -220,8 +230,39 @@ class Cone:
   lineality_basis: tuple[tuple[int, ...], ...]
   facet_normals: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
   facet_rays: tuple[int, ...] = field(compare=False, repr=False)
-  span_normals: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+  _span_normals: tuple[tuple[int, ...], ...] | None = field(compare=False,
+                                                             repr=False)
   _dim: int = field(compare=False, repr=False)
+
+  def __init__(self, ambient_rank, rays, lineality_basis, facet_normals,
+               facet_rays, span_normals, _dim):
+    # written out, as the frozen dataclass would, to keep the span_normals
+    # keyword for the stored field
+    init = object.__setattr__
+    init(self, "ambient_rank", ambient_rank)
+    init(self, "rays", rays)
+    init(self, "lineality_basis", lineality_basis)
+    init(self, "facet_normals", facet_normals)
+    init(self, "facet_rays", facet_rays)
+    init(self, "_span_normals", span_normals)
+    init(self, "_dim", _dim)
+
+  @property
+  def span_normals(self) -> tuple[tuple[int, ...], ...]:
+    """A basis of the integer vectors orthogonal to the cone's span: the
+    stored one, or else the Hermite kernel of the rays and the lineality
+    (_kernel_rows), computed once and stored; RuntimeError, with nothing
+    stored, if its size contradicts the stored dimension."""
+    span = self._span_normals
+    if span is None:
+      span = tuple(_kernel_rows(list(self.rays) + list(self.lineality_basis),
+                                self.ambient_rank))
+      if len(span) != self.ambient_rank - self._dim:
+        raise RuntimeError("a cone of dimension %d in rank %d has %d span "
+                           "normals" % (self._dim, self.ambient_rank,
+                                        len(span)))
+      object.__setattr__(self, "_span_normals", span)
+    return span
 
   @staticmethod
   def from_rays(generators, ambient_rank: int) -> "Cone":
@@ -272,7 +313,10 @@ class Cone:
     if len(v) != self.ambient_rank:
       raise ValueError("vector length %d does not match ambient rank %d"
                        % (len(v), self.ambient_rank))
-    for s in self.span_normals:
+    # the stored normals, when filled, without the property call: the fan
+    # layer tests containment about a thousand times per rank-2 resolution
+    span = self._span_normals
+    for s in self.span_normals if span is None else span:
       if _dot(s, v):
         return False
     for n in self.facet_normals:
@@ -576,7 +620,8 @@ def _face_map(cones) -> dict:
   Then the walk, top-down, every face but a cone being a facet of a face
   one dimension up: a face is read from the conversion cache, or built from
   its parent (_child_face) and stored there under the key Cone.from_rays
-  would use.  The walk must find the budget's keys exactly.
+  would use.  The walk reads no span normals, so it takes no Hermite
+  kernel.  It must find the budget's keys exactly.
   """
   budget = set()
   for sigma in cones:
@@ -658,8 +703,10 @@ def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
   """The facet F of parent on its facet normal nu = parent.facet_normals[k],
   with the given rays, built field by field as the conversion gives it.
 
-  The span normals are the Hermite kernel of the rays and the lineality
-  (_kernel_rows).  F's facets are its maximal proper cuts by the parent's
+  F has the parent's lineality and one dimension less.  Its span normals,
+  the Hermite kernel of the rays and the lineality (_kernel_rows), are left
+  to Cone.span_normals to fill on first read, so building F takes no
+  kernel.  F's facets are its maximal proper cuts by the parent's
   facets (_facets_of), re-indexed to F's rays.  The normal mu of a facet
   that makes a cut gives the cut the normal
   primitive(<nu, nu> mu - <mu, nu> nu), exactly: the parent's normals lie
@@ -668,9 +715,6 @@ def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
   with mu on F, and as a primitive vector of span(F) it is the normal the
   conversion gives.  The normals are sorted, as the conversion sorts them.
   """
-  d = parent.ambient_rank
-  lin = parent.lineality_basis
-  span = _kernel_rows(list(rays) + list(lin), d)
   f = parent.facet_rays[k]
   nu = parent.facet_normals[k]
   nn = _dot(nu, nu)
@@ -683,10 +727,11 @@ def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
     normal = primitive([nn * a - c * b for a, b in zip(mu, nu)])
     facets.append((normal, sum(1 << i for i, b in enumerate(on) if x & b)))
   facets.sort()
-  return Cone(ambient_rank=d, rays=rays, lineality_basis=lin,
+  return Cone(ambient_rank=parent.ambient_rank, rays=rays,
+              lineality_basis=parent.lineality_basis,
               facet_normals=tuple(nu for nu, _ in facets),
               facet_rays=tuple(bits for _, bits in facets),
-              span_normals=tuple(span), _dim=d - len(span))
+              span_normals=None, _dim=parent.dim - 1)
 
 
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:

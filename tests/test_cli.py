@@ -680,3 +680,18 @@ def test_parser_is_built_once_per_process(monkeypatch):
       ["check", str(FIXTURES / "orthant.json")])]
   assert outcomes == [0, 2, 1, 0]
   assert builds == [1]
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_an_arithmetic_failure_exits_2_with_no_traceback(monkeypatch, error):
+  # exit 1 means "check failed", so a command that fails in arithmetic
+  # must exit 2, as a parse or precondition error does
+  def failing(args):
+    raise error("raised inside check")
+
+  monkeypatch.setattr(cli_module, "_cmd_check", failing)
+  monkeypatch.setattr(cli_module, "_parser", None)  # rebuilt with failing
+  code, out, err = run(["check", str(FIXTURES / "orthant.json")])
+  assert code == 2
+  assert "Traceback" not in err
+  assert err.startswith("error:") and "raised inside check" in err

@@ -2,26 +2,33 @@
 fills the conversion cache as Cone.from_rays would.
 
 faces walks the faces of a cone top-down: each face is a facet of a parent
-one dimension up, its span normals come from one Hermite kernel, and each
-of its facet normals is the projection of the parent's other facet normal
-onto its span by two terms, with no Gram matrix (_child_face).  Every face
-must equal, field by field, the cone that one conversion of its rays and
-lineality gives (reference_faces_by_conversion in cone_reference.py, the
-earlier faces), and the face that the earlier builder gives from the whole
-cone's data through the adjugate of a Gram matrix
+one dimension up, each of its facet normals is the projection of the
+parent's other facet normal onto its span by two terms, with no Gram
+matrix, and its span normals are left to be filled on first read, by one
+Hermite kernel (_child_face, Cone.span_normals).  Every face must equal,
+field by field, the cone that one conversion of its rays and lineality
+gives (reference_faces_by_conversion in cone_reference.py, the earlier
+faces), and the face that the earlier builder gives from the whole cone's
+data through the adjugate of a Gram matrix
 (reference_face_by_projection): rays, lineality, facet normals in their
 order, the incidence facet_rays, span normals and dimension.  So must the
 faces of Fan.all_cones, for fans whose cones share faces.  The work guards
-count calls: faces makes no conversion, no Cone.from_rays call and no
-adjugate, at most one Hermite kernel per face it builds, builds no face
-that the cache holds (nor, for a fan, any shared face twice), and leaves
-every face where Cone.from_rays finds it.  The face budget refuses the
-cone over the cyclic polytope C(16, 8) and the rank-14 orthant before
-building a face, and holds for a fan's all_cones as a whole: the complete
-rank-12 projective fan, whose 13 maximal cones are each within it, is
-refused before any face is built.
+count calls: faces makes no conversion, no Cone.from_rays call, no
+adjugate and no Hermite kernel, builds no face that the cache holds (nor,
+for a fan, any shared face twice), and leaves every face where
+Cone.from_rays finds it; the first read of the span normals of the faces
+it built takes one kernel per face, and a second read none.  A built face
+keeps its equality, dimension and span normals through copy, deepcopy and
+pickle, before and after that first read, refuses a stored dimension its
+kernel contradicts, and answers contains as a fresh conversion does.  The
+face budget refuses the cone over the cyclic polytope C(16, 8) and the
+rank-14 orthant before building a face, and holds for a fan's all_cones
+as a whole: the complete rank-12 projective fan, whose 13 maximal cones
+are each within it, is refused before any face is built.
 """
 
+import copy
+import pickle
 import random
 import time
 
@@ -34,12 +41,14 @@ from logfan.cone import (
     _both_signs,
     _closed_sets,
     _cone_from_gens,
+    _convert,
     _order_key,
     _pick,
     faces,
 )
 
 from logfan.fan import Fan, product_fan
+from logfan.lattice import primitive
 
 from cone_reference import (
     reference_face_by_projection,
@@ -113,6 +122,15 @@ def test_faces_of_cones_with_lineality_and_of_lower_dimension():
     _check(Cone.from_rays(gens, d))
 
 
+def _read_span_normals_twice(out, kernels, built):
+  """Read the span normals of every face twice: the first pass takes one
+  Hermite kernel per built face, the second none."""
+  first = [f.span_normals for f in out]
+  assert len(kernels) == built
+  assert [f.span_normals for f in out] == first
+  assert len(kernels) == built
+
+
 WORK_CONES = [REACH_13_RAYS, CYCLIC_8, CUBE_13,
               [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1, 1), (0, 1, 2)],
               [(1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)]]
@@ -133,7 +151,8 @@ def test_faces_make_no_conversion_and_one_kernel_per_face(monkeypatch, gens):
   out = faces(sigma)
   assert conversions == [] and from_rays == [] and adjugates == []
   assert len(built) == len(out) - 1  # sigma itself is not rebuilt
-  assert len(kernels) <= len(built)
+  assert kernels == []
+  _read_span_normals_twice(out, kernels, len(built))
 
 
 @pytest.mark.parametrize("gens", WORK_CONES,
@@ -230,11 +249,13 @@ def test_all_cones_builds_each_shared_face_once(monkeypatch, name):
   parents = _parents(monkeypatch)
   kernels = _count_calls(monkeypatch, cone_module, "_kernel_rows")
   adjugates = _count_calls(monkeypatch, cone_module, "_adjugate")
-  got = {(f.rays, f.lineality_basis): _fields(f) for f in fan.all_cones}
+  all_cones = fan.all_cones
+  assert kernels == [] and adjugates == []
+  _read_span_normals_twice(all_cones, kernels, len(parents))
+  got = {(f.rays, f.lineality_basis): _fields(f) for f in all_cones}
   # every face but the maximal cones is built, once, however many maximal
   # cones share it
   assert len(parents) == len(got) - len(fan.max_cones)
-  assert len(kernels) <= len(parents) and adjugates == []
   shared = set()
   for i, c in enumerate(fan.max_cones):
     for f in fan.max_cones[i + 1:]:
@@ -301,3 +322,86 @@ def test_the_face_budget_admits_the_rank_10_orthant():
   sigma = Cone.from_rays([tuple(int(i == j) for j in range(10))
                           for i in range(10)], 10)
   assert len(faces(sigma)) == 2 ** 10 <= MAX_FACES
+
+
+def _fresh(f):
+  """The cone of f's rays and lineality by a conversion of its own,
+  outside the conversion cache."""
+  gens = {primitive(g) for g in list(f.rays) + _both_signs(f.lineality_basis)}
+  return _convert(tuple(sorted(gens)), f.ambient_rank)
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda c: pickle.loads(pickle.dumps(c))}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("gens", WORK_CONES,
+                         ids=["13-ray", "cyclic-8", "cube-13", "lineality-3",
+                              "square-in-rank-4"])
+def test_a_face_keeps_its_span_normals_through_copies(monkeypatch, gens, how):
+  sigma = Cone.from_rays(gens, len(gens[0]))
+  _cone_from_gens.cache_clear()
+  built = _count_calls(monkeypatch, cone_module, "_child_face")
+  out = faces(sigma)
+  wants = [_fresh(f) for f in out]
+  kernels = _count_calls(monkeypatch, cone_module, "_kernel_rows")
+  copier = COPIES[how]
+  for f, want in zip(out, wants):
+    # before the first read: the copy fills its own span normals
+    c = copier(f)
+    assert c == f and hash(c) == hash(f) and c.dim == f.dim == want.dim
+    assert c.span_normals == want.span_normals
+    # after it: the copy carries them, and reading them takes no kernel
+    assert f.span_normals == want.span_normals
+    c = copier(f)
+    before = len(kernels)
+    assert c == f and c.dim == want.dim
+    assert c.span_normals == want.span_normals
+    assert len(kernels) == before
+  # one kernel for each built face's copy and one for the face itself
+  assert len(kernels) == 2 * len(built) > 0
+
+
+def test_a_stored_dimension_that_the_kernel_contradicts_is_refused():
+  sigma = Cone.from_rays(CYCLIC_8, 5)
+  _cone_from_gens.cache_clear()
+  for f in faces(sigma):
+    if f == sigma:
+      continue
+    for dim in (f.dim - 1, f.dim + 1):
+      wrong = Cone(f.ambient_rank, f.rays, f.lineality_basis,
+                   facet_normals=f.facet_normals, facet_rays=f.facet_rays,
+                   span_normals=None, _dim=dim)
+      for _ in range(2):  # a refused read leaves nothing stored
+        with pytest.raises(RuntimeError, match="span normals"):
+          wrong.span_normals
+      with pytest.raises(RuntimeError, match="span normals"):
+        wrong.contains(f.interior_point())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_a_walked_face_is_the_cached_one_and_contains_as_a_conversion(d):
+  rng = random.Random(2000 + d)
+  cones = _seeded_cones(d, 25)
+  lazy = 0
+  for sigma in cones:
+    _cone_from_gens.cache_clear()
+    out = faces(sigma)
+    points = [sigma.interior_point()] + list(sigma.rays)
+    points += _both_signs(sigma.lineality_basis)
+    points += [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(8)]
+    for f in out:
+      assert Cone.from_rays(list(f.rays) + _both_signs(f.lineality_basis),
+                            d) is f
+      lazy += f._span_normals is None
+      fresh = _fresh(f)
+      for v in points + [f.interior_point()]:
+        assert f.contains(v) == fresh.contains(v), (f, v)
+        assert (f.contains_relative_interior(v)
+                == fresh.contains_relative_interior(v)), (f, v)
+      assert f.span_normals == fresh.span_normals
+  assert lazy > 0
+  if d > 1:
+    assert any(s.lineality_basis for s in cones)
+    assert any(s.dim < d and s.is_strictly_convex for s in cones)

@@ -256,10 +256,27 @@ def _cmd_check(args) -> int:
   return 1 if failed else 0
 
 
+def _load_pair(path: str, command: str):
+  """The document at path and its pair, which needs boundary_rays and a fan."""
+  doc = _load(path)
+  if doc.boundary_rays is None:
+    raise CliError("%s needs a pair document with boundary_rays" % command)
+  return doc, make_pair(_require_fan(doc.fan(), path), doc.boundary_rays)
+
+
+def _center(text: str, rank: int) -> tuple:
+  """The --center vector, checked to have the document's rank."""
+  center = _parse_vector(text, "--center")
+  if len(center) != rank:
+    raise CliError("--center: length %d does not match rank %d"
+                   % (len(center), rank))
+  return center
+
+
 def _cmd_subdivide(args) -> int:
   doc = _load(args.file)
-  fan = doc.fan()
   if args.refine is not None:
+    fan = doc.fan()
     if args.star or args.center is not None:
       raise CliError("--refine cannot be combined with --star/--center")
     goal = _load(args.refine).fan()
@@ -273,29 +290,16 @@ def _cmd_subdivide(args) -> int:
     return 0
   if not args.star or args.center is None:
     raise CliError("subdivide needs --star with --center, or --refine")
-  center = _parse_vector(args.center, "--center")
-  if len(center) != doc.rank:
-    raise CliError("--center: length %d does not match rank %d"
-                   % (len(center), doc.rank))
-  _require_fan(fan, args.file)
-  tau = _cone_at(fan, center)
-  result = star_subdivision(fan, tau)
+  center = _center(args.center, doc.rank)
+  fan = _require_fan(doc.fan(), args.file)
+  result = star_subdivision(fan, _cone_at(fan, center))
   _emit(document_from_fan(result, doc.boundary_rays, doc.metadata), args.out)
   return 0
 
 
 def _cmd_blowup(args) -> int:
-  doc = _load(args.file)
-  if doc.boundary_rays is None:
-    raise CliError("blowup needs a pair document with boundary_rays")
-  fan = doc.fan()
-  _require_fan(fan, args.file)
-  pair = make_pair(fan, doc.boundary_rays)
-  center = _parse_vector(args.center, "--center")
-  if len(center) != doc.rank:
-    raise CliError("--center: length %d does not match rank %d"
-                   % (len(center), doc.rank))
-  tau = _cone_at(pair.fan, center)
+  doc, pair = _load_pair(args.file, "blowup")
+  tau = _cone_at(pair.fan, _center(args.center, doc.rank))
   result = admissible_blowup(pair, tau)
   _emit(document_from_fan(result.fan, result.boundary_rays, doc.metadata),
         args.out)
@@ -303,12 +307,7 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-  doc = _load(args.file)
-  if doc.boundary_rays is None:
-    raise CliError("strata needs a pair document with boundary_rays")
-  fan = doc.fan()
-  _require_fan(fan, args.file)
-  pair = make_pair(fan, doc.boundary_rays)
+  _, pair = _load_pair(args.file, "strata")
   counts = boundary_strata_counts(pair)
   for a, count in enumerate(counts, start=1):
     print("a=%d: %d" % (a, count))

@@ -16,7 +16,10 @@ fan, each face built from a parent one dimension up with no conversion and
 no lattice work (_face_map, _child_face); one facet rule, the maximal
 proper cuts (_facets_of); one face test, a closed ray set of the same
 lineality (_is_face); and the smallest face holding a point
-(_smallest_face).
+(_smallest_face).  No other module knows how a cone is stored: its
+generators, the rays then both signs of each lineality vector, come from
+_generators (Cone.generators), a facet's rays from _facets, and the
+common-face certificate (_certified) is decided here, beside the face test.
 Hilbert-basis candidates come from the group of the lattice modulo the rays
 of each simplicial piece, and are reduced by comparing their facet values,
 the numbers their grading is the sum of.  The lattice work is only what the
@@ -78,10 +81,13 @@ def _neg(v):
   return tuple(-x for x in v)
 
 
-def _both_signs(vectors) -> list:
-  """Each vector followed by its negation: as cone generators, the span of
-  the vectors."""
-  return [w for b in vectors for w in (b, _neg(b))]
+def _generators(rays, lineality):
+  """The rays followed by each lineality vector and its negation, which
+  generate the cone on the rays plus the span of the lineality; with no
+  lineality, rays itself, so a strictly convex cone costs nothing."""
+  if not lineality:
+    return rays
+  return tuple(rays) + tuple(w for b in lineality for w in (b, _neg(b)))
 
 
 def _order_key(c) -> tuple:
@@ -223,6 +229,9 @@ class Cone:
   them to be filled on first read, as the Hermite kernel of the rays and
   the lineality, and kept on the cone: the face walk needs none of them,
   and most faces it builds never have them read.
+
+  generators gives vectors that generate the whole cone, lineality
+  included; every reader that maps, multiplies or tests the cone uses them.
   """
 
   ambient_rank: int
@@ -295,7 +304,12 @@ class Cone:
           raise ValueError("%s %s does not have length %d"
                            % (kind, tuple(row), ambient_rank))
     rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
-    return Cone.from_rays(list(rays) + _both_signs(lin), ambient_rank)
+    return Cone.from_rays(_generators(rays, lin), ambient_rank)
+
+  @property
+  def generators(self) -> tuple:
+    """The rays, then each lineality vector and its negation (_generators)."""
+    return _generators(self.rays, self.lineality_basis)
 
   @property
   def is_strictly_convex(self) -> bool:
@@ -332,19 +346,10 @@ class Cone:
             and all(_dot(n, v) > 0 for n in self.facet_normals))
 
   def interior_point(self) -> tuple[int, ...]:
-    out = [0] * self.ambient_rank
-    for r in self.rays:
-      out = [a + b for a, b in zip(out, r)]
-    return tuple(out)
+    return tuple(map(sum, zip(*self.rays))) or (0,) * self.ambient_rank
 
   def contains_cone(self, other: "Cone") -> bool:
-    for r in other.rays:
-      if not self.contains(r):
-        return False
-    for b in other.lineality_basis:
-      if not (self.contains(b) and self.contains(_neg(b))):
-        return False
-    return True
+    return all(map(self.contains, other.generators))
 
 
 def _cached(key):
@@ -456,8 +461,8 @@ def dual_cone(sigma: Cone) -> Cone:
   spanning the orthogonal complement of sigma's span.  One conversion, with
   no rank cap: 0.2-15 ms cold over cyclic cones of ranks 5-8 (14-112 facets).
   """
-  return Cone.from_rays(list(sigma.facet_normals)
-                        + _both_signs(sigma.span_normals), sigma.ambient_rank)
+  return Cone.from_rays(_generators(sigma.facet_normals, sigma.span_normals),
+                        sigma.ambient_rank)
 
 
 def _simplicial_pieces(sigma: Cone):
@@ -633,13 +638,12 @@ def _face_map(cones) -> dict:
   out = {}
   for sigma in cones:
     lin = sigma.lineality_basis
-    lin_gens = tuple(_both_signs(lin))
     todo = [(None, 0, sigma.rays)]
     while todo:
       parent, k, rays = todo.pop()
       if (rays, lin) in out:
         continue
-      key = (tuple(sorted(rays + lin_gens)) if lin_gens else rays,
+      key = (tuple(sorted(_generators(rays, lin))) if lin else rays,
              sigma.ambient_rank)
       face = _cached(key) or _store(key, sigma if parent is None
                                     else _child_face(parent, k, rays))
@@ -767,6 +771,73 @@ def _is_face(gamma: Cone, sigma: Cone) -> bool:
   return face == y
 
 
+def _cut(n, rays, bits):
+  """The int bitset of the rays among bits on the kernel of n, or None when
+  n is positive on one of them."""
+  on = 0
+  for j, r in enumerate(rays):
+    if bits >> j & 1:
+      v = _dot(n, r)
+      if v > 0:
+        return None
+      if not v:
+        on |= 1 << j
+  return on
+
+
+def _same_rays(a: int, b: int, to_s: list) -> bool:
+  """Whether the rays of s in the int bitset a are those of t in b, where
+  to_s[j] is the bit of t's ray j among s's rays (0 if s lacks it): the
+  map is one to one, so the sets are equal iff they have the same size
+  and a holds the image of every ray of b."""
+  if a.bit_count() != b.bit_count():
+    return False
+  for j, bit in enumerate(to_s):
+    if b >> j & 1 and not a & bit:
+      return False
+  return True
+
+
+def _certified(s: Cone, t: Cone) -> bool:
+  """Whether a separation certificate shows that the strictly convex cones
+  s and t meet in a common face.
+
+  A and B start as all rays of s and of t, as int bitsets.  A form n with
+  n >= 0 on A and n <= 0 on B vanishes on cone(A) & cone(B), so that
+  meeting is unchanged when A and B shrink to their rays on n's kernel;
+  and since n >= 0 on cone(A), the cone on the rays of A in the kernel is
+  a face of cone(A), hence of s (the same holds for B and t).  So at every
+  step s & t = cone(A) & cone(B) with cone(A) a face of s and cone(B) a
+  face of t, and once A and B are the same rays, s & t is that common
+  face.  The forms tried, until none shrinks A or B, are the facet normals
+  of s and the negated facet normals of t (the separation lemma: Fulton
+  1993, 1.2; Cox-Little-Schenck 2011, 1.2.13).  A facet normal is >= 0 on
+  its own cone, and its rays on the kernel are read off facet_rays, so
+  only its values on the other cone's rays take dot products, and A and B
+  are compared as bitsets (_same_rays).  False proves nothing: the caller
+  decides the pair exactly.
+  """
+  cones = (s, t)
+  bits = [(1 << len(s.rays)) - 1, (1 << len(t.rays)) - 1]
+  where = {r: j for j, r in enumerate(s.rays)}
+  to_s = [1 << where[r] if r in where else 0 for r in t.rays]
+  changed = True
+  while changed:
+    changed = False
+    for i in (0, 1):
+      own, other = cones[i], cones[1 - i]
+      for n, keep in zip(own.facet_normals, own.facet_rays):
+        on = _cut(n, other.rays, bits[1 - i])
+        if on is None or (on == bits[1 - i] and bits[i] & keep == bits[i]):
+          continue
+        bits[i] &= keep
+        bits[1 - i] = on
+        if _same_rays(bits[0], bits[1], to_s):
+          return True
+        changed = True
+  return False
+
+
 def _smallest_face(sigma: Cone, x) -> tuple:
   """Rays of the smallest face of sigma that holds the point x of sigma.
 
@@ -780,6 +851,13 @@ def _smallest_face(sigma: Cone, x) -> tuple:
     if not _dot(nu, x):
       face &= on
   return _pick(sigma.rays, face)
+
+
+def _facets(sigma: Cone) -> list:
+  """Each facet of sigma as (its normal, its rays), the rays read off the
+  stored incidence."""
+  return [(nu, _pick(sigma.rays, on))
+          for nu, on in zip(sigma.facet_normals, sigma.facet_rays)]
 
 
 def intersect(sigma: Cone, tau: Cone) -> Cone:

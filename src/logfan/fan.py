@@ -10,8 +10,10 @@ Faces are cone.py's: all_cones is its one face walk, and star_subdivision
 asks its one face test of the maximal cones that have tau's rays.  No face
 closure is kept; the cones whose relative interior holds a point are read
 off the maximal cones (_cones_at).  One common-face test decides validate:
-a separation certificate on the stored incidence (_certified), with the
-intersection as the exact fallback.  One exact wall test (_tiles) decides
+cone.py's separation certificate on the stored incidence (_certified),
+with the intersection as the exact fallback.  Cones are read through
+cone.py only: their generators wherever the lineality counts, and a
+facet's rays from _facets.  One exact wall test (_tiles) decides
 every covering question (a fan map's image filling each target cone, equal
 supports, completeness) by pairing up the facets of the pieces and
 checking one point, in integers, with no sampling.  One holder search
@@ -32,8 +34,8 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (Cone, _both_signs, _dot, _face_map, _is_face, _neg,
-                   _order_key, _pick, _smallest_face, hilbert_basis,
+from .cone import (Cone, _certified, _dot, _face_map, _facets, _generators,
+                   _is_face, _neg, _order_key, _smallest_face, hilbert_basis,
                    intersect, is_face_of, is_smooth)
 from .lattice import IntMatrix, is_unimodular
 
@@ -106,26 +108,18 @@ class Fan:
   @property
   def rays(self) -> tuple:
     """All primitive ray generators appearing in the fan, sorted."""
-    out = set()
-    for c in self.max_cones:
-      out.update(c.rays)
-    return tuple(sorted(out))
+    return tuple(sorted({r for c in self.max_cones for r in c.rays}))
 
 
 def _halfspaces(c: Cone) -> int:
   """The int bitset of the coordinate half-spaces that hold c: bit 2i for
-  x_i >= 0 and bit 2i + 1 for x_i <= 0, read off c's rays and both signs
-  of its lineality.  A cone inside c lies in every half-space that holds
-  c."""
+  x_i >= 0 and bit 2i + 1 for x_i <= 0, read off c's generators.  A cone
+  inside c lies in every half-space that holds c."""
   bits = (1 << 2 * c.ambient_rank) - 1
-  for r in c.rays:
+  for r in c.generators:
     for i, a in enumerate(r):
       if a:
         bits &= ~(1 << 2 * i + (a > 0))
-  for b in c.lineality_basis:
-    for i, a in enumerate(b):
-      if a:
-        bits &= ~(3 << 2 * i)
   return bits
 
 
@@ -143,77 +137,10 @@ def _cones_at(fan: Fan, x) -> list:
   """The closure's cones whose relative interior holds x, by _order_key: a
   face of c has x there iff it is the smallest face of c holding x
   (_smallest_face, with c's lineality).  No fan axiom is needed."""
-  out = {Cone.from_rays(list(_smallest_face(c, x))
-                        + _both_signs(c.lineality_basis), fan.ambient_rank)
+  out = {Cone.from_rays(_generators(_smallest_face(c, x), c.lineality_basis),
+                        fan.ambient_rank)
          for c in fan.max_cones if c.contains(x)}
   return sorted(out, key=_order_key)
-
-
-def _cut(n, rays, bits):
-  """The int bitset of the rays among bits on the kernel of n, or None when
-  n is positive on one of them."""
-  on = 0
-  for j, r in enumerate(rays):
-    if bits >> j & 1:
-      v = _dot(n, r)
-      if v > 0:
-        return None
-      if not v:
-        on |= 1 << j
-  return on
-
-
-def _same_rays(a: int, b: int, to_s: list) -> bool:
-  """Whether the rays of s in the int bitset a are those of t in b, where
-  to_s[j] is the bit of t's ray j among s's rays (0 if s lacks it): the
-  map is one to one, so the sets are equal iff they have the same size
-  and a holds the image of every ray of b."""
-  if a.bit_count() != b.bit_count():
-    return False
-  for j, bit in enumerate(to_s):
-    if b >> j & 1 and not a & bit:
-      return False
-  return True
-
-
-def _certified(s: Cone, t: Cone) -> bool:
-  """Whether a separation certificate shows that the strictly convex cones
-  s and t meet in a common face.
-
-  A and B start as all rays of s and of t, as int bitsets.  A form n with
-  n >= 0 on A and n <= 0 on B vanishes on cone(A) & cone(B), so that
-  meeting is unchanged when A and B shrink to their rays on n's kernel;
-  and since n >= 0 on cone(A), the cone on the rays of A in the kernel is
-  a face of cone(A), hence of s (the same holds for B and t).  So at every
-  step s & t = cone(A) & cone(B) with cone(A) a face of s and cone(B) a
-  face of t, and once A and B are the same rays, s & t is that common
-  face.  The forms tried, until none shrinks A or B, are the facet normals
-  of s and the negated facet normals of t (the separation lemma: Fulton
-  1993, 1.2; Cox-Little-Schenck 2011, 1.2.13).  A facet normal is >= 0 on
-  its own cone, and its rays on the kernel are read off facet_rays, so
-  only its values on the other cone's rays take dot products, and A and B
-  are compared as bitsets (_same_rays).  False proves nothing: the caller
-  decides the pair exactly.
-  """
-  cones = (s, t)
-  bits = [(1 << len(s.rays)) - 1, (1 << len(t.rays)) - 1]
-  where = {r: j for j, r in enumerate(s.rays)}
-  to_s = [1 << where[r] if r in where else 0 for r in t.rays]
-  changed = True
-  while changed:
-    changed = False
-    for i in (0, 1):
-      own, other = cones[i], cones[1 - i]
-      for n, keep in zip(own.facet_normals, own.facet_rays):
-        on = _cut(n, other.rays, bits[1 - i])
-        if on is None or (on == bits[1 - i] and bits[i] & keep == bits[i]):
-          continue
-        bits[i] &= keep
-        bits[1 - i] = on
-        if _same_rays(bits[0], bits[1], to_s):
-          return True
-        changed = True
-  return False
 
 
 def validate(fan: Fan) -> SimpleNamespace:
@@ -237,15 +164,13 @@ def validate(fan: Fan) -> SimpleNamespace:
   # the face test needs strictly convex cones; the others are reported above
   mc = [c for c in fan.max_cones if c.is_strictly_convex]
   fallbacks = 0
-  for i in range(len(mc)):
-    for j in range(i + 1, len(mc)):
-      if _certified(mc[i], mc[j]):
-        continue
-      fallbacks += 1
-      w = intersect(mc[i], mc[j])
-      if not (is_face_of(w, mc[i]) and is_face_of(w, mc[j])):
-        problems.append(("intersection not a common face",
-                         mc[i].rays, mc[j].rays))
+  for s, t in itertools.combinations(mc, 2):
+    if _certified(s, t):
+      continue
+    fallbacks += 1
+    w = intersect(s, t)
+    if not (is_face_of(w, s) and is_face_of(w, t)):
+      problems.append(("intersection not a common face", s.rays, t.rays))
   return SimpleNamespace(ok=not problems, violations=problems,
                          fallbacks=fallbacks)
 
@@ -323,8 +248,7 @@ def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
     for r in t.rays:
       index.setdefault(r, set()).add(i)
   rows = [matrix.row(i) for i in range(matrix.rows)]
-  gens = [c.rays + tuple(_both_signs(c.lineality_basis))
-          for c in source.max_cones]
+  gens = [c.generators for c in source.max_cones]
   image = {v: tuple(_dot(row, v) for row in rows)
            for v in dict.fromkeys(itertools.chain.from_iterable(gens))}
   out = []
@@ -388,8 +312,8 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
      a facet of exactly one other piece, which lies on its other side;
   2. an interior point of the first piece lies in no other piece.
 
-  A facet is read off the stored incidence: its rays are the piece's rays
-  on it (facet_rays), and its lineality is the piece's.
+  A facet is read off the stored incidence (_facets), and its lineality
+  is the piece's.
 
   Why this suffices: remove from the relative interior of the container
   every codimension-2 face of a piece and every meeting of two facets in
@@ -408,9 +332,8 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
   walls = container.facet_normals if container is not None else ()
   sides = {}
   for i, p in enumerate(pieces):
-    for nu, on in zip(p.facet_normals, p.facet_rays):
-      key = (_pick(p.rays, on), p.lineality_basis)
-      sides.setdefault(key, []).append((i, nu))
+    for nu, rays in _facets(p):
+      sides.setdefault((rays, p.lineality_basis), []).append((i, nu))
   for (rays, lin), owners in sides.items():
     if any(all(_dot(mu, r) == 0 for r in rays + lin) for mu in walls):
       continue
@@ -457,11 +380,9 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
     cones = target.max_cones
     pieces = [[] for _ in cones]
     for c, (imgs, held) in zip(source.max_cones, holders):
-      # a strictly convex cone whose rays the map fixes is its own image
-      if c.is_strictly_convex and tuple(imgs) == c.rays:
-        m = c
-      else:
-        m = Cone.from_rays(imgs, target.ambient_rank)
+      # a cone whose generators the map fixes is its own image
+      m = (c if tuple(imgs) == c.generators
+           else Cone.from_rays(imgs, target.ambient_rank))
       for i in held:
         if m.dim == cones[i].dim:
           pieces[i].append(m)
@@ -508,8 +429,9 @@ def fiber_product(left: FanMap, right: FanMap) -> Fan:
 
   Requires at least one leg to be a partial subdivision (its matrix a
   lattice isomorphism).  The result lives in the ambient of the other leg:
-  each cone is the preimage of a mapped left cone intersected with a right
-  cone, computed from stacked inequality systems.
+  each cone is the preimage of a mapped cone of that leg, the image of a
+  source cone's generators, lineality included, intersected with a cone
+  of the other leg, computed from stacked inequality systems.
   """
   if left.target != right.target:
     raise ValueError("legs must share their target fan")
@@ -523,7 +445,7 @@ def fiber_product(left: FanMap, right: FanMap) -> Fan:
   bt = b.matrix.transpose()
   pieces = []
   for ca in a.source.max_cones:
-    img = Cone.from_rays([a.matrix.apply(r) for r in ca.rays],
+    img = Cone.from_rays([a.matrix.apply(r) for r in ca.generators],
                          a.target.ambient_rank)
     pull_ineq = [bt.apply(nu) for nu in img.facet_normals]
     pull_eq = [bt.apply(s) for s in img.span_normals]
@@ -535,7 +457,9 @@ def fiber_product(left: FanMap, right: FanMap) -> Fan:
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:
-  """Fan in the direct sum whose maximal cones are pairwise products.
+  """Fan in the direct sum whose maximal cones are pairwise products, a x b
+  generated by the generators of a and of b, lineality included, so of
+  dimension dim a + dim b.
 
   Precondition: both inputs are fans (see validate).  a x b lies in a' x b'
   iff a lies in a' and b in b', so every product is maximal and Fan.make's
@@ -546,8 +470,8 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
   out = []
   for a in f1.max_cones:
     for b in f2.max_cones:
-      rays = [tuple(r) + z2 for r in a.rays] + [z1 + tuple(r) for r in b.rays]
-      out.append(Cone.from_rays(rays, d1 + d2))
+      gens = [r + z2 for r in a.generators] + [z1 + r for r in b.generators]
+      out.append(Cone.from_rays(gens, d1 + d2))
   return Fan(d1 + d2, tuple(out))
 
 
@@ -670,24 +594,27 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
 
 def _support_equal(f1: Fan, f2: Fan) -> bool:
   """Whether two fans have the same support: the full-dimensional
-  intersections with each maximal cone of either fan tile that cone."""
-  for a, b in ((f1, f2), (f2, f1)):
-    for t in b.max_cones:
-      pieces = [p for p in (intersect(s, t) for s in a.max_cones)
-                if p.dim == t.dim]
-      if not _tiles(pieces, t):
+  intersections with each maximal cone of either fan tile that cone.
+  Each pair of maximal cones is intersected once, and its meeting read
+  from both sides: a cone of f2 gets its pieces in f1's order, a cone of
+  f1 in f2's."""
+  meets = [[intersect(s, t) for t in f2.max_cones] for s in f1.max_cones]
+  for cones, rows in ((f2.max_cones, zip(*meets)), (f1.max_cones, meets)):
+    for t, row in zip(cones, rows):
+      if not _tiles([p for p in row if p.dim == t.dim], t):
         return False
   return True
 
 
-def _require_fan(fan: Fan, label: str):
-  """Raise ValueError, naming label and the first violation, if fan fails
-  validate."""
+def _require_fan(fan: Fan, label: str) -> Fan:
+  """Return fan, or raise ValueError, naming label and the first violation,
+  if fan fails validate."""
   report = validate(fan)
   if not report.ok:
     kind, first, second = report.violations[0]
     raise ValueError("%s is not a fan: %s -- %s vs %s"
                      % (label, kind, first, second))
+  return fan
 
 
 def search_refinement(fan: Fan, goal: Fan, depth: int = 4):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cone import Cone, intersect
+from .cone import Cone, _neg, intersect
 from .fan import (
     Fan,
     FanMap,
@@ -70,10 +70,6 @@ class GalleryCase:
 
 def _e(i: int, n: int) -> tuple:
   return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _neg(v) -> tuple:
-  return tuple(-x for x in v)
 
 
 def _sum_of(vectors, n) -> tuple:

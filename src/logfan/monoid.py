@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .cone import Cone, _both_signs, _dot, _neg, hilbert_basis
+from .cone import Cone, _dot, _generators, _neg, hilbert_basis
 from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
@@ -197,7 +197,7 @@ def _cone_lattice_generators(ineqs, eqs, basis_rows) -> list:
   ineq_c = [[_dot(b, nu) for b in basis_rows] for nu in ineqs]
   eq_c = [[_dot(b, s) for b in basis_rows] for s in eqs]
   C = Cone.from_inequalities(ineq_c, eq_c, k)
-  gens_c = _both_signs(C.lineality_basis)
+  gens_c = list(_generators((), C.lineality_basis))
   if C.rays and not C.lineality_basis:
     gens_c.extend(hilbert_basis(C))
   elif C.rays:

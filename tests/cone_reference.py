@@ -30,9 +30,9 @@ from math import gcd
 
 from logfan.cone import (
     Cone,
-    _both_signs,
     _convert,
     _dot,
+    _generators,
     _neg,
     _order_key,
     _pick,
@@ -366,7 +366,7 @@ def reference_faces_by_conversion(sigma: Cone) -> list:
   conversion cache.  Sorted by _order_key.
   """
   rays = sigma.rays
-  lin_gens = _both_signs(sigma.lineality_basis)
+  lin_gens = list(_generators((), sigma.lineality_basis))
   facet_sets = set(sigma.facet_rays)
   full = (1 << len(rays)) - 1
   closed = {full}

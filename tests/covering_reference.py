@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from logfan.cone import Cone, _both_signs, _dot, intersect
+from logfan.cone import Cone, _dot, intersect
 from logfan.fan import Fan, _distinct, _tiles, star_subdivision
 from logfan.gallery import run_gallery
 from logfan.lattice import is_unimodular, saturate_row_lattice
@@ -106,8 +106,7 @@ def reference_holders(matrix, source, target) -> list:
                         target.ambient_rank))
   out = []
   for c in source.max_cones:
-    imgs = [matrix.apply(r)
-            for r in list(c.rays) + _both_signs(c.lineality_basis)]
+    imgs = [matrix.apply(r) for r in c.generators]
     out.append((imgs, [i for i, t in enumerate(target.max_cones)
                        if all(t.contains(v) for v in imgs)]))
   return out
@@ -142,8 +141,7 @@ def reference_subdivision_predicates(matrix, source, target) -> SimpleNamespace:
   full = False
   if partial:
     full = True
-    mapped = [Cone.from_rays([matrix.apply(r) for r in list(c.rays)
-                              + _both_signs(c.lineality_basis)],
+    mapped = [Cone.from_rays([matrix.apply(r) for r in c.generators],
                              target.ambient_rank)
               for c in source.max_cones]
     for t in target.max_cones:

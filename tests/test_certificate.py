@@ -28,12 +28,11 @@ from covering_reference import (
 )
 from resolution_reference import criterion_11_fans
 from logfan.cli import parse_document
-from logfan import fan as fan_module
-from logfan.cone import Cone, _pick, intersect, is_face_of
+from logfan import cone as cone_module
+from logfan.cone import (Cone, _certified, _pick, _same_rays, intersect,
+                         is_face_of)
 from logfan.fan import (
     Fan,
-    _certified,
-    _same_rays,
     product_fan,
     resolve_2d,
     star_subdivision,
@@ -222,7 +221,7 @@ def test_validate_builds_no_ray_tuple(monkeypatch):
             Cone.from_rays([(-1, 0), (1, -30)], 2)]
   fan = Fan(2, tuple(cones))
   calls = []
-  monkeypatch.setattr(fan_module, "_pick",
+  monkeypatch.setattr(cone_module, "_pick",
                       lambda *args: calls.append(args) or _pick(*args))
   report = validate(fan)
   assert report.ok and report.fallbacks == 0

@@ -11,7 +11,9 @@ seeded cones with lineality, of lower dimension, on coordinate
 hyperplanes and the zero cone; the walk's cross-check must compare the
 keys of the faces, not only their number.  chart_smoothness reads
 injectivity off its one Smith form, checked against the rank of the group
-map.
+map.  Two more guards keep how a cone is stored in cone.py: no other
+module names the incidence decoders or a hand-made lineality expansion,
+and only _generators writes a vector next to its negation.
 """
 
 import ast
@@ -22,7 +24,7 @@ import pytest
 
 import logfan
 from logfan import cone as cone_module
-from logfan.cone import (Cone, _both_signs, _closed_sets, _facets_of,
+from logfan.cone import (Cone, _closed_sets, _facets_of, _generators,
                          _is_face, _pick, faces, is_face_of)
 from logfan.kato import CharParam, chart_smoothness
 from logfan.lattice import IntMatrix, cokernel, rank
@@ -82,6 +84,48 @@ def test_star_subdivision_names_no_point_location():
   assert not _names(star) & {"_cones_at", "_smallest_face", "contains"}
 
 
+# how a cone is stored: the lineality expanded by hand, and the incidence
+# bitsets decoded; cone.py answers both (_generators, _facets, _certified)
+REPRESENTATION = {"_both_signs", "_pick", "facet_rays", "_cut", "_same_rays"}
+
+
+def test_only_cone_py_reads_how_a_cone_is_stored():
+  found = {}
+  for name, tree in _trees().items():
+    if name != "cone.py" and _names(tree) & REPRESENTATION:
+      found[name] = sorted(_names(tree) & REPRESENTATION)
+  assert found == {}
+
+
+def _paired_with_negation(tree):
+  """The lines of the two-element tuples and lists (v, _neg(v)) under tree:
+  a vector written next to its negation, as a lineality expansion does."""
+  out = []
+  for node in ast.walk(tree):
+    if isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 2:
+      v, w = node.elts
+      if (isinstance(w, ast.Call) and isinstance(w.func, ast.Name)
+          and w.func.id == "_neg" and len(w.args) == 1
+          and ast.dump(w.args[0]) == ast.dump(v)):
+        out.append(node.lineno)
+  return out
+
+
+def test_only_generators_pairs_a_vector_with_its_negation():
+  found = {}
+  for name, tree in _trees().items():
+    helper = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_generators"]
+    inside = {line for node in helper for line in _paired_with_negation(node)}
+    lines = sorted(set(_paired_with_negation(tree)) - inside)
+    if lines:
+      found[name] = lines
+    if name == "cone.py":
+      assert len(helper) == 1 and inside
+  assert found == {}
+
+
 def _hyperplane_cones(d, count):
   """Seeded cones of rank d that lie on coordinate hyperplanes: some
   coordinates are 0 on every generator, and some generators come with
@@ -103,7 +147,7 @@ def _face_candidates(sigma, rng):
   cones on random subsets of sigma's rays with and without its
   lineality, the zero cone, and cones of a ray sigma lacks."""
   d = sigma.ambient_rank
-  lin = _both_signs(sigma.lineality_basis)
+  lin = list(_generators((), sigma.lineality_basis))
   out = set(reference_faces_by_conversion(sigma))
   out.add(Cone.from_rays([], d))
   for _ in range(8):

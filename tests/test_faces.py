@@ -38,10 +38,10 @@ from logfan import cone as cone_module
 from logfan.cone import (
     MAX_FACES,
     Cone,
-    _both_signs,
     _closed_sets,
     _cone_from_gens,
     _convert,
+    _generators,
     _order_key,
     _pick,
     faces,
@@ -166,7 +166,7 @@ def test_after_faces_every_face_is_a_conversion_cache_hit(monkeypatch, gens):
   conversions = _count_calls(monkeypatch, cone_module, "_pointed_extreme_rays")
   hits = _cone_from_gens.cache_info().hits
   for f in out:
-    again = Cone.from_rays(list(f.rays) + _both_signs(f.lineality_basis), d)
+    again = Cone.from_rays(f.generators, d)
     assert again is f
   assert _cone_from_gens.cache_info().hits == hits + len(out)
   assert conversions == []
@@ -211,8 +211,8 @@ def test_faces_build_below_a_facet_a_conversion_cached(monkeypatch, gens):
   d = len(gens[0])
   sigma = Cone.from_rays(gens, d)
   _cone_from_gens.cache_clear()
-  facet = Cone.from_rays(list(_pick(sigma.rays, sigma.facet_rays[-1]))
-                         + _both_signs(sigma.lineality_basis), d)
+  facet = Cone.from_rays(_generators(_pick(sigma.rays, sigma.facet_rays[-1]),
+                                     sigma.lineality_basis), d)
   parents = _parents(monkeypatch)
   out = faces(sigma)
   assert next(f for f in out if f == facet) is facet
@@ -327,7 +327,7 @@ def test_the_face_budget_admits_the_rank_10_orthant():
 def _fresh(f):
   """The cone of f's rays and lineality by a conversion of its own,
   outside the conversion cache."""
-  gens = {primitive(g) for g in list(f.rays) + _both_signs(f.lineality_basis)}
+  gens = {primitive(g) for g in f.generators}
   return _convert(tuple(sorted(gens)), f.ambient_rank)
 
 
@@ -389,11 +389,10 @@ def test_a_walked_face_is_the_cached_one_and_contains_as_a_conversion(d):
     _cone_from_gens.cache_clear()
     out = faces(sigma)
     points = [sigma.interior_point()] + list(sigma.rays)
-    points += _both_signs(sigma.lineality_basis)
+    points += _generators((), sigma.lineality_basis)
     points += [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(8)]
     for f in out:
-      assert Cone.from_rays(list(f.rays) + _both_signs(f.lineality_basis),
-                            d) is f
+      assert Cone.from_rays(f.generators, d) is f
       lazy += f._span_normals is None
       fresh = _fresh(f)
       for v in points + [f.interior_point()]:

@@ -21,7 +21,7 @@ import random
 import pytest
 
 from logfan import cone as cone_module
-from logfan.cone import Cone, _both_signs, faces, is_face_of
+from logfan.cone import Cone, _generators, faces, is_face_of
 from logfan.fan import (
     Fan,
     FanMap,
@@ -67,7 +67,7 @@ def _inside(rng, sigma):
   """Cones inside sigma: a face, and a subcone of sigma's dimension on
   its interior point and all rays but one, with sigma's lineality."""
   d = sigma.ambient_rank
-  lin = _both_signs(sigma.lineality_basis)
+  lin = list(_generators((), sigma.lineality_basis))
   fs = faces(sigma)
   out = [fs[rng.randrange(len(fs))]]
   if sigma.rays:

@@ -4,17 +4,21 @@ A monoid is a canonically sorted generator list in an ambient lattice.  The
 operations here are the ones that matter for charts and fans: saturation,
 sharpening, faces, localization, quotients, pushouts, roots, and the Kummer
 and exactness predicates for homomorphisms.  Everything reduces to cone
-machinery plus exact lattice arithmetic; sizes are capped at desk scale
-because membership and saturation enumerate.  A membership search visits at
-most MAX_MEMBER_NODES nodes and refuses a vector that needs more with a
-ValueError.
+machinery plus exact lattice arithmetic.  Saturation enumerates a Hilbert
+basis, and membership searches the multiplicity of each generator on the
+facet values of its cone, taking each from an exact interval; its work
+grows with the vector, so sizes are capped at desk scale.  A membership
+search visits at most MAX_MEMBER_NODES nodes and refuses a vector that
+needs more with a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .cone import Cone, _dot, _generators, _neg, hilbert_basis
 from .cone import faces as cone_faces
@@ -32,11 +36,12 @@ MAX_AMBIENT_RANK = 6
 MAX_GENERATORS = 16
 # Search nodes one membership test may visit.  A node counts each time it
 # is reached, a memo hit included, so that the budget bounds the work: the
-# memo bounds only the distinct nodes, and (137^2) in the monoid of 5, 6, 9
-# reaches its 25 027 distinct nodes 6.5 million times.  The most any test,
-# the gallery or a benchmark workload (seeds 1, 2 and 11) visits is 2 291,
-# so this leaves a factor of 40, and 100 000 visits take about 0.5 s
-# (Python 3.11, x86-64).
+# memo bounds only the distinct nodes, and 82 999 in the monoid of 500,
+# 501, 502, 503 reaches its 41 584 distinct nodes 790 244 times.  Apart
+# from three tests that pin searches an earlier, slower search refused
+# (at most 12 198 visits), the most any test visits is 1 642; the gallery
+# reaches no search, and a benchmark workload (seeds 1, 2 and 11) visits
+# at most 82.  100 000 visits take 0.25 to 0.5 s (Python 3.11, x86-64).
 MAX_MEMBER_NODES = 100_000
 
 
@@ -90,51 +95,92 @@ def _gp_basis(P: AffineMonoid) -> tuple:
                row_lattice_basis([list(g) for g in P.gens], P.ambient_rank))
 
 
+class _Split(NamedTuple):
+  """The record that _unit_split makes once per monoid; see there."""
+
+  units: tuple
+  rest: tuple
+  pi: IntMatrix
+  pc: Cone
+  C: Cone
+  values: tuple
+  vanish: tuple
+
+
 @lru_cache(maxsize=4096)
-def _unit_split(P: AffineMonoid):
+def _unit_split(P: AffineMonoid) -> _Split:
   """Split the generators along the lineality of the recession cone, and
   project once to the quotient by the units.
 
-  Returns (units_basis, rest, pi, pgens, pc, grade_vec, C): units_basis
-  generates the unit group P*, rest is the tuple of the other generators, pi
-  kills the saturated span of the units, pgens, pc and grade_vec are the
-  images of rest, their cone and the sum of its facet normals (_member
-  checks that pc is pointed and the gradings positive), and C is the cone
-  of P, built here once per monoid.
+  units is a Hermite basis of the unit group P*, rest the tuple of the
+  other generators, pi the projection that kills the saturated span of the
+  units, pc the cone of the images of rest (_member checks that it is
+  pointed), and C the cone of P, built here once per monoid.  Write F(x)
+  for the values of pi(x) on the facets of pc.  values[i] is F(rest[i]),
+  and bit k of vanish[i] is set when every generator from rest[i] on
+  vanishes on facet k; vanish has one entry more than rest, with every
+  facet set.
   """
   C = P.cone
-  unit_gens = [g for g in P.gens if C.contains(_neg(g))]
-  rest = tuple(g for g in P.gens if not C.contains(_neg(g)))
-  basis = tuple(tuple(r) for r in
-                row_lattice_basis([list(g) for g in unit_gens], P.ambient_rank))
-  pi = complement_projection([list(b) for b in basis], P.ambient_rank)
-  pgens = tuple(pi.apply(r) for r in rest)
+  is_unit = [C.contains(_neg(g)) for g in P.gens]
+  rest = tuple(g for g, u in zip(P.gens, is_unit) if not u)
+  units = tuple(tuple(r) for r in row_lattice_basis(
+      [list(g) for g, u in zip(P.gens, is_unit) if u], P.ambient_rank))
+  pi = complement_projection([list(b) for b in units], P.ambient_rank)
+  pgens = [pi.apply(g) for g in rest]
   pc = Cone.from_rays(pgens, pi.rows)
-  grade_vec = tuple(sum(nu[i] for nu in pc.facet_normals) for i in range(pi.rows))
-  return basis, rest, pi, pgens, pc, grade_vec, C
+  values = tuple(tuple(_dot(nu, pg) for nu in pc.facet_normals)
+                 for pg in pgens)
+  vanish = [(1 << len(pc.facet_normals)) - 1]
+  for f in reversed(values):
+    vanish.append(vanish[-1] & ~sum(1 << k for k, x in enumerate(f) if x))
+  return _Split(units, rest, pi, pc, C, values, tuple(vanish[::-1]))
 
 
 @lru_cache(maxsize=65536)
 def _member(P: AffineMonoid, v: tuple) -> bool:
-  units, rest, pi, pgens, pc, grade_vec, C = _unit_split(P)
-  if not C.contains(v):
+  """Whether v is a sum of generators, by a depth-first search over the
+  multiplicity of each non-unit generator in turn.
+
+  The search carries F, the facet values of the remainder (see
+  _unit_split), not the remainder's image in the unit quotient, and tests
+  no cone.  At level i the remainder must end in the cone of rest[i:],
+  which lies in pc, so the multiplicity c of rest[i] ranges over exactly
+  0 <= c <= min_k floor(F_k / F_k(rest[i])), the c that keep the image in
+  pc.  The cone of rest[i + 1:] also lies in the face of pc where every
+  facet of vanish[i + 1] vanishes, so the next remainder must read 0 there.
+  On a facet of vanish[i] it already does: at level 0 because every facet
+  of pc has a generator off it, so vanish[0] is empty, and after that
+  because the level before forced it.  On the other facets of
+  vanish[i + 1], rest[i] is positive, so c is forced to F_k / F_k(rest[i]),
+  and the branch is dead when that does not divide exactly.  Both the
+  interval and the forcing are necessary conditions, so no branch they cut
+  could succeed.  Past the last generator every facet is in vanish, so F
+  = 0 there, and as pc is pointed the image of the remainder is 0: a leaf
+  succeeds when what is left of v is a unit.  The memo is keyed by level
+  and remainder, and every node reached counts against MAX_MEMBER_NODES,
+  memo hits included.
+  """
+  s = _unit_split(P)
+  if not s.C.contains(v):
     return False
   # both bases are Hermite, so echelon: one back-substitution each
   if _echelon_coords(_gp_basis(P), v) is None:
     return False
+  units, rest, values, vanish = s.units, s.rest, s.values, s.vanish
   if not rest:
     return _echelon_coords(units, v) is not None
-  if not pc.is_strictly_convex:
+  if not s.pc.is_strictly_convex:
     raise RuntimeError("the cone of the non-unit generators modulo the units "
                        "has lineality")
-  w = pi.apply(v)
-  gr = {i: _dot(grade_vec, pg) for i, pg in enumerate(pgens)}
-  if not all(g > 0 for g in gr.values()):
-    raise RuntimeError("a non-unit generator has grading <= 0: %s" % (gr,))
+  if min(map(sum, values)) <= 0:
+    raise RuntimeError("a non-unit generator has grading <= 0: %s"
+                       % ([sum(f) for f in values],))
+  n = len(rest)
   memo = {}
   visits = 0
 
-  def search(i, w_left, v_left):
+  def search(i, fw, v_left):
     nonlocal visits
     visits += 1
     if visits > MAX_MEMBER_NODES:
@@ -143,26 +189,35 @@ def _member(P: AffineMonoid, v: tuple) -> bool:
     key = (i, v_left)
     if key in memo:
       return memo[key]
-    if i == len(rest):
-      out = not any(w_left) and _echelon_coords(units, v_left) is not None
+    if i == n:
+      out = _echelon_coords(units, v_left) is not None
       memo[key] = out
       return out
+    fg, g = values[i], rest[i]
+    lo, hi = 0, min([a // b for a, b in zip(fw, fg) if b])
+    # the facets on which rest[i] is the last generator that does not vanish
+    forced = vanish[i] ^ vanish[i + 1]
+    while forced and lo <= hi:
+      k = forced.bit_length() - 1
+      forced ^= 1 << k
+      q, r = divmod(fw[k], fg[k])
+      lo = hi + 1 if r else max(lo, q)
     out = False
-    c = 0
-    while True:
-      wl = tuple(a - c * b for a, b in zip(w_left, pgens[i]))
-      if _dot(grade_vec, wl) < 0 or not pc.contains(wl):
-        break
-      vl = tuple(a - c * b for a, b in zip(v_left, rest[i]))
-      if search(i + 1, wl, vl):
+    if lo <= hi and lo:
+      fw = tuple([a - lo * b for a, b in zip(fw, fg)])
+      v_left = tuple([a - lo * b for a, b in zip(v_left, g)])
+    for c in range(lo, hi + 1):
+      if c > lo:
+        fw, v_left = tuple(map(sub, fw, fg)), tuple(map(sub, v_left, g))
+      if search(i + 1, fw, v_left):
         out = True
         break
-      c += 1
     memo[key] = out
     return out
 
   try:
-    return search(0, w, tuple(v))
+    w = s.pi.apply(v)
+    return search(0, tuple(_dot(nu, w) for nu in s.pc.facet_normals), v)
   finally:
     # search refers to itself, so its memo would wait for the cyclic
     # garbage collector; dropping the name frees it here
@@ -234,7 +289,8 @@ def structure_queries(P: AffineMonoid) -> SimpleNamespace:
   the saturated span of the units, which matches the abstract sharpening for
   the monoids handled here.
   """
-  units, _, pi = _unit_split(P)[:3]
+  split = _unit_split(P)
+  units, pi = split.units, split.pi
   sat = saturation(P)
   is_saturated = all(membership(P, g) for g in sat.gens)
   sharp = AffineMonoid.make([pi.apply(g) for g in P.gens], pi.rows)

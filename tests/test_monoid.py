@@ -119,13 +119,49 @@ def test_membership_never_misses_a_witnessed_sum():
       assert membership(p, v), (p.gens, cs)
 
 
+def test_membership_with_large_coefficients_is_never_false():
+  # a witnessed sum with multiplicities up to 10^6 is a member: the search
+  # answers True or refuses it at the budget, never False
+  rng = random.Random(11)
+  answered = 0
+  for _ in range(40):
+    d = rng.choice([1, 2, 3])
+    gens = [tuple(rng.randint(-3, 5) for _ in range(d))
+            for _ in range(rng.randint(1, 4))]
+    p = _mono(gens, d)
+    cs = [rng.randint(0, 10 ** 6) for _ in gens]
+    v = tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(d))
+    start = time.perf_counter()
+    try:
+      assert membership(p, v), (p.gens, cs)
+      answered += 1
+    except ValueError as e:
+      assert "capped at %d nodes" % MAX_MEMBER_NODES in str(e)
+    assert time.perf_counter() - start < 5.0
+  assert answered >= 30
+
+
+# the earlier search, with a cone test per step, passed the budget on these
+@pytest.mark.parametrize("gens, v, witness", [
+    ([(5,), (6,), (9,)], (137 ** 2,), (3752, 0, 1)),
+    ([(1, 0), (1, 2), (2, 1), (3, 5)], (3200, 3201), (1598, 1600, 1, 0)),
+    ([(1, 0), (1, 2), (2, 1), (3, 5)], (12800, 12801), (6398, 6400, 1, 0)),
+], ids=["137-squared", "3200", "12800"])
+def test_membership_answers_searches_once_past_the_budget(gens, v, witness):
+  assert tuple(sum(c * g[i] for c, g in zip(witness, gens))
+               for i in range(len(v))) == v
+  start = time.perf_counter()
+  assert membership(_mono(gens, len(v)), v)
+  assert time.perf_counter() - start < 5.0
+
+
 def test_membership_budget_counts_memo_hits():
-  # 25 027 distinct nodes, reached 6.5 million times: a budget on the
-  # distinct nodes alone let this run 18 s
-  p = _mono([(5,), (6,), (9,)], 1)
+  # not a member: 41 584 distinct nodes, reached 790 244 times, so a budget
+  # on the distinct nodes alone would let this run the whole search
+  p = _mono([(500,), (501,), (502,), (503,)], 1)
   start = time.perf_counter()
   with pytest.raises(ValueError, match="capped at %d nodes" % MAX_MEMBER_NODES):
-    membership(p, (137 ** 2,))
+    membership(p, (82_999,))
   assert time.perf_counter() - start < 5.0
 
 

@@ -453,12 +453,14 @@ def test_hom_rejects_ragged_vectors():
   assert "differ in length" in err
 
 
-def test_hom_refuses_a_membership_search_past_the_budget():
-  # about 100 bytes of arguments: the search for (n, n + 1) in this monoid
-  # takes a number of steps in proportion to n.  It once took 7 s at
-  # n = 3200 and hung at 12800, which it now answers (test_monoid.py)
-  n = 10 ** 30
-  argv = ["hom", "--src=%d,%d" % (n, n + 1), "--dst=1,0;1,2;2,1;3,5",
+@pytest.mark.parametrize("n", [3200, 12800])
+def test_hom_refuses_a_membership_search_past_the_budget(n):
+  # about 100 bytes of arguments: the search for (m, m + 1) in this monoid
+  # takes a number of steps in proportion to m.  It once took 7 s at
+  # m = 3200 and hung at 12800, which it now answers (test_monoid.py), so
+  # both are scaled by 10^26 to stay past the budget
+  m = n * 10 ** 26
+  argv = ["hom", "--src=%d,%d" % (m, m + 1), "--dst=1,0;1,2;2,1;3,5",
           "--matrix=1,0;0,1"]
   t0 = time.perf_counter()
   code, out, err = run(argv)

@@ -20,21 +20,26 @@ lineality (_is_face); and the smallest face holding a point
 generators, the rays then both signs of each lineality vector, come from
 _generators (Cone.generators), a facet's rays from _facets, and the
 common-face certificate (_certified) is decided here, beside the face test.
-Hilbert-basis candidates come from the group of the lattice modulo the rays
-of each simplicial piece, and are reduced by comparing their facet values,
-the numbers their grading is the sum of.  The lattice work is only what the
-answer needs: a Hermite kernel (_kernel_rows, one Hermite pass, for span
-normals or lineality) is taken only when the rank shows the kernel is not
-{0}, and for a walked face only when its span normals are first read;
-the conversion's start and each simplicial piece get their adjugate and
-determinant from one fraction-free elimination (_adjugate).
+The Hilbert basis of a 2-dimensional cone is its Hirzebruch-Jung chain,
+made one element per step from one extended gcd (_chain).  Those of other
+cones are enumerated: the candidates come from the group of the lattice
+modulo the rays of each simplicial piece, and are reduced by comparing
+their facet values, the numbers their grading is the sum of.  The lattice
+work is only what the answer needs: a Hermite kernel (_kernel_rows, one
+Hermite pass, for span normals or lineality) is taken only when the rank
+shows the kernel is not {0}, and for a walked face only when its span
+normals are first read; the conversion's start and each simplicial piece
+get their adjugate and determinant from one fraction-free elimination
+(_adjugate).
 A face's facet normals need no adjugate: each is a parent's normal
 projected onto the face's span by two terms.  Smoothness is one Hermite
 pass over the transposed rays (_extends_to_basis), not a loop over maximal
 minors.  These, and the back-substitution of _span_coordinates
 (_echelon_coords), are lattice.py's, on row lists.
-Hilbert bases have one work budget, MAX_HILBERT_INDEX, and faces one,
-MAX_FACES; neither they nor dual_cone have a rank cap.
+Hilbert bases have one work budget, MAX_HILBERT_INDEX, which caps a
+chain's elements at one more than it and an enumeration's total simplicial
+index at it; faces have one, MAX_FACES; neither they nor dual_cone have a
+rank cap.
 """
 
 from __future__ import annotations
@@ -45,15 +50,18 @@ from dataclasses import dataclass, field
 from operator import le, mul
 
 from .lattice import (_adjugate, _echelon_coords, _extends_to_basis,
-                      _kernel_rows, primitive)
+                      _kernel_rows, _xgcd, primitive)
 
-# hilbert_basis refuses a cone whose simplicial pieces have a total index
-# (|det| per piece, in the span lattice) above this: the number of candidate
-# points.  The most met in the tests, the gallery and the benchmark is 145.
-# At the budget (Python 3.11, x86-64) the cone of e_1, ..., e_{d-1} and
-# (1, ..., 1, 2000) takes 0.01 s in rank 2 and 0.16-0.26 s in ranks 6 and
-# 8; the rank needs no cap, as the triangulation of the cone over C(16, 8)
-# in rank 9 (330 pieces) takes 0.025 s.
+# hilbert_basis refuses a 2-dimensional cone whose chain would have more
+# than this plus one elements, and any other cone whose simplicial pieces
+# have a total index (|det| per piece, in the span lattice) above this: the
+# number of candidate points.  The most met in the tests, the gallery and
+# the benchmark, other than the cones drawn near or past the budget on
+# purpose, is a chain of 18 elements and a total index of 101.  At the
+# budget (Python 3.11, x86-64) the cone of e_1, ..., e_{d-1} and
+# (1, ..., 1, 2000) takes 0.002 s in rank 2, a chain of 2 001 elements, and
+# 0.16-0.19 s in ranks 6 and 8; the rank needs no cap, as the triangulation
+# of the cone over C(16, 8) in rank 9 (330 pieces) takes 0.025 s.
 MAX_HILBERT_INDEX = 2000
 
 # faces refuses a cone with more faces than this, counted as closed ray
@@ -558,8 +566,82 @@ def _parallelepiped_points(rays, adj, dd) -> list:
           for a in _subgroup(adj, dd)[1:]]
 
 
+def _chain(sigma: Cone) -> list:
+  """The Hilbert basis of a strictly convex 2-dimensional cone, in any
+  ambient rank, in angular order from rays[0] to rays[1]: its
+  Hirzebruch-Jung chain (Oda 1988, 1.6; Fulton 1993, 2.6), made with work
+  equal to its length.
+
+  With a, b the rays, det taken on their coordinates in the span lattice
+  (_span_coordinates), n = |det(a, b)| and s its sign, one _xgcd on a
+  gives u* with det(a, u*) = 1.  The lattice points v with det(a, v) = s
+  are s u* + t a, t an integer, and det(v, b) / s = det(u*, b) + t n runs
+  over a residue class mod n.  The element after a is the one where it is
+  least and not negative, r_1 = det(u*, b) mod n: u_1 = (r_1 a + b) / n,
+  taken in ambient coordinates (b itself when n = 1).  With
+  r_i = det(u_i, b) / s, strictly falling, u_{i+1} = k u_i - u_{i-1} and
+  r_{i+1} = k r_i - r_{i-1} for k = ceil(r_{i-1} / r_i), from u_0 = a and
+  r_0 = n, until r = 0 at u = b.  The sign s is carried by u_1 alone, so
+  no step reads it.
+
+  Raises:
+    ValueError: if the chain would pass MAX_HILBERT_INDEX + 1 elements.
+    RuntimeError: if u_1 is not a lattice point or the chain misses b.
+  """
+  a, b = sigma.rays
+  coords = _span_coordinates(sigma)
+  (a0, a1), (b0, b1) = coords[a], coords[b]
+  n = abs(a0 * b1 - a1 * b0)
+  _, x, y = _xgcd(a0, a1)
+  # u* = (-y, x), so det(u*, b) = -y b1 - x b0
+  r = (-y * b1 - x * b0) % n
+  u = []
+  for p, q in zip(a, b):
+    c, rem = divmod(r * p + q, n)
+    if rem:
+      raise RuntimeError("(%d a + b) / %d is not a lattice point for the "
+                         "cone on %s" % (r, n, sigma.rays))
+    u.append(c)
+  u = tuple(u)
+  chain = [a]
+  u0, r0 = a, n
+  while r:
+    chain.append(u)
+    if len(chain) > MAX_HILBERT_INDEX:
+      raise ValueError("Hilbert basis capped at %d elements; this cone has "
+                       "more" % (MAX_HILBERT_INDEX + 1))
+    k = -(-r0 // r)
+    u0, u = u, tuple(k * p - q for p, q in zip(u, u0))
+    r0, r = r, k * r - r0
+  if u != b:
+    raise RuntimeError("the chain of the cone on %s ends at %s"
+                       % (sigma.rays, u))
+  chain.append(b)
+  return chain
+
+
 def hilbert_basis(sigma: Cone) -> list:
   """Unique minimal generating set of the monoid of lattice points of sigma.
+
+  A 2-dimensional cone, in any ambient rank, gets its Hirzebruch-Jung
+  chain (_chain), with work equal to its length, which is refused past
+  MAX_HILBERT_INDEX + 1 elements.  Any other cone is enumerated
+  (_enumerated_basis).
+
+  Raises:
+    ValueError: if the cone has lineality, a 2-dimensional cone's chain has
+      more than MAX_HILBERT_INDEX + 1 elements, or another cone's total
+      simplicial index is above MAX_HILBERT_INDEX.
+  """
+  if not sigma.is_strictly_convex:
+    raise ValueError("Hilbert basis requires a strictly convex cone")
+  if sigma.dim == 2:
+    return sorted(_chain(sigma))
+  return _enumerated_basis(sigma)
+
+
+def _enumerated_basis(sigma: Cone) -> list:
+  """The Hilbert basis of a strictly convex cone, by enumeration.
 
   The candidates are the rays and the lattice points of the parallelepipeds
   of a triangulation, enumerated per simplicial piece as the group of the
@@ -578,11 +660,9 @@ def hilbert_basis(sigma: Cone) -> list:
   prefix of the basis, which grows in grading order.
 
   Raises:
-    ValueError: if the cone has lineality or the total index of the pieces
-      is above MAX_HILBERT_INDEX.
+    ValueError: if the total index of the pieces is above
+      MAX_HILBERT_INDEX.
   """
-  if not sigma.is_strictly_convex:
-    raise ValueError("Hilbert basis requires a strictly convex cone")
   if sigma.is_zero:
     return []
   coords = _span_coordinates(sigma)

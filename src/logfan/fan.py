@@ -34,8 +34,8 @@ import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cone import (Cone, _certified, _dot, _face_map, _facets, _generators,
-                   _is_face, _neg, _order_key, _smallest_face, hilbert_basis,
+from .cone import (Cone, _certified, _chain, _dot, _face_map, _facets,
+                   _generators, _is_face, _neg, _order_key, _smallest_face,
                    intersect, is_face_of, is_smooth)
 from .lattice import IntMatrix, is_unimodular
 
@@ -546,17 +546,20 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
   resolution (Oda 1988, 1.6; Fulton 1993, 2.6).  The subcone spanned by two
   elements of the chain has as its Hilbert basis the part of the chain
   between them, since its hull has the same compact edges there.  So each
-  singular input cone takes one hilbert_basis call; a subcone is a slice of
-  its chain, singular iff the slice has an interior element, and the
-  insertions are replayed on a heap keyed by the subcone's rays.  The
-  result is the input's other cones plus the cones of consecutive chain
-  elements, all maximal, so the fan is built once without Fan.make.
+  singular input cone takes one chain (cone.py's _chain), already in
+  angular order from its first ray to its second, with work equal to its
+  length; a subcone is a slice of its chain, singular iff the slice has an
+  interior element, and the insertions are replayed on a heap keyed by the
+  subcone's rays.  The result is the input's other cones plus the cones of
+  consecutive chain elements, all maximal, so the fan is built once
+  without Fan.make.
 
   Precondition: the input is a fan (see validate).  Then each inserted ray
   lies in the relative interior of one maximal cone only, which it splits.
 
   Raises:
-    ValueError: if the fan is not of rank 2, or a 2-cone has lineality.
+    ValueError: if the fan is not of rank 2, a 2-cone has lineality, or a
+      chain would pass MAX_HILBERT_INDEX + 1 elements.
     RuntimeError: if a singular 2-cone has no Hilbert basis element off its
       rays, which cannot happen for a strictly convex one.
   """
@@ -569,10 +572,7 @@ def resolve_2d(fan: Fan) -> tuple[Fan, list]:
     if c.dim != 2 or is_smooth(c):
       keep.append(c)
       continue
-    a, b = c.rays
-    turn = 1 if _cross(a, b) > 0 else -1
-    chain = sorted(hilbert_basis(c), key=functools.cmp_to_key(
-        lambda u, v: -turn * _cross(u, v)))
+    chain = _chain(c)
     if len(chain) < 3:
       raise RuntimeError("singular rank-2 cone %s has no interior Hilbert "
                          "basis element" % (c.rays,))

@@ -1,26 +1,27 @@
 """Test-only reference code for the rank-2 resolution of logfan.fan.
 
 The library decides smoothness by one Hermite pass over the transposed ray
-matrix and resolves a rank-2 fan from one Hilbert basis per singular cone.
-This module keeps the earlier code as a differential oracle: smoothness by
-a rank check plus the Smith normal form of the ray matrix, smoothness by
-the gcd of the maximal minors, the stellar insertion of one ray, and
-a resolution loop that inserts one ray at a time, takes a fresh Hilbert
-basis each time and re-tests every maximal cone after each insertion.  It
-keeps the completion that restarts after every inserted ray and drops the
-old ray cones through Fan.make's filter, and it draws the singular rank-2
-fans of acceptance criterion 11.
+matrix and resolves a rank-2 fan from one Hirzebruch-Jung chain per
+singular cone.  This module keeps the earlier code as a differential
+oracle: smoothness by a rank check plus the Smith normal form of the ray
+matrix, smoothness by the gcd of the maximal minors, the stellar insertion
+of one ray, and a resolution loop that inserts one ray at a time, takes a
+fresh Hilbert basis each time and re-tests every maximal cone after each
+insertion.  Its Hilbert bases are cone_reference's box walk, which shares
+nothing with the chain.  It keeps the completion that restarts after every
+inserted ray and drops the old ray cones through Fan.make's filter, and it
+draws the singular rank-2 fans of acceptance criterion 11.
 """
 
 import functools
 import itertools
 import math
 
-from logfan.cone import Cone, hilbert_basis
+from logfan.cone import Cone
 from logfan.fan import Fan, complete_2d
 from logfan.lattice import IntMatrix, _adjugate, snf
 
-from cone_reference import _rank_small
+from cone_reference import _rank_small, reference_hilbert_basis
 
 
 def reference_is_smooth(sigma: Cone) -> bool:
@@ -88,7 +89,7 @@ def reference_resolve_2d(fan: Fan) -> tuple[Fan, list]:
     if not bad:
       return cur, steps
     c = bad[0]
-    extra = sorted(h for h in hilbert_basis(c) if h not in c.rays)
+    extra = sorted(h for h in reference_hilbert_basis(c) if h not in c.rays)
     if not extra:
       raise AssertionError("singular rank-2 cone with no interior Hilbert element")
     cur = insert_ray_2d(cur, extra[0])

@@ -624,11 +624,13 @@ def test_hilbert_budget_adds_up_the_pieces():
 
 def test_cli_exits_two_with_the_budget_message(capsys):
   n = MAX_HILBERT_INDEX + 1
+  # the chain of this 2-cone is (1, 0), (1, 1), ..., (1, n): one element
+  # past the budget
   gens = "1,0;1,%d;1,1" % n
   code = execute(["hom", "--src=" + gens, "--dst=" + gens, "--matrix=1,0;0,1"])
   assert code == 2
-  assert ("Hilbert basis capped at a total simplicial index of %d; "
-          "this cone needs %d" % (MAX_HILBERT_INDEX, n)) in capsys.readouterr().err
+  assert ("Hilbert basis capped at %d elements"
+          % (MAX_HILBERT_INDEX + 1)) in capsys.readouterr().err
 
 
 _O_SCRIPT = """

@@ -7,11 +7,11 @@ with as many rays as the rank or more, among them dependent and
 non-primitive rows, and of ranks 7 and 8 with fewer rays than the rank.
 A call count guards against a second Hermite pass coming back.
 is_unimodular is compared with the determinant.
-resolve_2d (one Hilbert basis per singular cone, the fan built once) is
-compared with the loop that inserted one ray at a time and re-tested the
-whole fan after every ray, on the fans of acceptance criterion 11, and
-call counts guard against the re-tests, the per-step Hilbert bases and
-the per-step Fan.make coming back.
+resolve_2d (one Hirzebruch-Jung chain per singular cone, the fan built
+once) is compared with the loop that inserted one ray at a time and
+re-tested the whole fan after every ray, on the fans of acceptance
+criterion 11, and call counts guard against the re-tests, the per-step
+chains and the per-step Fan.make coming back.
 """
 
 import random
@@ -20,7 +20,7 @@ import pytest
 
 import logfan.fan
 import logfan.lattice
-from logfan.cone import Cone, hilbert_basis, is_smooth
+from logfan.cone import Cone, _chain, is_smooth
 from logfan.fan import Fan, resolve_2d, support_query
 from logfan.lattice import IntMatrix, det, is_unimodular
 from resolution_reference import (
@@ -204,12 +204,12 @@ def test_resolve_2d_takes_one_hilbert_basis_per_singular_cone(monkeypatch):
 
   def counted(sigma):
     calls.append(sigma)
-    return hilbert_basis(sigma)
+    return _chain(sigma)
 
   def no_make(cones, ambient_rank):
     raise AssertionError("resolve_2d called Fan.make")
 
-  monkeypatch.setattr(logfan.fan, "hilbert_basis", counted)
+  monkeypatch.setattr(logfan.fan, "_chain", counted)
   monkeypatch.setattr(Fan, "make", staticmethod(no_make))
   resolved = []
   longest = 0

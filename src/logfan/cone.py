@@ -24,13 +24,16 @@ The Hilbert basis of a 2-dimensional cone is its Hirzebruch-Jung chain,
 made one element per step from one extended gcd (_chain).  Those of other
 cones are enumerated: the candidates come from the group of the lattice
 modulo the rays of each simplicial piece, and are reduced by comparing
-their facet values, the numbers their grading is the sum of.  The lattice
-work is only what the answer needs: a Hermite kernel (_kernel_rows, one
-Hermite pass, for span normals or lineality) is taken only when the rank
-shows the kernel is not {0}, and for a walked face only when its span
-normals are first read; the conversion's start and each simplicial piece
-get their adjugate and determinant from one fraction-free elimination
-(_adjugate).
+their facet values, the numbers their grading is the sum of.  Either way
+the basis is computed once per cone and kept on it.  The lattice work is
+only what the answer needs: a Hermite kernel (_kernel_rows, one Hermite
+pass, for span normals or lineality) is taken only when the rank shows the
+kernel is not {0}, and for a walked face only when its span normals are
+first read; the conversion's start gets its adjugate from one
+fraction-free elimination (_adjugate), and each simplicial piece its
+determinant from the forward half of it (_det_rows), the adjugate being
+taken only for the pieces of index above 1, the only ones with box
+points.
 A face's facet normals need no adjugate: each is a parent's normal
 projected onto the face's span by two terms.  Smoothness is one Hermite
 pass over the transposed rays (_extends_to_basis), not a loop over maximal
@@ -49,8 +52,8 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from operator import le, mul
 
-from .lattice import (_adjugate, _echelon_coords, _extends_to_basis,
-                      _kernel_rows, _xgcd, primitive)
+from .lattice import (_adjugate, _det_rows, _echelon_coords,
+                      _extends_to_basis, _kernel_rows, _xgcd, primitive)
 
 # hilbert_basis refuses a 2-dimensional cone whose chain would have more
 # than this plus one elements, and any other cone whose simplicial pieces
@@ -240,6 +243,10 @@ class Cone:
 
   generators gives vectors that generate the whole cone, lineality
   included; every reader that maps, multiplies or tests the cone uses them.
+
+  _hilbert holds the Hilbert basis once hilbert_basis has computed it, and
+  is None until then; like the span normals it is derived, so it is not
+  compared, hashed or shown, and no caller passes it.
   """
 
   ambient_rank: int
@@ -250,6 +257,8 @@ class Cone:
   _span_normals: tuple[tuple[int, ...], ...] | None = field(compare=False,
                                                              repr=False)
   _dim: int = field(compare=False, repr=False)
+  _hilbert: tuple[tuple[int, ...], ...] | None = field(compare=False,
+                                                        repr=False)
 
   def __init__(self, ambient_rank, rays, lineality_basis, facet_normals,
                facet_rays, span_normals, _dim):
@@ -263,6 +272,7 @@ class Cone:
     init(self, "facet_rays", facet_rays)
     init(self, "_span_normals", span_normals)
     init(self, "_dim", _dim)
+    init(self, "_hilbert", None)
 
   @property
   def span_normals(self) -> tuple[tuple[int, ...], ...]:
@@ -621,23 +631,29 @@ def _chain(sigma: Cone) -> list:
 
 
 def hilbert_basis(sigma: Cone) -> list:
-  """Unique minimal generating set of the monoid of lattice points of sigma.
+  """Unique minimal generating set of the monoid of lattice points of sigma,
+  sorted, as a new list on every call.
 
   A 2-dimensional cone, in any ambient rank, gets its Hirzebruch-Jung
   chain (_chain), with work equal to its length, which is refused past
   MAX_HILBERT_INDEX + 1 elements.  Any other cone is enumerated
-  (_enumerated_basis).
+  (_enumerated_basis).  The answer is kept on the cone (Cone._hilbert), so
+  a cone from the conversion cache answers again at no cost; a refusal
+  keeps nothing.
 
   Raises:
     ValueError: if the cone has lineality, a 2-dimensional cone's chain has
       more than MAX_HILBERT_INDEX + 1 elements, or another cone's total
       simplicial index is above MAX_HILBERT_INDEX.
   """
-  if not sigma.is_strictly_convex:
-    raise ValueError("Hilbert basis requires a strictly convex cone")
-  if sigma.dim == 2:
-    return sorted(_chain(sigma))
-  return _enumerated_basis(sigma)
+  basis = sigma._hilbert
+  if basis is None:
+    if not sigma.is_strictly_convex:
+      raise ValueError("Hilbert basis requires a strictly convex cone")
+    basis = tuple(sorted(_chain(sigma)) if sigma.dim == 2
+                  else _enumerated_basis(sigma))
+    object.__setattr__(sigma, "_hilbert", basis)
+  return list(basis)
 
 
 def _enumerated_basis(sigma: Cone) -> list:
@@ -649,8 +665,10 @@ def _enumerated_basis(sigma: Cone) -> list:
   the candidates that are not sums of two nonzero lattice points of sigma,
   decided in order of grading against the basis found so far.  The
   work is the total index of the pieces (|det| each, in the span lattice),
-  which is checked against MAX_HILBERT_INDEX before anything is enumerated;
-  each piece's determinant is taken once, with its adjugate, for both.
+  which is checked against MAX_HILBERT_INDEX before anything is enumerated.
+  Each piece's determinant comes from the forward elimination alone
+  (_det_rows); only a piece of index above 1 has box points, so only it
+  takes an adjugate.  When no piece has any, the basis is the rays.
 
   The grading is the sum of a candidate's facet values, and x - e lies in
   sigma iff no facet value of e exceeds that of x (Bruns & Ichim 2010).  If
@@ -666,15 +684,20 @@ def _enumerated_basis(sigma: Cone) -> list:
   if sigma.is_zero:
     return []
   coords = _span_coordinates(sigma)
-  pieces = [(piece,) + _adjugate([coords[r] for r in piece])
-            for piece in _simplicial_pieces(sigma)]
+  pieces = []
+  for piece in _simplicial_pieces(sigma):
+    rows = [coords[r] for r in piece]
+    pieces.append((piece, rows, _det_rows(rows)))
   index = sum(abs(dd) for _, _, dd in pieces)
   if index > MAX_HILBERT_INDEX:
     raise ValueError("Hilbert basis capped at a total simplicial index of %d; "
                      "this cone needs %d" % (MAX_HILBERT_INDEX, index))
+  if index == len(pieces):
+    return sorted(sigma.rays)
   candidates = set(sigma.rays)
-  for piece, adj, dd in pieces:
-    candidates.update(_parallelepiped_points(piece, adj, dd))
+  for piece, rows, dd in pieces:
+    if abs(dd) > 1:
+      candidates.update(_parallelepiped_points(piece, *_adjugate(rows)))
   vals = {x: [_dot(nu, x) for nu in sigma.facet_normals] for x in candidates}
   grade = {x: sum(v) for x, v in vals.items()}
   for x, g in grade.items():

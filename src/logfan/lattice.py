@@ -7,16 +7,17 @@ anywhere in this package.
 
 Each elimination exists once, on row lists, and the other modules call it
 directly: _hermite (one Hermite pass), _snf_rows (the Smith form),
-_adjugate (one Bareiss elimination for adjugates and determinants, det
-included), _kernel_rows (the Hermite kernel) and _echelon_coords
+_det_rows (the forward Bareiss elimination, behind det and
+is_unimodular), _adjugate (the same elimination carried on to the
+adjugate), _kernel_rows (the Hermite kernel) and _echelon_coords
 (back-substitution against echelon rows).  The public functions wrap them,
 and only they build an IntMatrix.  A question that reads no transform runs
 _hermite alone: rank and row_lattice_basis on the rows, and
-_extends_to_basis (is_smooth, is_unimodular) on their transpose, whose
-pivots multiply to the gcd of the maximal minors.  Only the Hermite form
-(_hnf_rows, behind hnf), the kernel and the Smith form carry their
-transforms beside the matrix in augmented rows, and each row step on them
-is one _row_op_gcd; the Hermite form and the kernel share _hermite.
+_extends_to_basis (is_smooth) on their transpose, whose pivots multiply to
+the gcd of the maximal minors.  Only the Hermite form (_hnf_rows, behind
+hnf), the kernel and the Smith form carry their transforms beside the
+matrix in augmented rows, and each row step on them is one _row_op_gcd;
+the Hermite form and the kernel share _hermite.
 """
 
 from __future__ import annotations
@@ -355,16 +356,45 @@ def cokernel(A: IntMatrix) -> AbelianQuotient:
                          invariant_factors=tuple(d for d in nonzero if d > 1))
 
 
+def _det_rows(rows) -> int:
+  """Determinant of a square integer matrix given as rows.
+
+  The forward half of _adjugate's fraction-free elimination (Bareiss 1968),
+  with no identity block: each step clears the column below its pivot, the
+  division by the previous pivot is exact, and the last pivot is det(PR)
+  for the row permutation P of the swaps.  A column with no nonzero pivot
+  means det = 0.  The 0 x 0 matrix has determinant 1.
+  """
+  k = len(rows)
+  w = [list(r) for r in rows]
+  sign = 1
+  prev = 1
+  for c in range(k):
+    if not w[c][c]:
+      piv = next((i for i in range(c + 1, k) if w[i][c]), None)
+      if piv is None:
+        return 0
+      w[c], w[piv] = w[piv], w[c]
+      sign = -sign
+    p = w[c]
+    a = p[c]
+    for i in range(c + 1, k):
+      b = w[i][c]
+      w[i] = [(x * a - y * b) // prev for x, y in zip(w[i], p)]
+    prev = a
+  return sign * prev
+
+
 def _adjugate(rows):
   """Adjugate and determinant of a square integer matrix given as rows.
 
   Returns (adj, det), adj as a list of rows, or (None, 0) for a singular
-  matrix.  One fraction-free Gauss-Jordan elimination (Bareiss 1968) on
-  [R | I]: every division by the previous pivot is exact, and at the end
-  the left block is det(PR) I and the right block adj(PR) = det(PR) (PR)^-1
-  for the row permutation P of the pivot swaps; folding P's sign into both
-  gives det(R) and adj(R).  A column with no nonzero pivot means det = 0.
-  The 0 x 0 matrix has determinant 1.
+  matrix.  The fraction-free elimination of _det_rows, carried on as
+  Gauss-Jordan on [R | I]: at the end the left block is det(PR) I and the
+  right block adj(PR) = det(PR) (PR)^-1 for the row permutation P of the
+  pivot swaps; folding P's sign into both gives det(R) and adj(R).  Callers
+  that need only the determinant take _det_rows, which carries no identity
+  block.
   """
   k = len(rows)
   w = [list(r) + [0] * k for r in rows]
@@ -392,10 +422,11 @@ def _adjugate(rows):
 
 
 def det(A: IntMatrix) -> int:
-  """Exact determinant, from the fraction-free elimination of _adjugate."""
+  """Exact determinant, by the forward fraction-free elimination
+  (_det_rows)."""
   if A.rows != A.cols:
     raise ValueError("determinant of non-square matrix")
-  return _adjugate(A.row_list())[1]
+  return _det_rows(A.row_list())
 
 
 def _extends_to_basis(rows, n: int) -> bool:
@@ -416,9 +447,8 @@ def _extends_to_basis(rows, n: int) -> bool:
 
 
 def is_unimodular(A: IntMatrix) -> bool:
-  """Whether A is square with determinant +-1: its rows extend to, so
-  form, a basis (_extends_to_basis)."""
-  return A.rows == A.cols and _extends_to_basis(A.row_list(), A.cols)
+  """Whether A is square with determinant +-1 (_det_rows)."""
+  return A.rows == A.cols and abs(_det_rows(A.row_list())) == 1
 
 
 def row_lattice_basis(vectors: list, dim: int) -> list:

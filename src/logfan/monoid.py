@@ -4,12 +4,14 @@ A monoid is a canonically sorted generator list in an ambient lattice.  The
 operations here are the ones that matter for charts and fans: saturation,
 sharpening, faces, localization, quotients, pushouts, roots, and the Kummer
 and exactness predicates for homomorphisms.  Everything reduces to cone
-machinery plus exact lattice arithmetic.  Saturation enumerates a Hilbert
-basis, and membership searches the multiplicity of each generator on the
-facet values of its cone, taking each from an exact interval; its work
-grows with the vector, so sizes are capped at desk scale.  A membership
-search visits at most MAX_MEMBER_NODES nodes and refuses a vector that
-needs more with a ValueError.
+machinery plus exact lattice arithmetic.  Saturation reads the Hilbert
+basis of the monoid's cone when the monoid generates the whole lattice of
+the cone's span, and otherwise enumerates one in group coordinates.
+Membership searches the multiplicity of each generator on the facet values
+of its cone, taking each from an exact interval; its work grows with the
+vector, so sizes are capped at desk scale.  A membership search visits at
+most MAX_MEMBER_NODES nodes and refuses a vector that needs more with a
+ValueError.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
     _echelon_coords,
+    _kernel_rows,
     _snf_rows,
     complement_projection,
     kernel_basis,
@@ -115,7 +118,8 @@ def _unit_split(P: AffineMonoid) -> _Split:
   units is a Hermite basis of the unit group P*, rest the tuple of the
   other generators, pi the projection that kills the saturated span of the
   units, pc the cone of the images of rest (_member checks that it is
-  pointed), and C the cone of P, built here once per monoid.  Write F(x)
+  pointed), and C the cone of P, built here once per monoid.  With no
+  units pi is the identity and pc is C, taken as they are.  Write F(x)
   for the values of pi(x) on the facets of pc.  values[i] is F(rest[i]),
   and bit k of vanish[i] is set when every generator from rest[i] on
   vanishes on facet k; vanish has one entry more than rest, with every
@@ -126,9 +130,12 @@ def _unit_split(P: AffineMonoid) -> _Split:
   rest = tuple(g for g, u in zip(P.gens, is_unit) if not u)
   units = tuple(tuple(r) for r in row_lattice_basis(
       [list(g) for g, u in zip(P.gens, is_unit) if u], P.ambient_rank))
-  pi = complement_projection([list(b) for b in units], P.ambient_rank)
-  pgens = [pi.apply(g) for g in rest]
-  pc = Cone.from_rays(pgens, pi.rows)
+  if units:
+    pi = complement_projection([list(b) for b in units], P.ambient_rank)
+    pgens = [pi.apply(g) for g in rest]
+    pc = Cone.from_rays(pgens, pi.rows)
+  else:
+    pi, pgens, pc = IntMatrix.identity(P.ambient_rank), rest, C
   values = tuple(tuple(_dot(nu, pg) for nu in pc.facet_normals)
                  for pg in pgens)
   vanish = [(1 << len(pc.facet_normals)) - 1]
@@ -273,13 +280,21 @@ def _cone_lattice_generators(ineqs, eqs, basis_rows) -> list:
 def saturation(P: AffineMonoid) -> AffineMonoid:
   """The saturation P^sat = {x in P^gp : n*x in P for some n > 0}.
 
-  Equal to cone(P) intersected with the generated group, computed via a
-  Hilbert basis in group coordinates.
+  Equal to cone(P) intersected with the generated group.  When cone(P) is
+  strictly convex and P^gp is the whole lattice of its span (the kernel of
+  its span normals, both in Hermite form), that is the monoid of lattice
+  points of cone(P), generated by its Hilbert basis, which hilbert_basis
+  keeps on the cone.  Any other P is saturated via a Hilbert basis in group
+  coordinates (_cone_lattice_generators).
   """
   C = P.cone
+  d = P.ambient_rank
+  if (C.is_strictly_convex
+      and _gp_basis(P) == tuple(_kernel_rows(C.span_normals, d))):
+    return AffineMonoid.make(hilbert_basis(C), d)
   basis = [list(b) for b in _gp_basis(P)]
   gens = _cone_lattice_generators(C.facet_normals, C.span_normals, basis)
-  return AffineMonoid.make(gens, P.ambient_rank)
+  return AffineMonoid.make(gens, d)
 
 
 def structure_queries(P: AffineMonoid) -> SimpleNamespace:

@@ -134,7 +134,8 @@ def reference_simplicial_cone(gens: tuple, d: int) -> Cone:
 
 def reference_det(rows):
   """Determinant by cofactor expansion along the first row: independent of
-  the one Bareiss elimination that det and _adjugate share."""
+  the Bareiss elimination of _det_rows (behind det and is_unimodular) and
+  of its Gauss-Jordan continuation in _adjugate."""
   if not rows:
     return 1
   return sum((-1) ** j * x * reference_det([r[:j] + r[j + 1:] for r in rows[1:]])

@@ -23,6 +23,7 @@ from logfan.cone import (
     MAX_HILBERT_INDEX,
     Cone,
     _chain,
+    _cone_from_gens,
     _enumerated_basis,
     hilbert_basis,
 )
@@ -139,6 +140,8 @@ def test_element_budget_at_its_edge(d):
 
 
 def test_two_cones_take_no_adjugate_and_no_parallelepiped(monkeypatch):
+  # fresh cones, with no Hilbert basis stored by an earlier test
+  _cone_from_gens.cache_clear()
   cones = _two_cones(random.Random(29), 60)
   solid = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
 

@@ -9,17 +9,19 @@ the objects of its answer: rays and facets convert into each other by one
 double description, started from one adjugate; a pointed cone's rays are
 read from the incidences of its generators with its facets, so only a cone
 with lineality converts a second time.  Conversions go through one bounded
-least-recently-used cache (_cone_from_gens), which faces fills too.  The
-incidence is kept from that conversion, never recomputed, and every face
-question is answered on it here: one budgeted face walk for a cone or a
-fan, each face built from a parent one dimension up with no conversion and
-no lattice work (_face_map, _child_face); one facet rule, the maximal
-proper cuts (_facets_of); one face test, a closed ray set of the same
-lineality (_is_face); and the smallest face holding a point
-(_smallest_face).  No other module knows how a cone is stored: its
-generators, the rays then both signs of each lineality vector, come from
-_generators (Cone.generators), a facet's rays from _facets, and the
-common-face certificate (_certified) is decided here, beside the face test.
+least-recently-used cache (_cone_from_gens), and they are the only source
+of facet normals.  The incidence is kept from that conversion, never
+recomputed, and every face question is answered on it here: one budgeted
+face walk for a cone or a fan, on int bitsets of its rays, which builds
+each face with its rays, lineality and dimension only, its facet data
+left to the conversion that its first read makes (_face_map, Cone._fill);
+one facet rule, the maximal proper cuts (_facets_of); one face test, a
+closed ray set of the same lineality (_is_face); and the smallest face
+holding a point (_smallest_face).  No other module knows how a cone is
+stored: its generators, the rays then both signs of each lineality vector,
+come from _generators (Cone.generators), a facet's rays from _facets, and
+the common-face certificate (_certified) is decided here, beside the face
+test.
 The Hilbert basis of a 2-dimensional cone is its Hirzebruch-Jung chain,
 made one element per step from one extended gcd (_chain).  Those of other
 cones are enumerated: the candidates come from the group of the lattice
@@ -28,17 +30,15 @@ their facet values, the numbers their grading is the sum of.  Either way
 the basis is computed once per cone and kept on it.  The lattice work is
 only what the answer needs: a Hermite kernel (_kernel_rows, one Hermite
 pass, for span normals or lineality) is taken only when the rank shows the
-kernel is not {0}, and for a walked face only when its span normals are
-first read; the conversion's start gets its adjugate from one
+kernel is not {0}, so a walked face takes one only in the conversion of
+its first read; the conversion's start gets its adjugate from one
 fraction-free elimination (_adjugate), and each simplicial piece its
 determinant from the forward half of it (_det_rows), the adjugate being
 taken only for the pieces of index above 1, the only ones with box
-points.
-A face's facet normals need no adjugate: each is a parent's normal
-projected onto the face's span by two terms.  Smoothness is one Hermite
-pass over the transposed rays (_extends_to_basis), not a loop over maximal
-minors.  These, and the back-substitution of _span_coordinates
-(_echelon_coords), are lattice.py's, on row lists.
+points.  Smoothness is one Hermite pass over the transposed rays
+(_extends_to_basis), not a loop over maximal minors.  These, and the
+back-substitution of _span_coordinates (_echelon_coords), are lattice.py's,
+on row lists.
 Hilbert bases have one work budget, MAX_HILBERT_INDEX, which caps a
 chain's elements at one more than it and an enumeration's total simplicial
 index at it; faces have one, MAX_FACES; neither they nor dual_cone have a
@@ -77,7 +77,8 @@ MAX_FACES = 4096
 
 # The conversion cache (_cone_from_gens) keeps this many cones, dropping
 # the least recently used: a cone keyed by its sorted primitive generators
-# and its rank.  Cone.from_rays and faces both read and fill it.
+# and its rank.  Cone.from_rays and the first read of a walked face's facet
+# data (Cone._fill) both read and fill it.
 CONVERSION_CACHE_SIZE = 65536
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _conversions = OrderedDict()
@@ -233,27 +234,29 @@ class Cone:
   facet_normals[k] (bit j for rays[j]), kept from the conversion that found
   the facets (see _cone_from_gens).
 
-  The facet normals, facet_rays and the dimension are stored at
-  construction: every enumeration and test reads them.  The span normals
-  are stored too when the constructor gets them, as a conversion returns
-  them at no cost; span_normals=None, which _child_face passes, leaves
-  them to be filled on first read, as the Hermite kernel of the rays and
-  the lineality, and kept on the cone: the face walk needs none of them,
-  and most faces it builds never have them read.
+  The rays, the lineality and the dimension are stored at construction.  A
+  conversion stores the facet normals, facet_rays and span normals too, as
+  it finds them at no cost.  A face that the face walk builds (_face_map)
+  gets None for all three: the walk needs none of them, and most faces it
+  builds never have them read.  The first read of any of them fills all
+  three from the conversion of the face's generators (_cone_from_gens),
+  which must give the stored rays and dimension, and keeps them on the
+  cone; so every facet normal comes from the one conversion.
 
   generators gives vectors that generate the whole cone, lineality
   included; every reader that maps, multiplies or tests the cone uses them.
 
   _hilbert holds the Hilbert basis once hilbert_basis has computed it, and
-  is None until then; like the span normals it is derived, so it is not
+  is None until then; like the facet data it is derived, so it is not
   compared, hashed or shown, and no caller passes it.
   """
 
   ambient_rank: int
   rays: tuple[tuple[int, ...], ...]
   lineality_basis: tuple[tuple[int, ...], ...]
-  facet_normals: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-  facet_rays: tuple[int, ...] = field(compare=False, repr=False)
+  _facet_normals: tuple[tuple[int, ...], ...] | None = field(compare=False,
+                                                              repr=False)
+  _facet_rays: tuple[int, ...] | None = field(compare=False, repr=False)
   _span_normals: tuple[tuple[int, ...], ...] | None = field(compare=False,
                                                              repr=False)
   _dim: int = field(compare=False, repr=False)
@@ -262,34 +265,51 @@ class Cone:
 
   def __init__(self, ambient_rank, rays, lineality_basis, facet_normals,
                facet_rays, span_normals, _dim):
-    # written out, as the frozen dataclass would, to keep the span_normals
-    # keyword for the stored field
+    # written out, as the frozen dataclass would, to keep the keywords of
+    # the stored fields
     init = object.__setattr__
     init(self, "ambient_rank", ambient_rank)
     init(self, "rays", rays)
     init(self, "lineality_basis", lineality_basis)
-    init(self, "facet_normals", facet_normals)
-    init(self, "facet_rays", facet_rays)
+    init(self, "_facet_normals", facet_normals)
+    init(self, "_facet_rays", facet_rays)
     init(self, "_span_normals", span_normals)
     init(self, "_dim", _dim)
     init(self, "_hilbert", None)
 
+  def _fill(self):
+    """Store the facet normals, facet_rays and span normals of the
+    conversion of the generators; RuntimeError, with nothing stored, if it
+    gives other rays or another dimension than those stored."""
+    c = _cone_from_gens(tuple(sorted(self.generators)), self.ambient_rank)
+    if c.rays != self.rays or c._dim != self._dim:
+      raise RuntimeError("a cone of dimension %d on %s converts to one of "
+                         "dimension %d on %s"
+                         % (self._dim, self.rays, c._dim, c.rays))
+    for name in ("_facet_normals", "_facet_rays", "_span_normals"):
+      object.__setattr__(self, name, getattr(c, name))
+
+  @property
+  def facet_normals(self) -> tuple[tuple[int, ...], ...]:
+    """The primitive inner normals of the facets, sorted (see _fill)."""
+    if self._facet_normals is None:
+      self._fill()
+    return self._facet_normals
+
+  @property
+  def facet_rays(self) -> tuple[int, ...]:
+    """For each facet, the int bitset of the rays on it (see _fill)."""
+    if self._facet_rays is None:
+      self._fill()
+    return self._facet_rays
+
   @property
   def span_normals(self) -> tuple[tuple[int, ...], ...]:
-    """A basis of the integer vectors orthogonal to the cone's span: the
-    stored one, or else the Hermite kernel of the rays and the lineality
-    (_kernel_rows), computed once and stored; RuntimeError, with nothing
-    stored, if its size contradicts the stored dimension."""
-    span = self._span_normals
-    if span is None:
-      span = tuple(_kernel_rows(list(self.rays) + list(self.lineality_basis),
-                                self.ambient_rank))
-      if len(span) != self.ambient_rank - self._dim:
-        raise RuntimeError("a cone of dimension %d in rank %d has %d span "
-                           "normals" % (self._dim, self.ambient_rank,
-                                        len(span)))
-      object.__setattr__(self, "_span_normals", span)
-    return span
+    """A basis of the integer vectors orthogonal to the cone's span (see
+    _fill)."""
+    if self._span_normals is None:
+      self._fill()
+    return self._span_normals
 
   @staticmethod
   def from_rays(generators, ambient_rank: int) -> "Cone":
@@ -345,13 +365,14 @@ class Cone:
     if len(v) != self.ambient_rank:
       raise ValueError("vector length %d does not match ambient rank %d"
                        % (len(v), self.ambient_rank))
-    # the stored normals, when filled, without the property call: the fan
+    # the stored normals, once filled, without the property calls: the fan
     # layer tests containment about a thousand times per rank-2 resolution
-    span = self._span_normals
-    for s in self.span_normals if span is None else span:
+    if self._facet_normals is None:
+      self._fill()
+    for s in self._span_normals:
       if _dot(s, v):
         return False
-    for n in self.facet_normals:
+    for n in self._facet_normals:
       if _dot(n, v) < 0:
         return False
     return True
@@ -370,41 +391,28 @@ class Cone:
     return all(map(self.contains, other.generators))
 
 
-def _cached(key):
-  """The cone that the conversion cache holds under key, or None.  A hit
-  makes the cone the most recently used."""
-  cone = _conversions.get(key)
-  if cone is None:
-    _conversion_counts[1] += 1
-  else:
-    _conversion_counts[0] += 1
-    _conversions.move_to_end(key)
-  return cone
-
-
-def _store(key, cone: Cone) -> Cone:
-  """Put cone in the conversion cache under key, dropping the least
-  recently used cone past CONVERSION_CACHE_SIZE, and return it."""
-  _conversions[key] = cone
-  if len(_conversions) > CONVERSION_CACHE_SIZE:
-    _conversions.popitem(last=False)
-  return cone
-
-
 def _cone_from_gens(gens: tuple, d: int) -> Cone:
   """The cone on sorted distinct primitive generators, through the
   conversion cache.
 
-  The cache is one bounded least-recently-used dict, keyed (gens, d);
-  faces fills it too, under the same key that Cone.from_rays of the face's
-  rays and lineality would use, so that fans find the faces they share.
+  The cache is one bounded least-recently-used dict, keyed (gens, d): a hit
+  makes the cone the most recently used, and a miss converts (_convert)
+  and drops the least recently used cone past CONVERSION_CACHE_SIZE.  It
+  holds conversions only; a walked face's first read looks up its own
+  (Cone._fill) under the key Cone.from_rays would use.
   _cone_from_gens.cache_info() gives its hits and misses, and
   _cone_from_gens.cache_clear() empties it.
   """
   key = (gens, d)
-  cone = _cached(key)
-  if cone is None:
-    cone = _store(key, _convert(gens, d))
+  cone = _conversions.get(key)
+  if cone is not None:
+    _conversion_counts[0] += 1
+    _conversions.move_to_end(key)
+    return cone
+  _conversion_counts[1] += 1
+  cone = _conversions[key] = _convert(gens, d)
+  if len(_conversions) > CONVERSION_CACHE_SIZE:
+    _conversions.popitem(last=False)
   return cone
 
 
@@ -494,14 +502,14 @@ def _simplicial_pieces(sigma: Cone):
   coned over the pieces of each facet that misses r0.  No cone is built
   per face.
   """
-  rays = sigma.rays
+  rays, sets = sigma.rays, sigma.facet_rays
 
   def pieces(face, dim):
     if face.bit_count() == dim:
       yield _pick(rays, face)
       return
     low = face & -face
-    for x in _facets_of(face, sigma.facet_rays):
+    for x in _facets_of(face, sets):
       if not x & low:
         for piece in pieces(x, dim - 1):
           yield (rays[low.bit_length() - 1],) + piece
@@ -723,39 +731,50 @@ def _face_map(cones) -> dict:
   the one face enumeration, behind faces and Fan.all_cones.
 
   First the budget: a cone's faces are its closed ray sets (_closed_sets,
-  which refuses one cone past MAX_FACES; Kaibel & Pfetsch 2002), united,
-  keyed as the faces, and refused past MAX_FACES before any face is built.
-  Then the walk, top-down, every face but a cone being a facet of a face
-  one dimension up: a face is read from the conversion cache, or built from
-  its parent (_child_face) and stored there under the key Cone.from_rays
-  would use.  The walk reads no span normals, so it takes no Hermite
-  kernel.  It must find the budget's keys exactly.
+  which refuses one cone past MAX_FACES; Kaibel & Pfetsch 2002), each
+  made into its ray tuple once, united over the cones as keys, and refused
+  past MAX_FACES before any face is built.  Then the walk, top-down on int
+  bitsets over each cone's rays: a face's facets are read off the cone's
+  facet_rays (_facets_of), each one dimension down, and the bitsets the
+  walk reaches must be the cone's closed sets exactly.  A face that no
+  earlier cone holds is built with its rays, the cone's lineality and that
+  dimension, and no facet data or span normals, which its first read fills
+  (Cone._fill); the cone itself is its own top face.  So the walk makes no
+  conversion, takes no kernel and computes no normal.
   """
-  budget = set()
-  for sigma in cones:
-    for y in _closed_sets(sigma):
-      budget.add((_pick(sigma.rays, y), sigma.lineality_basis))
-      if len(budget) > MAX_FACES:
-        raise ValueError("faces capped at %d faces; this fan has more"
-                         % MAX_FACES)
   out = {}
+  walks = []
   for sigma in cones:
+    rays_of = {y: _pick(sigma.rays, y) for y in _closed_sets(sigma)}
     lin = sigma.lineality_basis
-    todo = [(None, 0, sigma.rays)]
+    for rays in rays_of.values():
+      out[rays, lin] = None
+    if len(out) > MAX_FACES:
+      raise ValueError("faces capped at %d faces; this fan has more"
+                       % MAX_FACES)
+    walks.append((sigma, rays_of))
+  for sigma, rays_of in walks:
+    full = (1 << len(sigma.rays)) - 1
+    facets = sigma.facet_rays
+    dims = {full: sigma.dim}
+    todo = [full]
     while todo:
-      parent, k, rays = todo.pop()
-      if (rays, lin) in out:
-        continue
-      key = (tuple(sorted(_generators(rays, lin))) if lin else rays,
-             sigma.ambient_rank)
-      face = _cached(key) or _store(key, sigma if parent is None
-                                    else _child_face(parent, k, rays))
-      out[rays, lin] = face
-      todo.extend((face, j, _pick(face.rays, f))
-                  for j, f in enumerate(face.facet_rays))
-  if out.keys() != budget:
-    raise RuntimeError("the walk found %d faces of %d"
-                       % (len(out), len(budget)))
+      f = todo.pop()
+      k = dims[f] - 1
+      for x in _facets_of(f, facets):
+        if x not in dims:
+          dims[x] = k
+          todo.append(x)
+    if dims.keys() != rays_of.keys():
+      raise RuntimeError("the walk found %d faces of %d"
+                         % (len(dims), len(rays_of)))
+    lin = sigma.lineality_basis
+    for y, k in dims.items():
+      rays = rays_of[y]
+      if out[rays, lin] is None:
+        out[rays, lin] = (sigma if y == full else
+                          Cone(sigma.ambient_rank, rays, lin, None, None, None,
+                               k))
   return out
 
 
@@ -804,41 +823,6 @@ def _facets_of(face: int, sets) -> dict:
     if not any(x & z == x for z in kept):
       kept[x] = cuts[x]
   return kept
-
-
-def _child_face(parent: Cone, k: int, rays: tuple) -> Cone:
-  """The facet F of parent on its facet normal nu = parent.facet_normals[k],
-  with the given rays, built field by field as the conversion gives it.
-
-  F has the parent's lineality and one dimension less.  Its span normals,
-  the Hermite kernel of the rays and the lineality (_kernel_rows), are left
-  to Cone.span_normals to fill on first read, so building F takes no
-  kernel.  F's facets are its maximal proper cuts by the parent's
-  facets (_facets_of), re-indexed to F's rays.  The normal mu of a facet
-  that makes a cut gives the cut the normal
-  primitive(<nu, nu> mu - <mu, nu> nu), exactly: the parent's normals lie
-  in its span, where nu spans the orthogonal complement of span(F), so
-  this is mu projected onto span(F), scaled by <nu, nu> > 0.  It agrees
-  with mu on F, and as a primitive vector of span(F) it is the normal the
-  conversion gives.  The normals are sorted, as the conversion sorts them.
-  """
-  f = parent.facet_rays[k]
-  nu = parent.facet_normals[k]
-  nn = _dot(nu, nu)
-  # bit t of the parent's rays, for each ray of F in order
-  on = [1 << t for t in range(len(parent.rays)) if f >> t & 1]
-  facets = []
-  for x, j in _facets_of(f, parent.facet_rays).items():
-    mu = parent.facet_normals[j]
-    c = _dot(mu, nu)
-    normal = primitive([nn * a - c * b for a, b in zip(mu, nu)])
-    facets.append((normal, sum(1 << i for i, b in enumerate(on) if x & b)))
-  facets.sort()
-  return Cone(ambient_rank=parent.ambient_rank, rays=rays,
-              lineality_basis=parent.lineality_basis,
-              facet_normals=tuple(nu for nu, _ in facets),
-              facet_rays=tuple(bits for _, bits in facets),
-              span_normals=None, _dim=parent.dim - 1)
 
 
 def is_face_of(gamma: Cone, sigma: Cone) -> bool:

@@ -97,8 +97,9 @@ class Fan:
   @property
   def all_cones(self) -> frozenset:
     """Every face of every maximal cone, enumerated on each read by the
-    face walk of cone.py (_face_map): a shared face is built once, and
-    MAX_FACES holds for the whole fan before any face is built.
+    face walk of cone.py (_face_map): a shared face is built once, with
+    its facet data left to its first read, and MAX_FACES holds for the
+    whole fan before any face is built.
 
     Raises:
       ValueError: if the fan has more than MAX_FACES cones.

@@ -22,7 +22,8 @@ from operator import sub
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .cone import Cone, _dot, _generators, _neg, hilbert_basis
+from .cone import (Cone, _dot, _generators, _neg, _smallest_face,
+                   hilbert_basis)
 from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
@@ -319,10 +320,17 @@ def faces(P: AffineMonoid) -> list:
   """All faces of P, each as (face monoid, generator index set).
 
   A face is a submonoid closed under summand splitting; for an affine monoid
-  these are exactly the traces of the faces of the recession cone.
+  these are exactly the traces of the faces of the recession cone.  A
+  generator lies in a face F iff its smallest face does, that is iff the
+  rays of that face (_smallest_face, found once per generator) are among
+  F's rays; so no face's facet data is read.
   """
-  sets = {frozenset(i for i, g in enumerate(P.gens) if F.contains(g))
-          for F in cone_faces(P.cone)}
+  C = P.cone
+  least = [set(_smallest_face(C, g)) for g in P.gens]
+  sets = set()
+  for F in cone_faces(C):
+    rays = set(F.rays)
+    sets.add(frozenset(i for i, s in enumerate(least) if s <= rays))
   return [(AffineMonoid.make([P.gens[i] for i in idx], P.ambient_rank), idx)
           for idx in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 

@@ -10,7 +10,8 @@ unit quotient at every step, tests its grading and runs a full cone test
 on it, and a branch dies only when the image leaves the cone.  It keys its
 memo and counts its nodes as the library does, memo hits included, against
 the same MAX_MEMBER_NODES, and refuses a vector that needs more with the
-same ValueError.
+same ValueError.  It also keeps the earlier monoid faces, which tested
+each generator against each face's own facet data.
 """
 
 from logfan.cone import Cone, _dot, _neg
@@ -20,6 +21,8 @@ from logfan.lattice import (
     row_lattice_basis,
 )
 from logfan.monoid import MAX_MEMBER_NODES, AffineMonoid, _gp_basis
+
+from cone_reference import reference_faces_by_conversion
 
 
 def reference_split(P: AffineMonoid):
@@ -90,3 +93,12 @@ def reference_membership(P: AffineMonoid, v) -> bool:
     return search(0, pi.apply(v), v)
   finally:
     del search
+
+
+def reference_monoid_faces(P: AffineMonoid) -> list:
+  """monoid.faces as it was: the generators that each face of P's cone
+  contains, each face by a conversion of its own, sorted as faces sorts."""
+  sets = {frozenset(i for i, g in enumerate(P.gens) if F.contains(g))
+          for F in reference_faces_by_conversion(P.cone)}
+  return [(AffineMonoid.make([P.gens[i] for i in idx], P.ambient_rank), idx)
+          for idx in sorted(sets, key=lambda s: (len(s), sorted(s)))]

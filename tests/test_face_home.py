@@ -13,7 +13,9 @@ keys of the faces, not only their number.  chart_smoothness reads
 injectivity off its one Smith form, checked against the rank of the group
 map.  Two more guards keep how a cone is stored in cone.py: no other
 module names the incidence decoders or a hand-made lineality expansion,
-and only _generators writes a vector next to its negation.
+and only _generators writes a vector next to its negation.  One more keeps
+one rays-facets conversion: the only Cone(...) call in the package that
+passes facet data is in _convert.
 """
 
 import ast
@@ -124,6 +126,52 @@ def test_only_generators_pairs_a_vector_with_its_negation():
     if name == "cone.py":
       assert len(helper) == 1 and inside
   assert found == {}
+
+
+def _facet_data_builders(tree):
+  """The names of the functions under tree, innermost, holding a Cone(...)
+  call that passes facet data: a fourth or fifth positional argument or a
+  facet_normals or facet_rays keyword that is not None.  A call outside
+  any function is listed under "<module>"."""
+  out = []
+
+  def visit(node, where):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+      where = node.name
+    if isinstance(node, ast.Call):
+      func = node.func
+      name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+      data = node.args[3:5] + [k.value for k in node.keywords
+                               if k.arg in ("facet_normals", "facet_rays")]
+      if name == "Cone" and any(
+          not (isinstance(a, ast.Constant) and a.value is None) for a in data):
+        out.append(where)
+    for child in ast.iter_child_nodes(node):
+      visit(child, where)
+
+  visit(tree, "<module>")
+  return out
+
+
+def test_only_the_conversion_builds_a_cone_with_facet_data():
+  # the conversion is the one source of facet normals: the face walk
+  # builds its faces with None for them
+  found = {name: builders for name, tree in _trees().items()
+           if (builders := _facet_data_builders(tree))}
+  assert found == {"cone.py": ["_convert"]}
+  assert "Cone" in _names(next(node for node in ast.walk(_trees()["cone.py"])
+                               if isinstance(node, ast.FunctionDef)
+                               and node.name == "_face_map"))
+  # the guard sees a builder by keyword or by position, at any depth
+  planted = ast.parse(
+      "def _walk(p):\n"
+      "  def child(k):\n"
+      "    return Cone(1, (), (), None, None, None, 0)\n"
+      "  return Cone(1, (), (), facet_normals=p, facet_rays=None,\n"
+      "              span_normals=None, _dim=0)\n"
+      "def _project(p):\n"
+      "  return cone.Cone(1, (), (), (), (), None, 0)\n")
+  assert _facet_data_builders(planted) == ["_walk", "_project"]
 
 
 def _hyperplane_cones(d, count):

@@ -9,9 +9,11 @@ hold each cone, the interior point), which reject every pair of a fan.
 Faces are cone.py's: all_cones is its one face walk, and star_subdivision
 asks its one face test of the maximal cones that have tau's rays.  No face
 closure is kept; the cones whose relative interior holds a point are read
-off the maximal cones (_cones_at).  One common-face test decides validate:
-cone.py's separation certificate on the stored incidence (_certified),
-with the intersection as the exact fallback.  Cones are read through
+off the maximal cones (_cones_at).  validate accepts strictly convex
+full-dimensional cones that pass the wall test below with no pair tested;
+any other input takes one common-face test per pair: cone.py's separation
+certificate on the stored incidence (_certified), with the intersection as
+the exact fallback.  Cones are read through
 cone.py only: their generators wherever the lineality counts, and a
 facet's rays from _facets.  One exact wall test (_tiles) decides
 every covering question (a fan map's image filling each target cone, equal
@@ -149,14 +151,36 @@ def validate(fan: Fan) -> SimpleNamespace:
   common face.
 
   The report lists one entry per violation instead of raising, so callers
-  can show all problems at once.  A cone that is not strictly convex is
-  reported once and left out of the pairwise test.  Each pair of strictly
-  convex maximal cones is first tried by the separation certificate of
-  _certified, which holds only for a pair meeting in a common face; a pair
-  it leaves open is decided exactly by intersecting the two cones and
-  testing the intersection to be a face of each.  So the report does not
-  depend on the certificate, and fallbacks counts the pairs that took the
-  exact test.
+  can show all problems at once.  If every maximal cone is full-dimensional
+  and strictly convex and the wall test of _tiles passes on the whole
+  space, the report is ok, with fallbacks 0, and no pair is tested.  Proof:
+  for maximal cones s != t take y in the relative interior of s & t, and F
+  the face of t with y in its relative interior.  The cones with F as a
+  face are closed under crossing their facets through F, so modulo span F
+  they pass the wall condition of _tiles, and its connectivity argument
+  makes them cover a neighbourhood of y a constant number of times.  The
+  tiling has one sheet, so s, which has interior points near y, is one of
+  them.  A face of t that holds a relative-interior point of the convex set
+  s & t holds all of it, so s & t = F, a face of both.  Any other input
+  takes the pair pass (_pair_pass), the only route that names a violation.
+  """
+  d = fan.ambient_rank
+  if (all(c.dim == d and c.is_strictly_convex for c in fan.max_cones)
+      and _tiles(fan.max_cones)):
+    return SimpleNamespace(ok=True, violations=[], fallbacks=0)
+  return _pair_pass(fan)
+
+
+def _pair_pass(fan: Fan) -> SimpleNamespace:
+  """validate's report from the cones and their pairs.
+
+  A cone that is not strictly convex is reported once and left out of the
+  pairwise test.  Each pair of strictly convex maximal cones is first tried
+  by the separation certificate of _certified, which holds only for a pair
+  meeting in a common face; a pair it leaves open is decided exactly by
+  intersecting the two cones and testing the intersection to be a face of
+  each.  So the report does not depend on the certificate, and fallbacks
+  counts the pairs that took the exact test.
   """
   problems = []
   for c in fan.max_cones:
@@ -324,7 +348,8 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
   by 1 the pieces that end at that facet are matched with pieces that begin
   on its other side.  So the pieces cover the container with a constant
   number of sheets, and the point of 2 pins that number to one.  Conversely
-  the cones of a fan that tile the container pass both conditions.
+  the cones of a fan that tile the container pass both conditions.  On the
+  whole space a pass also proves strictly convex pieces a fan (validate).
   """
   if not pieces:
     return False

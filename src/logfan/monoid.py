@@ -16,7 +16,7 @@ ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import sub
 from types import SimpleNamespace
@@ -55,11 +55,15 @@ class AffineMonoid:
 
   Generators are stored deduplicated and sorted, so equal monoid
   presentations compare equal.  The generated group and the recession cone
-  are derived on demand and cached.
+  are derived on demand and cached: _cone holds the cone once cone has been
+  read and is None until then; it is derived, so it is not compared,
+  hashed, shown or pickled, and no caller passes it.
   """
 
   ambient_rank: int
   gens: tuple[tuple[int, ...], ...]
+  _cone: Cone | None = field(default=None, init=False, compare=False,
+                             repr=False)
 
   def __post_init__(self):
     if self.ambient_rank < 0 or self.ambient_rank > MAX_AMBIENT_RANK:
@@ -84,9 +88,15 @@ class AffineMonoid:
         gens.add(g)
     return AffineMonoid(ambient_rank, tuple(sorted(gens)))
 
+  def __reduce__(self):
+    return AffineMonoid, (self.ambient_rank, self.gens)
+
   @property
   def cone(self) -> Cone:
-    return Cone.from_rays(self.gens, self.ambient_rank)
+    if self._cone is None:
+      object.__setattr__(self, "_cone",
+                         Cone.from_rays(self.gens, self.ambient_rank))
+    return self._cone
 
   def contains(self, v) -> bool:
     return membership(self, v)

@@ -12,7 +12,9 @@ pair whose intersection is not a common face.  On fans no pair is left
 open, which fallbacks, the count of pairs that took the exact test, shows.
 The certificate compares its two ray sets as bitsets through one map from
 t's rays to s's (_same_rays), which must agree with comparing the ray
-tuples, and validate builds no ray tuple.
+tuples, and the pair pass builds no ray tuple.  A fan that passes the wall
+test skips the pair pass, so the fans whose pairs must all be certified
+are given to the pair pass (_pair_pass) directly.
 """
 
 import pathlib
@@ -29,10 +31,12 @@ from covering_reference import (
 from resolution_reference import criterion_11_fans
 from logfan.cli import parse_document
 from logfan import cone as cone_module
+from logfan import fan as fan_module
 from logfan.cone import (Cone, _certified, _pick, _same_rays, intersect,
                          is_face_of)
 from logfan.fan import (
     Fan,
+    _pair_pass,
     product_fan,
     resolve_2d,
     star_subdivision,
@@ -175,7 +179,7 @@ def test_no_fallback_on_fans():
   fans += _products(rng) + _smooth_fans(rng)
   assert any(f.ambient_rank == 5 for f in fans)
   for fan in fans:
-    report = validate(fan)
+    report = _pair_pass(fan)
     assert report.ok
     assert report.fallbacks == 0, [c.rays for c in fan.max_cones]
 
@@ -220,9 +224,15 @@ def test_validate_builds_no_ray_tuple(monkeypatch):
   cones += [Cone.from_rays([(1, 30), (-1, 0)], 2),
             Cone.from_rays([(-1, 0), (1, -30)], 2)]
   fan = Fan(2, tuple(cones))
+  certified = []
+  monkeypatch.setattr(fan_module, "_certified",
+                      lambda *args: certified.append(args)
+                      or _certified(*args))
+  assert validate(fan).ok and certified == []
   calls = []
   monkeypatch.setattr(cone_module, "_pick",
                       lambda *args: calls.append(args) or _pick(*args))
-  report = validate(fan)
+  report = _pair_pass(fan)
   assert report.ok and report.fallbacks == 0
+  assert len(certified) == len(cones) * (len(cones) - 1) // 2
   assert calls == []

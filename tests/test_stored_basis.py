@@ -7,9 +7,11 @@ generates the whole lattice of its span, and takes the coordinate route
 (_cone_lattice_generators) otherwise.  The shortcut is compared with the
 coordinate route on seeded monoids of every kind: generating the whole
 lattice, the index-2 group of (2, 0), (0, 2), (1, 1) and others like it,
-not full-dimensional, and with units.
+not full-dimensional, and with units.  A monoid keeps its cone too
+(AffineMonoid._cone), read once and left out of ==, hash, repr and pickle.
 """
 
+import pickle
 import random
 
 import pytest
@@ -131,6 +133,27 @@ def test_a_stored_basis_leaves_the_cone_equal_to_a_fresh_conversion():
     assert fresh == sigma and hash(fresh) == hash(sigma)
     assert repr(fresh) == repr(sigma)
     assert hilbert_basis(fresh) == basis
+
+
+def test_a_monoid_keeps_its_cone(monkeypatch):
+  for gens, d in [([(1, 0, 0), (0, 1, 0), (1, 1, 2), (2, 1, 1)], 3),
+                  ([(1, 0), (-1, 0), (0, 1)], 2), ([(2, 0), (0, 2)], 2)]:
+    P = AffineMonoid.make(gens, d)
+    before = hash(P), repr(P), pickle.dumps(P)
+    first = P.cone
+    lookups = []
+    monkeypatch.setattr(cone_module, "_cone_from_gens",
+                        lambda *args: lookups.append(args))
+    assert P.cone is first and lookups == []
+    monkeypatch.undo()
+    assert first == Cone.from_rays(gens, d)
+    fresh = AffineMonoid.make(gens, d)
+    assert fresh._cone is None
+    assert fresh == P and hash(fresh) == hash(P) == before[0]
+    assert repr(fresh) == repr(P) == before[1]
+    assert pickle.dumps(fresh) == pickle.dumps(P) == before[2]
+    copy = pickle.loads(before[2])
+    assert copy == P and copy._cone is None and copy.cone == first
 
 
 def test_a_refusal_stores_nothing_and_repeats():

@@ -12,16 +12,16 @@ with lineality converts a second time.  Conversions go through one bounded
 least-recently-used cache (_cone_from_gens), and they are the only source
 of facet normals.  The incidence is kept from that conversion, never
 recomputed, and every face question is answered on it here: one budgeted
-face walk for a cone or a fan, on int bitsets of its rays, which builds
-each face with its rays, lineality and dimension only, its facet data
-left to the conversion that its first read makes (_face_map, Cone._fill);
-one facet rule, the maximal proper cuts (_facets_of); one face test, a
-closed ray set of the same lineality (_is_face); and the smallest face
-holding a point (_smallest_face).  No other module knows how a cone is
-stored: its generators, the rays then both signs of each lineality vector,
-come from _generators (Cone.generators), a facet's rays from _facets, and
-the common-face certificate (_certified) is decided here, beside the face
-test.
+pass per cone on int bitsets of its rays gives each face its dimension
+(_face_dims), and each face is built with its rays, lineality and
+dimension only, its facet data left to the conversion that its first read
+makes (_face_map, Cone._fill); one facet rule for the triangulation, the
+maximal proper cuts (_facets_of); one face test, a closed ray set of the
+same lineality (_is_face); and the smallest face holding a point
+(_smallest_face).  No other module knows how a cone is stored: its
+generators, the rays then both signs of each lineality vector, come from
+_generators (Cone.generators), a facet's rays from _facets, and the
+common-face certificate (_certified) is decided here, beside the face test.
 The Hilbert basis of a 2-dimensional cone is its Hirzebruch-Jung chain,
 made one element per step from one extended gcd (_chain).  Those of other
 cones are enumerated: the candidates come from the group of the lattice
@@ -30,9 +30,9 @@ their facet values, the numbers their grading is the sum of.  Either way
 the basis is computed once per cone and kept on it.  The lattice work is
 only what the answer needs: a Hermite kernel (_kernel_rows, one Hermite
 pass, for span normals or lineality) is taken only when the rank shows the
-kernel is not {0}, so a walked face takes one only in the conversion of
-its first read; the conversion's start gets its adjugate from one
-fraction-free elimination (_adjugate), and each simplicial piece its
+kernel is not {0}, so a face that faces builds takes one only in the
+conversion of its first read; the conversion's start gets its adjugate
+from one fraction-free elimination (_adjugate), and each simplicial piece its
 determinant from the forward half of it (_det_rows), the adjugate being
 taken only for the pieces of index above 1, the only ones with box
 points.  Smoothness is one Hermite pass over the transposed rays
@@ -68,16 +68,16 @@ from .lattice import (_adjugate, _det_rows, _echelon_coords,
 MAX_HILBERT_INDEX = 2000
 
 # faces refuses a cone with more faces than this, counted as closed ray
-# sets before any face is built.  The most met in the tests (other than
-# those of the budget itself), the gallery and the benchmark is 286.  At
-# the budget (Python 3.11, x86-64) the rank-12 orthant's 4 096 faces take
-# 1.5 s; the cone over C(16, 8) in rank 9 (13 826 faces, 12-13 s) is
-# refused in 0.2 s.
+# sets as they are found, before any face is built.  The most met in the
+# tests (other than those of the budget itself), the gallery and the
+# benchmark is 286.  At the budget (Python 3.11, x86-64) the rank-12
+# orthant's 4 096 faces take about 0.025 s; the cone over C(16, 8) in rank 9
+# (13 826 faces, which once took 12-13 s) is refused in 0.008 s.
 MAX_FACES = 4096
 
 # The conversion cache (_cone_from_gens) keeps this many cones, dropping
 # the least recently used: a cone keyed by its sorted primitive generators
-# and its rank.  Cone.from_rays and the first read of a walked face's facet
+# and its rank.  Cone.from_rays and the first read of a built face's facet
 # data (Cone._fill) both read and fill it.
 CONVERSION_CACHE_SIZE = 65536
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -236,12 +236,13 @@ class Cone:
 
   The rays, the lineality and the dimension are stored at construction.  A
   conversion stores the facet normals, facet_rays and span normals too, as
-  it finds them at no cost.  A face that the face walk builds (_face_map)
-  gets None for all three: the walk needs none of them, and most faces it
-  builds never have them read.  The first read of any of them fills all
-  three from the conversion of the face's generators (_cone_from_gens),
-  which must give the stored rays and dimension, and keeps them on the
-  cone; so every facet normal comes from the one conversion.
+  it finds them at no cost.  A face that the face enumeration builds
+  (_face_map) gets None for all three: it needs none of them, and most
+  faces it builds never have them read.  The first read of any of them
+  fills all three from the conversion of the face's generators
+  (_cone_from_gens), which must give the stored rays and dimension, and
+  keeps them on the cone; so every facet normal comes from the one
+  conversion.
 
   generators gives vectors that generate the whole cone, lineality
   included; every reader that maps, multiplies or tests the cone uses them.
@@ -398,7 +399,7 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
   The cache is one bounded least-recently-used dict, keyed (gens, d): a hit
   makes the cone the most recently used, and a miss converts (_convert)
   and drops the least recently used cone past CONVERSION_CACHE_SIZE.  It
-  holds conversions only; a walked face's first read looks up its own
+  holds conversions only; a built face's first read looks up its own
   (Cone._fill) under the key Cone.from_rays would use.
   _cone_from_gens.cache_info() gives its hits and misses, and
   _cone_from_gens.cache_clear() empties it.
@@ -722,7 +723,8 @@ def _enumerated_basis(sigma: Cone) -> list:
 
 def faces(sigma: Cone) -> list:
   """All faces of the cone, the minimal face and the cone itself included,
-  sorted by _order_key (_face_map); ValueError past MAX_FACES faces."""
+  sorted by _order_key, from one budgeted pass (_face_map); ValueError
+  past MAX_FACES faces."""
   return sorted(_face_map([sigma]).values(), key=_order_key)
 
 
@@ -730,47 +732,31 @@ def _face_map(cones) -> dict:
   """Every face of the cones, once each, keyed by (rays, lineality_basis):
   the one face enumeration, behind faces and Fan.all_cones.
 
-  First the budget: a cone's faces are its closed ray sets (_closed_sets,
-  which refuses one cone past MAX_FACES; Kaibel & Pfetsch 2002), each
-  made into its ray tuple once, united over the cones as keys, and refused
-  past MAX_FACES before any face is built.  Then the walk, top-down on int
-  bitsets over each cone's rays: a face's facets are read off the cone's
-  facet_rays (_facets_of), each one dimension down, and the bitsets the
-  walk reaches must be the cone's closed sets exactly.  A face that no
-  earlier cone holds is built with its rays, the cone's lineality and that
-  dimension, and no facet data or span normals, which its first read fills
-  (Cone._fill); the cone itself is its own top face.  So the walk makes no
-  conversion, takes no kernel and computes no normal.
+  Each cone's faces come with their dimensions from one budgeted pass on
+  int bitsets of its rays (_face_dims).  Their ray tuples are united over
+  the cones as keys and refused past MAX_FACES before any face is built.
+  A face that no earlier cone holds is then built with its rays, the
+  cone's lineality and its dimension, and no facet data or span normals,
+  which its first read fills (Cone._fill); the cone itself is its own top
+  face.  So the pass makes no conversion, takes no kernel and computes no
+  normal.
   """
   out = {}
-  walks = []
+  passes = []
   for sigma in cones:
-    rays_of = {y: _pick(sigma.rays, y) for y in _closed_sets(sigma)}
     lin = sigma.lineality_basis
-    for rays in rays_of.values():
+    found = [(y, _pick(sigma.rays, y), k)
+             for y, k in _face_dims(sigma).items()]
+    for _, rays, _ in found:
       out[rays, lin] = None
     if len(out) > MAX_FACES:
       raise ValueError("faces capped at %d faces; this fan has more"
                        % MAX_FACES)
-    walks.append((sigma, rays_of))
-  for sigma, rays_of in walks:
+    passes.append((sigma, found))
+  for sigma, found in passes:
     full = (1 << len(sigma.rays)) - 1
-    facets = sigma.facet_rays
-    dims = {full: sigma.dim}
-    todo = [full]
-    while todo:
-      f = todo.pop()
-      k = dims[f] - 1
-      for x in _facets_of(f, facets):
-        if x not in dims:
-          dims[x] = k
-          todo.append(x)
-    if dims.keys() != rays_of.keys():
-      raise RuntimeError("the walk found %d faces of %d"
-                         % (len(dims), len(rays_of)))
     lin = sigma.lineality_basis
-    for y, k in dims.items():
-      rays = rays_of[y]
+    for y, rays, k in found:
       if out[rays, lin] is None:
         out[rays, lin] = (sigma if y == full else
                           Cone(sigma.ambient_rank, rays, lin, None, None, None,
@@ -778,31 +764,49 @@ def _face_map(cones) -> dict:
   return out
 
 
-def _closed_sets(sigma: Cone) -> set:
-  """The int bitsets of the rays of sigma's faces: the full set closed
-  under intersection with each of sigma.facet_rays.  ValueError past
-  MAX_FACES sets, as soon as the count passes it."""
-  facet_sets = set(sigma.facet_rays)
-  full = (1 << len(sigma.rays)) - 1
-  closed = {full}
-  todo = [full]
-  while todo:
-    x = todo.pop()
-    for v in facet_sets:
-      y = x & v
-      if y not in closed:
-        closed.add(y)
-        if len(closed) > MAX_FACES:
-          raise ValueError("faces capped at %d faces; this cone has more"
-                           % MAX_FACES)
-        todo.append(y)
-  return closed
+def _face_dims(sigma: Cone) -> dict:
+  """Each face of sigma as the int bitset of its rays, mapped to its
+  dimension; ValueError past MAX_FACES faces, as soon as the count passes
+  it.
+
+  Each face x, taken by falling ray count, is cut by every facet G of
+  sigma (its facet_rays), and a new cut x & G != x gets dim x - 1, or
+  keeps a smaller value found before.  That least value is the dimension:
+  a cut is a proper face of x, so of dimension at most dim x - 1; every
+  proper face y is a facet of some face x, and is x & G for a facet G of
+  sigma that holds y but not x (_facets_of); and a cut has fewer rays
+  than the face it cuts, so every face above y is cut before y is read.
+  The faces are the closed ray sets (Kaibel & Pfetsch 2002).
+  """
+  sets = set(sigma.facet_rays)
+  n = len(sigma.rays)
+  full = (1 << n) - 1
+  dims = {full: sigma.dim}
+  by_count = [[] for _ in range(n)] + [[full]]
+  for level in reversed(by_count):
+    for x in level:
+      k = dims[x] - 1
+      for s in sets:
+        y = x & s
+        if y == x:
+          continue
+        old = dims.get(y)
+        if old is None:
+          dims[y] = k
+          if len(dims) > MAX_FACES:
+            raise ValueError("faces capped at %d faces; this cone has more"
+                             % MAX_FACES)
+          by_count[y.bit_count()].append(y)
+        elif k < old:
+          dims[y] = k
+  return dims
 
 
 def _facets_of(face: int, sets) -> dict:
   """The facets of the face F (an int bitset of a cone P's rays), largest
   first, as a dict from each facet's ray set x to an index j with
-  x = F & sets[j], sets being P's facet_rays.
+  x = F & sets[j], sets being P's facet_rays: the facet rule of the
+  triangulation (_simplicial_pieces).
 
   They are F's maximal proper cuts F & G by facets G of P.  Each cut is a
   face of P inside F, so of F.  A facet H of F is a face of P, the meet of

@@ -6,7 +6,7 @@ lie in others, for input whose cones may nest (parsed documents, fiber
 products, boundary subfans, the gallery); it runs contains_cone only on the
 pairs past three exact screens (dimension, the coordinate half-spaces that
 hold each cone, the interior point), which reject every pair of a fan.
-Faces are cone.py's: all_cones is its one face walk, and star_subdivision
+Faces are cone.py's: all_cones is its one face pass, and star_subdivision
 asks its one face test of the maximal cones that have tau's rays.  No face
 closure is kept; the cones whose relative interior holds a point are read
 off the maximal cones (_cones_at).  validate accepts strictly convex
@@ -99,7 +99,7 @@ class Fan:
   @property
   def all_cones(self) -> frozenset:
     """Every face of every maximal cone, enumerated on each read by the
-    face walk of cone.py (_face_map): a shared face is built once, with
+    face pass of cone.py (_face_map): a shared face is built once, with
     its facet data left to its first read, and MAX_FACES holds for the
     whole fan before any face is built.
 
@@ -163,12 +163,16 @@ def validate(fan: Fan) -> SimpleNamespace:
   them.  A face of t that holds a relative-interior point of the convex set
   s & t holds all of it, so s & t = F, a face of both.  Any other input
   takes the pair pass (_pair_pass), the only route that names a violation.
+  The report's tiled is True when the wall test passed, which also makes
+  the support complete, and False when it was not run or failed.
   """
   d = fan.ambient_rank
   if (all(c.dim == d and c.is_strictly_convex for c in fan.max_cones)
       and _tiles(fan.max_cones)):
-    return SimpleNamespace(ok=True, violations=[], fallbacks=0)
-  return _pair_pass(fan)
+    return SimpleNamespace(ok=True, violations=[], fallbacks=0, tiled=True)
+  report = _pair_pass(fan)
+  report.tiled = False
+  return report
 
 
 def _pair_pass(fan: Fan) -> SimpleNamespace:
@@ -356,6 +360,7 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
   if len(pieces) == 1 and pieces[0] == container:
     return True
   walls = container.facet_normals if container is not None else ()
+  points = [None] * len(pieces)
   sides = {}
   for i, p in enumerate(pieces):
     for nu, rays in _facets(p):
@@ -366,7 +371,9 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
     if len(owners) != 2:
       return False
     (_, nu), (j, _) = owners
-    if _dot(nu, pieces[j].interior_point()) >= 0:
+    if points[j] is None:
+      points[j] = pieces[j].interior_point()
+    if _dot(nu, points[j]) >= 0:
       return False
   x = pieces[0].interior_point()
   return not any(p.contains(x) for p in pieces[1:])

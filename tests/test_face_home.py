@@ -1,21 +1,23 @@
 """cone.py is the one home of face questions.
 
-One face walk (_face_map) serves cone.faces and Fan.all_cones, one facet
-rule (_facets_of) serves the walk and the triangulation, and one face test
-(_is_face) serves is_face_of and star_subdivision.  The AST guards keep the
-face internals out of every other module and point location out of
-star_subdivision (test_locate.py runs it with point location refused on
-the gallery fans and the seeded star pairs).  The differential tests
-compare _is_face and _facets_of with the oracles of cone_reference.py, on
-seeded cones with lineality, of lower dimension, on coordinate
-hyperplanes and the zero cone; the walk's cross-check must compare the
-keys of the faces, not only their number.  chart_smoothness reads
-injectivity off its one Smith form, checked against the rank of the group
-map.  Two more guards keep how a cone is stored in cone.py: no other
-module names the incidence decoders or a hand-made lineality expansion,
-and only _generators writes a vector next to its negation.  One more keeps
-one rays-facets conversion: the only Cone(...) call in the package that
-passes facet data is in _convert.
+One face enumeration (_face_map) serves cone.faces and Fan.all_cones, on
+one budgeted pass per cone (_face_dims), one facet rule (_facets_of)
+serves the triangulation, and one face test (_is_face) serves is_face_of
+and star_subdivision.  The AST guards keep the face internals out of every
+other module and point location out of star_subdivision (test_locate.py
+runs it with point location refused on the gallery fans and the seeded
+star pairs).  The differential tests compare _face_dims, _is_face and
+_facets_of with the oracles of cone_reference.py, on seeded cones of
+ranks 1 to 8 with lineality, of lower dimension, on coordinate
+hyperplanes and the zero cone, on the reach cones, and on the faces of
+fans whose cones share faces; the comparison of _face_dims must catch a
+planted pass with a wrong dimension, a missing set or an extra one.
+chart_smoothness reads injectivity off its one Smith form, checked
+against the rank of the group map.  Two more guards keep how a cone is
+stored in cone.py: no other module names the incidence decoders or a
+hand-made lineality expansion, and only _generators writes a vector next
+to its negation.  One more keeps one rays-facets conversion: the only
+Cone(...) call in the package that passes facet data is in _convert.
 """
 
 import ast
@@ -26,18 +28,19 @@ import pytest
 
 import logfan
 from logfan import cone as cone_module
-from logfan.cone import (Cone, _closed_sets, _facets_of, _generators,
+from logfan.cone import (Cone, _face_dims, _facets_of, _generators,
                          _is_face, _pick, faces, is_face_of)
 from logfan.kato import CharParam, chart_smoothness
 from logfan.lattice import IntMatrix, cokernel, rank
 from logfan.monoid import AffineMonoid, MonoidHom, _gp_map
 
 from cone_reference import reference_faces_by_conversion
-from test_faces import _seeded_cones
+from test_cone_core import CUBE_13, CYCLIC_8, REACH_13_RAYS
+from test_faces import SHARED_FANS, _seeded_cones
 
 PACKAGE = pathlib.Path(logfan.__file__).parent
-FACE_INTERNALS = {"_closed_sets", "_walk_faces", "_face_map", "_facets_of",
-                  "_child_face", "_is_face"}
+FACE_INTERNALS = {"_closed_sets", "_walk_faces", "_face_map", "_face_dims",
+                  "_facets_of", "_child_face", "_is_face"}
 
 
 def _trees():
@@ -244,17 +247,87 @@ def test_the_facet_rule_gives_the_facets_of_every_face(d):
       assert all(y & sigma.facet_rays[j] == x for x, j in got.items())
 
 
-def test_the_walk_is_checked_against_the_keys_of_the_budget(monkeypatch):
-  # a budget pass that names one wrong ray set, with the right count, must
-  # fail the walk's check
+def _dims_by_conversion(sigma):
+  """Each face of sigma by the oracle, as the int bitset of its rays mapped
+  to its dimension."""
+  where = {r: 1 << j for j, r in enumerate(sigma.rays)}
+  return {sum(where[r] for r in f.rays): f.dim
+          for f in reference_faces_by_conversion(sigma)}
+
+
+def _check_dims(sigma):
+  """The pass's faces of sigma and their dimensions are the oracle's."""
+  assert cone_module._face_dims(sigma) == _dims_by_conversion(sigma), sigma
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_the_face_pass_matches_one_conversion_per_face(d):
+  cones = _seeded_cones(d, 40 if d < 6 else 20 if d == 6 else 6)
+  cones += _hyperplane_cones(d, 10) if 1 < d < 6 else []
+  for sigma in cones + [Cone.from_rays([], d)]:
+    _check_dims(sigma)
+  if d > 1:
+    assert any(s.lineality_basis for s in cones)
+    assert any(s.dim < d and s.is_strictly_convex for s in cones)
+
+
+# a rank-8 cone of 10 rays, 30 facets and 652 faces: some face is first
+# cut from a face it is no facet of, and is cut itself before a face it is
+# a facet of is read, so a pass that reads the faces in the order it finds
+# them, first-in or last-in, leaves some dimension too high
+ORDER_8 = [(1, 1, 2, -1, -2, -1, -2, -2), (2, 0, 0, 1, -2, -2, 0, -1),
+           (-2, 0, 0, -1, -2, -1, 1, -1), (-2, 1, -1, 1, 0, -2, 1, -2),
+           (2, -1, 1, 1, 1, -1, 1, -1), (1, -1, 1, 0, -2, -2, 0, 1),
+           (2, 2, 0, 2, 0, -1, 1, -2), (2, 0, 0, 0, 2, -2, 1, 0),
+           (-2, 2, 1, -2, 1, 0, 0, 0), (0, 2, -1, -1, 1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("rays", [REACH_13_RAYS, CYCLIC_8, CUBE_13, ORDER_8],
+                         ids=["13-ray-40-facet", "cyclic-8", "cube-13-rank6",
+                              "order-8"])
+def test_the_face_pass_of_the_reach_cones(rays):
+  _check_dims(Cone.from_rays(rays, len(rays[0])))
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FANS))
+def test_the_faces_of_a_fan_carry_the_dimensions_of_the_pass(name):
+  fan = SHARED_FANS[name]()
+  want = set()
+  for c in fan.max_cones:
+    _check_dims(c)
+    want |= {(f.rays, f.lineality_basis, f.dim)
+             for f in reference_faces_by_conversion(c)}
+  assert {(f.rays, f.lineality_basis, f.dim) for f in fan.all_cones} == want
+
+
+def _planted(sigma, how):
+  """sigma's faces by the pass, then made wrong: a proper face's dimension
+  off by one, the zero-ray set dropped, or a ray set that is no face
+  added."""
+  dims = dict(_face_dims(sigma))
+  if how == "wrong dimension":
+    dims[next(x for x in dims if 0 < x.bit_count() < len(sigma.rays))] -= 1
+  elif how == "missing set":
+    del dims[0]
+  else:
+    dims[min(x for x in range(1 << len(sigma.rays)) if x not in dims)] = 1
+  return dims
+
+
+@pytest.mark.parametrize("how", ["wrong dimension", "missing set",
+                                 "extra set"],
+                         ids=["wrong-dimension", "missing-set", "extra-set"])
+def test_a_planted_wrong_pass_fails_the_differential_test(monkeypatch, how):
   sigma = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
-  closed = _closed_sets(sigma)
-  assert 0 in closed and len(faces(sigma)) == len(closed)
-  wrong = min(y for y in range(1 << len(sigma.rays)) if y not in closed)
-  monkeypatch.setattr(cone_module, "_closed_sets",
-                      lambda c: (closed - {0}) | {wrong})
-  with pytest.raises(RuntimeError, match="the walk found"):
-    faces(sigma)
+  _check_dims(sigma)
+  real = cone_module._face_dims
+  monkeypatch.setattr(cone_module, "_face_dims",
+                      lambda c: _planted(c, how) if c == sigma else real(c))
+  with pytest.raises(AssertionError):
+    _check_dims(sigma)
+  # faces reads the planted pass, so its answer changes too
+  assert ([(f.rays, f.dim) for f in faces(sigma)]
+          != [(f.rays, f.dim) for f in reference_faces_by_conversion(sigma)])
 
 
 def _homs(count):

@@ -227,11 +227,11 @@ def test_pair_strata_and_boundary_subfan_match_the_closure(label):
 
 
 def _count_faces(monkeypatch):
-  """Replace every binding of cone._closed_sets, the face enumeration that
-  both cone.faces and Fan.all_cones run, in the logfan modules by a
-  counting wrapper; return the list the calls are appended to."""
+  """Replace every binding of cone._face_dims, the face pass that both
+  cone.faces and Fan.all_cones run, in the logfan modules by a counting
+  wrapper; return the list the calls are appended to."""
   calls = []
-  orig = cone_module._closed_sets
+  orig = cone_module._face_dims
 
   def counted(sigma):
     calls.append(sigma)

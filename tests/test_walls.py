@@ -13,9 +13,14 @@ complete fan with a cone dropped, cones with lineality, and
 lower-dimensional cones, among them two crossing planar fans whose walls
 pass.  Complete fans take the wall path and near-misses the pair pass; on
 a complete 402-cone rank-2 fan and a complete 304-cone rank-3 fan validate
-makes no _certified and no intersect call.
+makes no _certified and no intersect call, one _tiles call takes each
+piece's interior point at most once, and logfan check runs the wall test
+once, reading completeness off validate's report (tiled).
 """
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
@@ -28,6 +33,7 @@ from covering_reference import (
 )
 from resolution_reference import criterion_11_fans
 from logfan import fan as fan_module
+from logfan.cli import execute
 from logfan.cone import Cone
 from logfan.fan import (
     Fan,
@@ -186,3 +192,52 @@ def test_wall_path_tests_no_pair(monkeypatch, build):
   assert report.ok and report.violations == [] and report.fallbacks == 0
   assert support_query(fan).is_complete
   assert certified == [] and meets == []
+
+
+@pytest.mark.parametrize("build", [_fan_402, _fan_304],
+                         ids=["rank-2-402", "rank-3-304"])
+def test_the_wall_test_takes_each_interior_point_once(monkeypatch, build):
+  fan = build()
+  points = []
+  real = Cone.interior_point
+  monkeypatch.setattr(Cone, "interior_point",
+                      lambda c: points.append(c) or real(c))
+  assert _tiles(fan.max_cones)
+  assert len(points) == len(set(map(id, points))) <= len(fan.max_cones)
+
+
+def _check_output(monkeypatch, fan, tmp_path):
+  """logfan check's output on fan, with the _tiles calls it made."""
+  path = tmp_path / "fan.json"
+  path.write_text(json.dumps({"rank": fan.ambient_rank, "max_cones": [
+      [list(r) for r in c.generators] for c in fan.max_cones]}))
+  calls = _count(monkeypatch, "_tiles")
+  out = io.StringIO()
+  with contextlib.redirect_stdout(out):
+    code = execute(["check", str(path)])
+  monkeypatch.undo()
+  return code, out.getvalue().splitlines(), len(calls)
+
+
+@pytest.mark.parametrize("build", [_fan_402, _fan_304],
+                         ids=["rank-2-402", "rank-3-304"])
+def test_check_of_a_complete_fan_runs_the_wall_test_once(monkeypatch,
+                                                         tmp_path, build):
+  fan = build()
+  report = validate(fan)
+  assert report.ok and report.tiled
+  code, lines, tiles = _check_output(monkeypatch, fan, tmp_path)
+  assert code == 0 and tiles == 1
+  assert "valid: yes" in lines and "complete: yes" in lines
+
+
+@pytest.mark.parametrize("label, fan", NEAR_MISSES,
+                         ids=[label for label, _ in NEAR_MISSES])
+def test_check_reports_completeness_as_support_query_does(
+    monkeypatch, tmp_path, label, fan):
+  # check reads the fan as Fan.make does, which drops a cone lying in
+  # another
+  fan = Fan.make(fan.max_cones, fan.ambient_rank)
+  _, lines, _ = _check_output(monkeypatch, fan, tmp_path)
+  want = support_query(fan).is_complete
+  assert "complete: %s" % ("yes" if want else "no") in lines

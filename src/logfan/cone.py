@@ -9,7 +9,8 @@ the objects of its answer: rays and facets convert into each other by one
 double description, started from one adjugate; a pointed cone's rays are
 read from the incidences of its generators with its facets, so only a cone
 with lineality converts a second time.  Conversions go through one bounded
-least-recently-used cache (_cone_from_gens), and they are the only source
+least-recently-used cache, keyed by generators (_cone_from_gens) or by an
+inequality system (Cone.from_inequalities), and they are the only source
 of facet normals.  The incidence is kept from that conversion, never
 recomputed, and every face question is answered on it here: one budgeted
 pass per cone on int bitsets of its rays gives each face its dimension
@@ -75,10 +76,13 @@ MAX_HILBERT_INDEX = 2000
 # (13 826 faces, which once took 12-13 s) is refused in 0.008 s.
 MAX_FACES = 4096
 
-# The conversion cache (_cone_from_gens) keeps this many cones, dropping
-# the least recently used: a cone keyed by its sorted primitive generators
-# and its rank.  Cone.from_rays and the first read of a built face's facet
-# data (Cone._fill) both read and fill it.
+# The conversion cache keeps this many cones, dropping the least recently
+# used (_store), under two kinds of key: a cone's sorted primitive
+# generators and its rank (_cone_from_gens), which Cone.from_rays and the
+# first read of a built face's facet data (Cone._fill) read and fill; and an
+# inequality system's sorted distinct primitive inequalities, its equations
+# the same way, and its rank (_system_key), which Cone.from_inequalities
+# reads and fills.
 CONVERSION_CACHE_SIZE = 65536
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _conversions = OrderedDict()
@@ -333,6 +337,13 @@ class Cone:
   def from_inequalities(ineqs, eqs, ambient_rank: int) -> "Cone":
     """Cone {x : n.x >= 0 for n in ineqs, e.x == 0 for e in eqs}.
 
+    Once every row's length is checked, the system is looked up in the
+    conversion cache under _system_key, so a system that differs from one
+    converted before only by the order, repetition or positive scaling of
+    its rows, or by zero rows, returns that cone.  A miss runs one double
+    description (_pointed_extreme_rays) and converts its rays and lineality
+    through Cone.from_rays.
+
     Raises:
       ValueError: if a row does not have length ambient_rank.
     """
@@ -342,8 +353,14 @@ class Cone:
         if len(row) != ambient_rank:
           raise ValueError("%s %s does not have length %d"
                            % (kind, tuple(row), ambient_rank))
-    rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
-    return Cone.from_rays(_generators(rays, lin), ambient_rank)
+    key = _system_key(ineqs, eqs, ambient_rank)
+    cone = _conversions.get(key)
+    if cone is None:
+      rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
+      return _store(key, Cone.from_rays(_generators(rays, lin), ambient_rank))
+    _conversion_counts[0] += 1
+    _conversions.move_to_end(key)
+    return cone
 
   @property
   def generators(self) -> tuple:
@@ -396,25 +413,40 @@ def _cone_from_gens(gens: tuple, d: int) -> Cone:
   """The cone on sorted distinct primitive generators, through the
   conversion cache.
 
-  The cache is one bounded least-recently-used dict, keyed (gens, d): a hit
-  makes the cone the most recently used, and a miss converts (_convert)
-  and drops the least recently used cone past CONVERSION_CACHE_SIZE.  It
-  holds conversions only; a built face's first read looks up its own
-  (Cone._fill) under the key Cone.from_rays would use.
-  _cone_from_gens.cache_info() gives its hits and misses, and
-  _cone_from_gens.cache_clear() empties it.
+  The cache is one bounded least-recently-used dict: a hit makes the cone
+  the most recently used, and a miss converts and stores the cone (_store).
+  It holds conversions only, each under one of two kinds of key: (gens, d)
+  here, where a built face's first read looks up its own (Cone._fill)
+  under the key Cone.from_rays would use, and a system key (_system_key)
+  in Cone.from_inequalities.  _cone_from_gens.cache_info() gives the hits
+  and misses of both, and _cone_from_gens.cache_clear() empties it.
   """
   key = (gens, d)
   cone = _conversions.get(key)
-  if cone is not None:
-    _conversion_counts[0] += 1
-    _conversions.move_to_end(key)
-    return cone
+  if cone is None:
+    return _store(key, _convert(gens, d))
+  _conversion_counts[0] += 1
+  _conversions.move_to_end(key)
+  return cone
+
+
+def _store(key, cone: Cone) -> Cone:
+  """Count a miss, store cone under key as the most recently used, and drop
+  the least recently used cone past CONVERSION_CACHE_SIZE."""
   _conversion_counts[1] += 1
-  cone = _conversions[key] = _convert(gens, d)
+  _conversions[key] = cone
   if len(_conversions) > CONVERSION_CACHE_SIZE:
     _conversions.popitem(last=False)
   return cone
+
+
+def _system_key(ineqs, eqs, d) -> tuple:
+  """The conversion cache's key for an inequality system of rank d: the
+  sorted distinct primitive forms of its nonzero inequalities, those of its
+  equations, and d.  Three parts, so no generator key (two parts) equals
+  one."""
+  return (tuple(sorted({primitive(r) for r in ineqs if any(r)})),
+          tuple(sorted({primitive(r) for r in eqs if any(r)})), d)
 
 
 def _cache_info() -> CacheInfo:

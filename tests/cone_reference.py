@@ -21,7 +21,9 @@ the earlier code as a differential oracle:
   candidate as a sum of basis elements;
 - adjugates by one cofactor (a minor's determinant) per entry;
 - the triangulation by building one cone per facet and recursing on it;
-- the face test by building the smallest face holding a cone as a cone.
+- the face test by building the smallest face holding a cone as a cone;
+- an inequality system's cone by its own double description on every call,
+  from an emptied conversion cache, with no lookup of the system.
 """
 
 import itertools
@@ -30,12 +32,14 @@ from math import gcd
 
 from logfan.cone import (
     Cone,
+    _cone_from_gens,
     _convert,
     _dot,
     _generators,
     _neg,
     _order_key,
     _pick,
+    _pointed_extreme_rays,
 )
 from logfan.lattice import _adjugate, _kernel_rows, primitive
 
@@ -206,6 +210,23 @@ def reference_pointed_extreme_rays(ineqs, eqs, d):
     elif all(e <= 0 for e in evals):
       found.add(_neg(v))
   return sorted(found), lin
+
+
+def reference_from_inequalities(ineqs, eqs, d: int) -> Cone:
+  """Cone {x : n.x >= 0 for n in ineqs, e.x == 0 for e in eqs}, converted
+  from an emptied conversion cache by one double description and the
+  conversion of its rays and lineality, as Cone.from_inequalities did
+  before it looked systems up; ValueError if a row does not have length
+  d."""
+  ineqs, eqs = list(ineqs), list(eqs)
+  for kind, rows in (("inequality", ineqs), ("equation", eqs)):
+    for row in rows:
+      if len(row) != d:
+        raise ValueError("%s %s does not have length %d"
+                         % (kind, tuple(row), d))
+  _cone_from_gens.cache_clear()
+  rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, d)
+  return Cone.from_rays(_generators(rays, lin), d)
 
 
 def reference_faces(sigma: Cone) -> list:

@@ -3,9 +3,14 @@
 A cache is a function under an lru_cache decorator, or a dict cache: a
 dict bound at module level and written from inside a function.  The caches
 allowed are the ones whose hits the workloads show: the cone conversion,
-one bounded dict that Cone.from_rays and faces both fill, and the monoid's
+one bounded dict that Cone.from_rays and faces fill under generator keys
+and Cone.from_inequalities fills under system keys, and the monoid's
 membership, group basis and unit split.  A new cache belongs in ALLOWED only
-together with its hit rate on a workload.
+together with its hit rate on a workload.  The system keys' is measured on
+the cli workload at seed 11, caches emptied before each op: 2 996 of its
+3 662 from_inequalities calls (82 %) find their system converted earlier
+in the same op, mostly in the blockwise-min gallery case's fiber products
+and min cones, which then make 80 double descriptions instead of 451.
 
 The benchmark empties the caches between ops as a new process would have
 them, by calling cache_clear() with no argument on every module-level value
@@ -22,6 +27,7 @@ import pytest
 import logfan
 from logfan import cone as cone_module
 from logfan.cone import Cone, _cone_from_gens, faces
+from logfan.gallery import case_blockwise_min
 
 ALLOWED = {("cone.py", "_conversions"), ("monoid.py", "_member"),
            ("monoid.py", "_gp_basis"), ("monoid.py", "_unit_split")}
@@ -172,4 +178,91 @@ def test_the_conversion_cache_drops_the_least_recently_used(monkeypatch):
   assert Cone.from_rays([(0, 1)], 2) is not b
   info = _cone_from_gens.cache_info()
   assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
+  _cone_from_gens.cache_clear()
+
+
+def _count_double_descriptions(monkeypatch):
+  """A list whose length counts the calls of _pointed_extreme_rays."""
+  calls = []
+  run = cone_module._pointed_extreme_rays
+
+  def counted(*args):
+    calls.append(args)
+    return run(*args)
+
+  monkeypatch.setattr(cone_module, "_pointed_extreme_rays", counted)
+  return calls
+
+
+def test_a_repeated_system_makes_no_double_description(monkeypatch):
+  _cone_from_gens.cache_clear()
+  calls = _count_double_descriptions(monkeypatch)
+  e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+  first = Cone.from_inequalities(e + [(1, -1, 0)], [], 3)
+  made = len(calls)
+  assert made > 0
+  # reordered, repeated, rescaled and padded with a zero row
+  again = Cone.from_inequalities([(2, -2, 0), (0, 0, 0), (0, 0, 5), (1, 0, 0),
+                                  (0, 1, 0), (1, 0, 0)], [], 3)
+  assert again is first
+  assert len(calls) == made
+  _cone_from_gens.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["inequality", "equation"])
+@pytest.mark.parametrize("row", [(0, 0, 0), (), (1, 0, 0)])
+def test_a_row_of_the_wrong_length_raises_past_a_cached_system(kind, row):
+  _cone_from_gens.cache_clear()
+  ineqs, eqs = [(1, 0), (0, 1)], [(1, -1)]
+  Cone.from_inequalities(ineqs, eqs, 2)
+  bad = (ineqs + [row], eqs) if kind == "inequality" else (ineqs, eqs + [row])
+  with pytest.raises(ValueError, match=r"%s \(%s\) does not have length 2"
+                     % (kind, ", ".join(map(str, row)))):
+    Cone.from_inequalities(*bad, 2)
+  _cone_from_gens.cache_clear()
+
+
+def test_systems_drop_the_least_recently_used(monkeypatch):
+  # a miss stores the system after the generators of its cone, so each new
+  # system adds two entries; a hit makes the system's entry the newest
+  monkeypatch.setattr(cone_module, "CONVERSION_CACHE_SIZE", 3)
+  _cone_from_gens.cache_clear()
+  a = Cone.from_inequalities([(1,)], [], 1)  # gens a, system a
+  assert Cone.from_inequalities([(2,)], [], 1) is a  # a hit
+  b = Cone.from_inequalities([(-1,)], [], 1)  # drops gens a
+  assert Cone.from_inequalities([(3,)], [], 1) is a  # system b is oldest
+  Cone.from_inequalities([], [], 1)  # drops gens b and system b
+  assert Cone.from_inequalities([(1,)], [], 1) is a
+  assert Cone.from_inequalities([(-1,)], [], 1) is not b
+  info = _cone_from_gens.cache_info()
+  assert (info.hits, info.misses, info.currsize) == (3, 8, 3)
+  _cone_from_gens.cache_clear()
+
+
+def test_cache_clear_empties_the_systems_and_cache_info_counts_them(
+    monkeypatch):
+  _cone_from_gens.cache_clear()
+  calls = _count_double_descriptions(monkeypatch)
+  ineqs = [(1, 0), (1, 2)]
+  first = Cone.from_inequalities(ineqs, [], 2)  # misses: system, generators
+  assert Cone.from_inequalities(ineqs[::-1], [], 2) is first
+  info = _cone_from_gens.cache_info()
+  assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+  made = len(calls)
+  _cone_from_gens.cache_clear()
+  info = _cone_from_gens.cache_info()
+  assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+  again = Cone.from_inequalities(ineqs, [], 2)
+  assert again == first and again is not first
+  assert len(calls) == 2 * made
+  _cone_from_gens.cache_clear()
+
+
+def test_blockwise_min_takes_few_double_descriptions(monkeypatch):
+  # 451 double descriptions before systems were cached, 80 after
+  _cone_from_gens.cache_clear()
+  calls = _count_double_descriptions(monkeypatch)
+  case = case_blockwise_min(1, 1, 1)
+  assert case.ok, case.first_failure
+  assert len(calls) <= 80
   _cone_from_gens.cache_clear()

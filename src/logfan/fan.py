@@ -20,9 +20,15 @@ every covering question (a fan map's image filling each target cone, equal
 supports, completeness) by pairing up the facets of the pieces and
 checking one point, in integers, with no sampling.  One holder search
 (_holders), for a target fan, answers is_fan_map and the pieces of
-subdivision_predicates: through an index from rays to target cones, the
-cones with every image vector among their rays, or else one holder and
-the rest read off the smallest face of it holding the image.  Completion
+subdivision_predicates: through an index from rays to target cones
+(_ray_index), the cones with every image vector among their rays, or else
+one holder and the rest read off the smallest face of it holding the
+image.  Both ask one rule (_changed) which cones need the work: under the
+identity matrix only the source cones that are not target cones are
+searched and only the target cones that are not source cones are tiled,
+so a star subdivision's check pays for the cones it split; under any other
+matrix, all of them.  A listed target cone that is a face of another gets
+no wall test of its own (_face_of_another).  Completion
 and resolution are rank-2 only.  The refinement search is a bounded
 breadth-first search over star subdivisions, with a budget on the moves it
 tries (MAX_SEARCH_STARS).
@@ -231,14 +237,52 @@ def _holds(t: Cone, imgs) -> bool:
   return all(t.contains(v) for v in imgs)
 
 
-def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
-  """For each maximal source cone, its image vectors and the indices of the
-  maximal target cones that contain them.
+def _is_identity(matrix: IntMatrix) -> bool:
+  """Whether the matrix is a square identity, read off its entries."""
+  n, e = matrix.rows, matrix.entries
+  return matrix.cols == n and e[::n + 1] == (1,) * n and e.count(0) == n * n - n
+
+
+def _changed(matrix: IntMatrix, source: Fan, target: Fan) -> tuple:
+  """The maximal source cones that need a holder search and the indices of
+  the maximal target cones that need a wall test, after the shape check.
+
+  Under the identity these are the cones that the two fans do not share;
+  under any other matrix, all of them.  is_fan_map and
+  subdivision_predicates both take this one rule, and their docstrings say
+  why skipping the shared cones is exact.
+  """
+  if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
+    raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
+                     % (matrix.rows, matrix.cols, source.ambient_rank,
+                        target.ambient_rank))
+  if not _is_identity(matrix):
+    return source.max_cones, range(len(target.max_cones))
+  # the target cones left in where after the source pops its own
+  where = {t: i for i, t in enumerate(target.max_cones)}
+  cones = [c for c in source.max_cones if where.pop(c, None) is None]
+  return cones, list(where.values())
+
+
+def _ray_index(cones) -> dict:
+  """Each ray of the cones to the set of indices of the cones that have it."""
+  index = {}
+  for i, t in enumerate(cones):
+    for r in t.rays:
+      index.setdefault(r, set()).add(i)
+  return index
+
+
+def _holders(matrix: IntMatrix, cones, target: Fan, index: dict) -> list:
+  """For each source cone in the sequence cones, its image vectors and the
+  indices of the maximal target cones that contain them.
 
   The image vectors are the images of the cone's rays and of both signs of
   each lineality generator, so that they generate the image of the whole
-  cone; each distinct source vector is mapped once.  The search runs on an
-  index from each target ray to the maximal target cones that have it.
+  cone.  Under the identity each generator is read as its own image;
+  otherwise each distinct source vector is mapped once.  The search runs on
+  index, the _ray_index of the maximal target cones.  The caller checks
+  the matrix's shape (_changed).
 
   A target cone that has every image vector among its rays holds the
   image, with no test.  When there are such cones, they are the holders:
@@ -267,40 +311,35 @@ def _holders(matrix: IntMatrix, source: Fan, target: Fan) -> list:
   may miss some, and a list is empty exactly when no target cone holds the
   image.
   """
-  if matrix.cols != source.ambient_rank or matrix.rows != target.ambient_rank:
-    raise ValueError("matrix shape %dx%d does not map rank %d to rank %d"
-                     % (matrix.rows, matrix.cols, source.ambient_rank,
-                        target.ambient_rank))
-  cones = target.max_cones
-  index = {}
-  for i, t in enumerate(cones):
-    for r in t.rays:
-      index.setdefault(r, set()).add(i)
-  rows = [matrix.row(i) for i in range(matrix.rows)]
-  gens = [c.generators for c in source.max_cones]
-  image = {v: tuple(_dot(row, v) for row in rows)
-           for v in dict.fromkeys(itertools.chain.from_iterable(gens))}
+  targets = target.max_cones
+  gens = [c.generators for c in cones]
+  if _is_identity(matrix):
+    images = [list(g) for g in gens]
+  else:
+    rows = [matrix.row(i) for i in range(matrix.rows)]
+    image = {v: tuple(_dot(row, v) for row in rows)
+             for v in dict.fromkeys(itertools.chain.from_iterable(gens))}
+    images = [[image[v] for v in g] for g in gens]
   out = []
-  for g in gens:
-    imgs = [image[v] for v in g]
+  for imgs in images:
     sets = [index.get(v, ()) for v in imgs]
     common = set(sets[0]).intersection(*sets[1:]) if sets else ()
     if common:
       out.append((imgs, sorted(common)))
       continue
     near = sorted(set().union(*sets))
-    first = next((i for i in itertools.chain(near, range(len(cones)))
-                  if _holds(cones[i], imgs)), None)
+    first = next((i for i in itertools.chain(near, range(len(targets)))
+                  if _holds(targets[i], imgs)), None)
     if first is None:
       out.append((imgs, []))
       continue
-    t = cones[first]
+    t = targets[first]
     x = [sum(col) for col in zip(*imgs)] or [0] * target.ambient_rank
     face = _smallest_face(t, x)
     near = (set.intersection(*(index[r] for r in face)) if face
-            else range(len(cones)))
+            else range(len(targets)))
     if not t.is_strictly_convex:
-      near = [i for i in near if i == first or _holds(cones[i], imgs)]
+      near = [i for i in near if i == first or _holds(targets[i], imgs)]
     out.append((imgs, sorted(near)))
   return out
 
@@ -313,8 +352,14 @@ def is_fan_map(matrix: IntMatrix, source: Fan, target: Fan) -> bool:
   a target cone holding its whole image.  A holder list of _holders is
   empty exactly when no target cone holds the image, so the answer assumes
   nothing of the target: it is exact also when the target is not a fan.
+
+  Under the identity only the source cones that are not target cones are
+  searched (_changed): a shared cone holds itself, so the skip is exact for
+  any target.
   """
-  return all(held for _, held in _holders(matrix, source, target))
+  cones, _ = _changed(matrix, source, target)
+  index = _ray_index(target.max_cones)
+  return all(held for _, held in _holders(matrix, cones, target, index))
 
 
 @dataclass(frozen=True)
@@ -379,6 +424,18 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
   return not any(p.contains(x) for p in pieces[1:])
 
 
+def _face_of_another(i: int, cones, index: dict) -> bool:
+  """Whether cones[i] is strictly convex and a proper face (_is_face) of
+  another of the cones, which have the ray index index (_ray_index): the
+  others tried are those with every ray of cones[i]."""
+  t = cones[i]
+  if not t.is_strictly_convex:
+    return False
+  near = (set.intersection(*(index[r] for r in t.rays)) if t.rays
+          else range(len(cones)))
+  return any(j != i and _is_face(t, cones[j]) for j in near)
+
+
 def subdivision_predicates(matrix: IntMatrix, source: Fan,
                            target: Fan) -> SimpleNamespace:
   """Partial-subdivision and subdivision flags for a fan map.
@@ -387,14 +444,37 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
   additionally needs the mapped source cones to fill every maximal target
   cone t, decided by the wall test of _tiles.
 
-  Precondition: source and target are fans (see validate).  Then the pieces
-  of t are the mapped source cones of t's dimension that t contains: if a
+  Precondition: source and target are fans in the sense of validate, which
+  lets a Fan(...) list a cone together with one of its faces.  Then the
+  pieces of a target cone t that is not a proper face of another (below)
+  are the mapped source cones of t's dimension that t contains: if a
   mapped cone m meets t in a cone of t's dimension and m lies in the
-  maximal target cone t', then t and t' meet in a common face of t's
-  dimension, so t = t'.  Without the precondition a True answer still
-  holds, since the wall test shows that every target cone is tiled by
-  mapped cones, but a False answer may be wrong.  The proof of the wall
-  test is in the docstring of _tiles.
+  target cone t', then t and t' meet in a common face of t's dimension,
+  which is t, so t is a face of t' and t = t'.
+
+  Without the precondition a True answer still holds: the wall test shows
+  that every target cone it runs on is tiled by mapped cones, a shared
+  cone that _changed skips is its own mapped cone, and a face skipped
+  below lies in a larger target cone, so every target cone is covered by
+  mapped cones.  A False answer may be wrong.  The proof of the wall test
+  is in the docstring of _tiles.
+
+  A strictly convex target cone f that is a proper face (_is_face) of
+  another target cone t' gets no wall test of its own; it is found through
+  the ray index among the cones with all its rays (_face_of_another).  Its
+  pieces would be mapped cones of its own dimension, which a source fan of
+  maximal cones lists only as faces, so a test would read False on a
+  subdivision.  A tiling of t' covers f, each piece meeting f in a face of
+  that piece, so the answer is the one for Fan.make of the target, which
+  drops f.
+
+  Under the identity the skips of _changed are exact on fans.  Two cones
+  of one fan of the same dimension, one inside the other, are equal, since
+  they meet in a common face of that dimension.  So a target cone t that
+  is also a source cone has itself as its only piece of its dimension, and
+  is tiled; and a piece m of a target cone t that is not a source cone is
+  itself not a target cone, since m and t would be two such cones of the
+  target, so only the source cones that are not target cones are searched.
 
   The mapped cone of a source cone is generated by the image vectors of
   _holders, the images of its rays and of both signs of its lineality.
@@ -404,22 +484,24 @@ def subdivision_predicates(matrix: IntMatrix, source: Fan,
   a True answer into False, never a False into True, because a piece that
   lies in t but is not listed for t would overlap t's listed pieces.
   """
-  holders = _holders(matrix, source, target)
+  cones, tiled = _changed(matrix, source, target)
+  targets = target.max_cones
+  index = _ray_index(targets)
+  holders = _holders(matrix, cones, target, index)
   if not all(held for _, held in holders):
     raise ValueError("not a fan map")
-  partial = is_unimodular(matrix)
+  partial = _is_identity(matrix) or is_unimodular(matrix)
   full = False
   if partial:
-    cones = target.max_cones
-    pieces = [[] for _ in cones]
-    for c, (imgs, held) in zip(source.max_cones, holders):
+    pieces = {i: [] for i in tiled if not _face_of_another(i, targets, index)}
+    for c, (imgs, held) in zip(cones, holders):
       # a cone whose generators the map fixes is its own image
       m = (c if tuple(imgs) == c.generators
            else Cone.from_rays(imgs, target.ambient_rank))
       for i in held:
-        if m.dim == cones[i].dim:
+        if i in pieces and m.dim == targets[i].dim:
           pieces[i].append(m)
-    full = all(_tiles(p, t) for p, t in zip(pieces, cones))
+    full = all(_tiles(p, targets[i]) for i, p in pieces.items())
   return SimpleNamespace(is_partial_subdivision=partial, is_subdivision=full)
 
 

@@ -418,16 +418,17 @@ def case_blockwise_min(p1: int, p2: int, p3: int,
       orthant_fan, Cone.from_rays([list(_e(i, n)) for i in blocks[t]], n))
       for t in range(1, 7)}
 
+  ident = IntMatrix.identity(n)
+  # one map per block fan, shared by every fiber product that adjoins it
+  block_maps = {t: FanMap(ident, f, orthant_fan) for t, f in block_fans.items()}
   sigma_cache: dict = {frozenset(): orthant_fan}
 
   def sigma_for(I: frozenset) -> Fan:
     if I not in sigma_cache:
       last = max(I)
       prev = sigma_for(I - {last})
-      ident = IntMatrix.identity(n)
       sigma_cache[I] = fiber_product(FanMap(ident, prev, orthant_fan),
-                                     FanMap(ident, block_fans[last],
-                                            orthant_fan))
+                                     block_maps[last])
     return sigma_cache[I]
 
   admissible = _admissible_subsets()

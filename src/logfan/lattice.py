@@ -511,8 +511,11 @@ def complement_projection(sub_basis: list, dim: int) -> IntMatrix:
 
 
 def primitive(v) -> tuple[int, ...]:
-  """Scale a nonzero integer vector down by the gcd of its entries."""
+  """Scale a nonzero integer vector down by the gcd of its entries; a
+  vector whose gcd is 1 comes back as it is, as a tuple, with no division."""
   g = gcd(*v)
+  if g == 1:
+    return tuple(v)
   if g == 0:
     raise ValueError("zero vector has no primitive form")
   return tuple(x // g for x in v)

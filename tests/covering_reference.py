@@ -118,7 +118,13 @@ def reference_is_fan_map(matrix, source, target) -> bool:
 
 def reference_holder_predicates(matrix, source, target) -> SimpleNamespace:
   """subdivision_predicates as it was with all-pairs holders: the same
-  wall test, each target cone's pieces read off the holder lists."""
+  wall test, each target cone's pieces read off the holder lists.
+
+  Left as it was, it also tests on its own a target cone listed beside a
+  cone it is a face of, which has no piece of its own dimension in a
+  source of maximal cones: there it may answer (True, False) where the
+  library answers as on Fan.make of the target.  Compare them on targets
+  that list no such face."""
   holders = reference_holders(matrix, source, target)
   if not all(held for _, held in holders):
     raise ValueError("not a fan map")
@@ -134,7 +140,12 @@ def reference_holder_predicates(matrix, source, target) -> SimpleNamespace:
 
 
 def reference_subdivision_predicates(matrix, source, target) -> SimpleNamespace:
-  """subdivision_predicates by intersections and section volumes."""
+  """subdivision_predicates by intersections and section volumes.
+
+  Left as it was, it intersects every mapped cone with a target cone listed
+  beside a cone it is a face of, and on such a target it may raise
+  AssertionError, since the intersections of the pieces that share the face
+  cover it more than once.  Compare it on targets that list no such face."""
   if not reference_is_fan_map(matrix, source, target):
     raise ValueError("not a fan map")
   partial = is_unimodular(matrix)

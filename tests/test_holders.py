@@ -26,6 +26,7 @@ from logfan.cone import Cone
 from logfan.fan import (
     Fan,
     _holders,
+    _ray_index,
     complete_2d,
     is_fan_map,
     product_fan,
@@ -141,7 +142,7 @@ def test_holders_agree_with_all_pairs_on_fans():
   outcomes = set()
   for matrix, src, dst in _fan_maps():
     assert validate(src).ok and validate(dst).ok
-    got = _holders(matrix, src, dst)
+    got = _holders(matrix, src.max_cones, dst, _ray_index(dst.max_cones))
     assert got == reference_holders(matrix, src, dst), (
         [c.rays for c in src.max_cones], [c.rays for c in dst.max_cones])
     assert is_fan_map(matrix, src, dst) == reference_is_fan_map(matrix, src, dst)
@@ -196,7 +197,7 @@ def test_holders_on_targets_that_are_not_fans_only_lose_true_answers():
   fewer = 0
   for matrix, src, dst in _not_fans(random.Random(32)):
     assert validate(src).ok and not validate(dst).ok
-    got = _holders(matrix, src, dst)
+    got = _holders(matrix, src.max_cones, dst, _ray_index(dst.max_cones))
     want = reference_holders(matrix, src, dst)
     for (imgs, held), (want_imgs, want_held) in zip(got, want):
       assert imgs == want_imgs

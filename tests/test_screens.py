@@ -26,6 +26,7 @@ from logfan.fan import (
     Fan,
     FanMap,
     _holders,
+    _ray_index,
     is_fan_map,
     product_fan,
     resolve_2d,
@@ -276,10 +277,10 @@ QUADRANTS = Fan(2, (Cone.from_rays([(1, 0), (0, 1)], 2),
 def test_a_half_plane_is_not_held_by_two_quadrants():
   ident = IntMatrix.identity(2)
   source = Fan(2, (UPPER,))
-  assert _holders(ident, source, QUADRANTS) == [
-      ([(0, 1), (1, 0), (-1, 0)], [])]
-  assert _holders(ident, source, QUADRANTS) == reference_holders(
-      ident, source, QUADRANTS)
+  got = _holders(ident, source.max_cones, QUADRANTS,
+                 _ray_index(QUADRANTS.max_cones))
+  assert got == [([(0, 1), (1, 0), (-1, 0)], [])]
+  assert got == reference_holders(ident, source, QUADRANTS)
   assert not is_fan_map(ident, source, QUADRANTS)
   with pytest.raises(ValueError):
     FanMap(ident, source, QUADRANTS)
@@ -333,7 +334,7 @@ def test_holders_match_all_pairs_on_sources_with_lineality():
   outcomes = set()
   held_any = 0
   for matrix, src, dst in _lineality_maps():
-    got = _holders(matrix, src, dst)
+    got = _holders(matrix, src.max_cones, dst, _ray_index(dst.max_cones))
     want = reference_holders(matrix, src, dst)
     if validate(dst).ok:
       assert got == want

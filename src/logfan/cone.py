@@ -9,9 +9,9 @@ the objects of its answer: rays and facets convert into each other by one
 double description, started from one adjugate; a pointed cone's rays are
 read from the incidences of its generators with its facets, so only a cone
 with lineality converts a second time.  Conversions go through one bounded
-least-recently-used cache, keyed by generators (_cone_from_gens) or by an
-inequality system (Cone.from_inequalities), and they are the only source
-of facet normals.  The incidence is kept from that conversion, never
+least-recently-used cache (functools.lru_cache on _cone_from_gens), keyed
+by generators or by an inequality system, and they are the only source of
+facet normals.  The incidence is kept from that conversion, never
 recomputed, and every face question is answered on it here: one budgeted
 pass per cone on int bitsets of its rays gives each face its dimension
 (_face_dims), and each face is built with its rays, lineality and
@@ -49,8 +49,8 @@ rank cap.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import le, mul
 
 from .lattice import (_adjugate, _det_rows, _echelon_coords,
@@ -76,17 +76,12 @@ MAX_HILBERT_INDEX = 2000
 # (13 826 faces, which once took 12-13 s) is refused in 0.008 s.
 MAX_FACES = 4096
 
-# The conversion cache keeps this many cones, dropping the least recently
-# used (_store), under two kinds of key: a cone's sorted primitive
-# generators and its rank (_cone_from_gens), which Cone.from_rays and the
-# first read of a built face's facet data (Cone._fill) read and fill; and an
-# inequality system's sorted distinct primitive inequalities, its equations
-# the same way, and its rank (_system_key), which Cone.from_inequalities
-# reads and fills.
+# The conversion cache (_cone_from_gens) keeps this many cones, dropping
+# the least recently used, under two kinds of key: a cone's sorted
+# primitive generators and its rank, for Cone.from_rays and the first read
+# of a built face's facet data (Cone._fill); and an inequality system's
+# key (_system_key), for Cone.from_inequalities.
 CONVERSION_CACHE_SIZE = 65536
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-_conversions = OrderedDict()
-_conversion_counts = [0, 0]  # hits, misses
 
 
 def _dot(a, b):
@@ -337,12 +332,10 @@ class Cone:
   def from_inequalities(ineqs, eqs, ambient_rank: int) -> "Cone":
     """Cone {x : n.x >= 0 for n in ineqs, e.x == 0 for e in eqs}.
 
-    Once every row's length is checked, the system is looked up in the
-    conversion cache under _system_key, so a system that differs from one
-    converted before only by the order, repetition or positive scaling of
-    its rows, or by zero rows, returns that cone.  A miss runs one double
-    description (_pointed_extreme_rays) and converts its rays and lineality
-    through Cone.from_rays.
+    Once every row's length is checked, the system goes to the conversion
+    cache (_cone_from_gens) under its _system_key, so a system that differs
+    from one converted before only by the order, repetition or positive
+    scaling of its rows, or by zero rows, returns that cone.
 
     Raises:
       ValueError: if a row does not have length ambient_rank.
@@ -353,14 +346,7 @@ class Cone:
         if len(row) != ambient_rank:
           raise ValueError("%s %s does not have length %d"
                            % (kind, tuple(row), ambient_rank))
-    key = _system_key(ineqs, eqs, ambient_rank)
-    cone = _conversions.get(key)
-    if cone is None:
-      rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, ambient_rank)
-      return _store(key, Cone.from_rays(_generators(rays, lin), ambient_rank))
-    _conversion_counts[0] += 1
-    _conversions.move_to_end(key)
-    return cone
+    return _cone_from_gens(*_system_key(ineqs, eqs, ambient_rank))
 
   @property
   def generators(self) -> tuple:
@@ -409,35 +395,24 @@ class Cone:
     return all(map(self.contains, other.generators))
 
 
-def _cone_from_gens(gens: tuple, d: int) -> Cone:
-  """The cone on sorted distinct primitive generators, through the
-  conversion cache.
+@lru_cache(maxsize=CONVERSION_CACHE_SIZE)
+def _cone_from_gens(*key) -> Cone:
+  """The cone of a conversion cache key, through the cache.
 
-  The cache is one bounded least-recently-used dict: a hit makes the cone
-  the most recently used, and a miss converts and stores the cone (_store).
-  It holds conversions only, each under one of two kinds of key: (gens, d)
-  here, where a built face's first read looks up its own (Cone._fill)
-  under the key Cone.from_rays would use, and a system key (_system_key)
-  in Cone.from_inequalities.  _cone_from_gens.cache_info() gives the hits
-  and misses of both, and _cone_from_gens.cache_clear() empties it.
+  A key of two parts, (gens, d), is a cone's sorted distinct primitive
+  generators and its rank: Cone.from_rays and a built face's first read
+  (Cone._fill) use it, and a miss converts the generators (_convert).  A
+  key of three parts is an inequality system's (_system_key), from
+  Cone.from_inequalities: a miss runs one double description
+  (_pointed_extreme_rays) and converts its rays and lineality through
+  Cone.from_rays.  One bounded least-recently-used cache holds both kinds;
+  cache_info() counts the hits and misses of both, and cache_clear()
+  empties it.
   """
-  key = (gens, d)
-  cone = _conversions.get(key)
-  if cone is None:
-    return _store(key, _convert(gens, d))
-  _conversion_counts[0] += 1
-  _conversions.move_to_end(key)
-  return cone
-
-
-def _store(key, cone: Cone) -> Cone:
-  """Count a miss, store cone under key as the most recently used, and drop
-  the least recently used cone past CONVERSION_CACHE_SIZE."""
-  _conversion_counts[1] += 1
-  _conversions[key] = cone
-  if len(_conversions) > CONVERSION_CACHE_SIZE:
-    _conversions.popitem(last=False)
-  return cone
+  if len(key) == 2:
+    return _convert(*key)
+  rays, lin, _ = _pointed_extreme_rays(*key)
+  return Cone.from_rays(_generators(rays, lin), key[-1])
 
 
 def _system_key(ineqs, eqs, d) -> tuple:
@@ -447,20 +422,6 @@ def _system_key(ineqs, eqs, d) -> tuple:
   one."""
   return (tuple(sorted({primitive(r) for r in ineqs if any(r)})),
           tuple(sorted({primitive(r) for r in eqs if any(r)})), d)
-
-
-def _cache_info() -> CacheInfo:
-  hits, misses = _conversion_counts
-  return CacheInfo(hits, misses, CONVERSION_CACHE_SIZE, len(_conversions))
-
-
-def _cache_clear():
-  _conversions.clear()
-  _conversion_counts[:] = [0, 0]
-
-
-_cone_from_gens.cache_info = _cache_info
-_cone_from_gens.cache_clear = _cache_clear
 
 
 def _convert(gens: tuple, d: int) -> Cone:

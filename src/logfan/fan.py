@@ -21,9 +21,8 @@ supports, completeness) by pairing up the facets of the pieces and
 checking one point, in integers, with no sampling.  One holder search
 (_holders), for a target fan, answers is_fan_map and the pieces of
 subdivision_predicates: through an index from rays to target cones
-(_ray_index), the cones with every image vector among their rays, or else
-one holder and the rest read off the smallest face of it holding the
-image.  Both ask one rule (_changed) which cones need the work: under the
+(_ray_index), one holder and the rest read off the smallest face of it
+holding the image.  Both ask one rule (_changed) which cones need the work: under the
 identity matrix only the source cones that are not target cones are
 searched and only the target cones that are not source cones are tiled,
 so a star subdivision's check pays for the cones it split; under any other
@@ -284,29 +283,23 @@ def _holders(matrix: IntMatrix, cones, target: Fan, index: dict) -> list:
   index, the _ray_index of the maximal target cones.  The caller checks
   the matrix's shape (_changed).
 
-  A target cone that has every image vector among its rays holds the
-  image, with no test.  When there are such cones, they are the holders:
-  if the target is a fan, a maximal target cone t' holding the image meets
-  such a cone t in a common face, which holds the image and so contains
-  the smallest face F of t holding it; the image vectors are rays of t in
-  F, hence rays of F, and F is a face of t', so they are rays of t'.
-
-  Otherwise one holder t is searched for: the target cones that have some
-  image vector among their rays are tried first, then all of them in
-  order, so finding none is exact for any target.  The sum x of the image
-  vectors lies in the relative interior of the image, so the smallest face
-  F of t holding the image is the smallest face holding x, whose rays are
-  read off the stored incidence of t (_smallest_face); when x is interior
-  to t, F is t itself.  As above, if the target is a fan, every maximal
-  target cone holding the image has F as a face, so its rays include
-  those of F.  The holders are therefore the maximal target cones whose
-  rays include those of F, found through the ray index, and for x
-  interior to t that is t alone.
+  One holder t is searched for: the target cones that have some image
+  vector among their rays are tried first, then all of them in order, so
+  finding none is exact for any target.  The sum x of the image vectors
+  lies in the relative interior of the image, so the smallest face F of t
+  holding the image is the smallest face holding x, whose rays are read
+  off the stored incidence of t (_smallest_face); when x is interior to t,
+  F is t itself.  If the target is a fan, a maximal target cone t'
+  holding the image meets t in a common face, which holds the image and
+  so contains F; so F is a face of t', and the rays of t' include those
+  of F.  The holders are therefore the maximal target cones whose rays
+  include those of F, found through the ray index, and for x interior to
+  t that is t alone.
 
   Precondition: the target is a fan; the source need not be one.  A cone
-  listed either has every image vector among its rays or has every ray of
-  F, which holds the image; for a strictly convex t that shows it holds
-  the image with no test, and for a t with lineality each cone is tested.
+  listed has every ray of F, which holds the image; for a strictly convex
+  t that shows it holds the image with no test, and for a t with
+  lineality each cone is tested.
   So for a target that is not a fan the lists hold only true holders but
   may miss some, and a list is empty exactly when no target cone holds the
   image.
@@ -322,12 +315,7 @@ def _holders(matrix: IntMatrix, cones, target: Fan, index: dict) -> list:
     images = [[image[v] for v in g] for g in gens]
   out = []
   for imgs in images:
-    sets = [index.get(v, ()) for v in imgs]
-    common = set(sets[0]).intersection(*sets[1:]) if sets else ()
-    if common:
-      out.append((imgs, sorted(common)))
-      continue
-    near = sorted(set().union(*sets))
+    near = sorted(set().union(*(index.get(v, ()) for v in imgs)))
     first = next((i for i in itertools.chain(near, range(len(targets)))
                   if _holds(targets[i], imgs)), None)
     if first is None:
@@ -402,8 +390,6 @@ def _tiles(pieces, container: Cone | None = None) -> bool:
   """
   if not pieces:
     return False
-  if len(pieces) == 1 and pieces[0] == container:
-    return True
   walls = container.facet_normals if container is not None else ()
   points = [None] * len(pieces)
   sides = {}

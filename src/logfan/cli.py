@@ -76,14 +76,20 @@ def _int_entry(value, where: str) -> int:
   return value
 
 
-def _ray_entry(value, where: str, rank: int) -> tuple:
+def _ray_entry(value, rank: int, where: str, *at) -> tuple:
+  """The ray value as a tuple of integers.  The field's name, where % at,
+  is formatted only for an error: a document has thousands of rays, and
+  nearly all of them are fine."""
   if not isinstance(value, list):
-    raise CliError("field %s: expected a ray (list of integers)" % where)
+    raise CliError("field %s: expected a ray (list of integers)" % (where % at))
   if len(value) != rank:
     raise CliError("field %s: ray length %d does not match rank %d"
-                   % (where, len(value), rank))
-  return tuple(_int_entry(x, "%s[%d]" % (where, i))
-               for i, x in enumerate(value))
+                   % (where % at, len(value), rank))
+  # json.loads makes exactly int for an integer, and bool for true or false
+  if not all(type(x) is int for x in value):
+    for i, x in enumerate(value):
+      _int_entry(x, "%s[%d]" % (where % at, i))
+  return tuple(value)
 
 
 def parse_document(text: str) -> FanDocument:
@@ -118,13 +124,13 @@ def parse_document(text: str) -> FanDocument:
   for i, cone in enumerate(raw["max_cones"]):
     if not isinstance(cone, list):
       raise CliError("field max_cones[%d]: expected a list of rays" % i)
-    cones.append(tuple(_ray_entry(r, "max_cones[%d][%d]" % (i, j), rank)
+    cones.append(tuple(_ray_entry(r, rank, "max_cones[%d][%d]", i, j)
                        for j, r in enumerate(cone)))
   boundary = None
   if "boundary_rays" in raw:
     if not isinstance(raw["boundary_rays"], list):
       raise CliError("field boundary_rays: expected a list of rays")
-    boundary = tuple(_ray_entry(r, "boundary_rays[%d]" % j, rank)
+    boundary = tuple(_ray_entry(r, rank, "boundary_rays[%d]", j)
                      for j, r in enumerate(raw["boundary_rays"]))
   metadata = raw.get("metadata", "")
   if not isinstance(metadata, str):

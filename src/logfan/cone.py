@@ -36,10 +36,12 @@ conversion of its first read; the conversion's start gets its adjugate
 from one fraction-free elimination (_adjugate), and each simplicial piece its
 determinant from the forward half of it (_det_rows), the adjugate being
 taken only for the pieces of index above 1, the only ones with box
-points.  Smoothness is one Hermite pass over the transposed rays
-(_extends_to_basis), not a loop over maximal minors.  These, and the
-back-substitution of _span_coordinates (_echelon_coords), are lattice.py's,
-on row lists.
+points.  Smoothness reads a simplicial cone's index, kept on it
+(Cone._index): a full-dimensional cone on d generators has it from its
+start adjugate, and any other takes it once, from two determinants
+(_det_rows), not from a Hermite pass or a loop over maximal minors.
+These, and the back-substitution of _span_coordinates (_echelon_coords),
+are lattice.py's, on row lists.
 Hilbert bases have one work budget, MAX_HILBERT_INDEX, which caps a
 chain's elements at one more than it and an enumeration's total simplicial
 index at it; faces have one, MAX_FACES; neither they nor dual_cone have a
@@ -53,8 +55,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import le, mul
 
-from .lattice import (_adjugate, _det_rows, _echelon_coords,
-                      _extends_to_basis, _kernel_rows, _xgcd, primitive)
+from .lattice import (_adjugate, _det_rows, _echelon_coords, _kernel_rows,
+                      _xgcd, primitive)
 
 # hilbert_basis refuses a 2-dimensional cone whose chain would have more
 # than this plus one elements, and any other cone whose simplicial pieces
@@ -140,14 +142,15 @@ def _independent(echelon, row) -> bool:
 def _pointed_extreme_rays(ineqs, eqs, d):
   """Extreme rays and lineality of {x : ineqs.x >= 0, eqs.x == 0}.
 
-  Returns (rays, lineality_basis, incidence): the rays are the primitive
-  extreme rays of the cone intersected with the orthogonal complement of its
-  lineality space, sorted; the lineality basis is the Hermite basis of the
-  saturated lineality lattice; incidence[j] is the int bitset of the
-  inequalities that vanish on rays[j].  The lineality is the kernel of all
-  the rows, so it is {0} when the echelon of the equations and the
-  inequalities reaches rank d, and only otherwise is it computed as a
-  Hermite kernel (_kernel_rows).
+  Returns (rays, lineality_basis, incidence, dd): the rays are the
+  primitive extreme rays of the cone intersected with the orthogonal
+  complement of its lineality space, sorted; the lineality basis is the
+  Hermite basis of the saturated lineality lattice; incidence[j] is the int
+  bitset of the inequalities that vanish on rays[j]; dd is the determinant
+  of the start matrix M below, or 1 when there are no start rows and no M
+  is formed.  The lineality is the kernel of all the rows, so it is {0}
+  when the echelon of the equations and the inequalities reaches rank d,
+  and only otherwise is it computed as a Hermite kernel (_kernel_rows).
 
   Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  Inside
   W = {x : eqs.x == 0, x orthogonal to the lineality}, of dimension m, the
@@ -176,7 +179,7 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   lin = [] if len(echelon) == d else _kernel_rows(ineqs + list(eqs), d)
   m = len(start)
   if m == 0:
-    return [], lin, []
+    return [], lin, [], 1
   # kept, lin and the start rows are d independent rows, so M is square and
   # invertible, and column k + t of adj(M) = det(M) M^-1 is orthogonal to
   # every row of M but start row t, on which it is det(M).
@@ -219,7 +222,7 @@ def _pointed_extreme_rays(ineqs, eqs, d):
         new_zeros.append(zeros[j] | bit if s == 0 else zeros[j])
     rays, zeros = new_rays, new_zeros
   out = sorted(zip(rays, zeros))
-  return [r for r, _ in out], lin, [z for _, z in out]
+  return [r for r, _ in out], lin, [z for _, z in out], dd
 
 
 @dataclass(frozen=True, init=False)
@@ -248,7 +251,11 @@ class Cone:
 
   _hilbert holds the Hilbert basis once hilbert_basis has computed it, and
   is None until then; like the facet data it is derived, so it is not
-  compared, hashed or shown, and no caller passes it.
+  compared, hashed or shown, and no caller passes it.  _index, the index of
+  a simplicial cone in its span lattice (is_smooth), is derived data too,
+  but not a field: the class holds None, and only a cone whose index is
+  known, from its conversion (_convert) or its first is_smooth call, holds
+  its own, so the many cones whose index is never read carry nothing.
   """
 
   ambient_rank: int
@@ -262,6 +269,7 @@ class Cone:
   _dim: int = field(compare=False, repr=False)
   _hilbert: tuple[tuple[int, ...], ...] | None = field(compare=False,
                                                         repr=False)
+  _index = None
 
   def __init__(self, ambient_rank, rays, lineality_basis, facet_normals,
                facet_rays, span_normals, _dim):
@@ -411,7 +419,7 @@ def _cone_from_gens(*key) -> Cone:
   """
   if len(key) == 2:
     return _convert(*key)
-  rays, lin, _ = _pointed_extreme_rays(*key)
+  rays, lin, _, _ = _pointed_extreme_rays(*key)
   return Cone.from_rays(_generators(rays, lin), key[-1])
 
 
@@ -443,14 +451,20 @@ def _convert(gens: tuple, d: int) -> Cone:
   pointed cone the generator bitsets of the facets, re-indexed from the
   generators to the kept rays; for a cone with lineality the rays' facet
   bitsets of the second conversion, transposed.
+
+  d generators of a full-dimensional cone are independent, so the cone is
+  simplicial on them, every one is a start row of the conversion, and its
+  start matrix is the generators themselves: the index of the cone
+  (is_smooth) is |det| of that matrix, which the conversion returns, and
+  it is kept on the cone (Cone._index) at no cost.
   """
-  normals, span_normals, inc = _pointed_extreme_rays(gens, [], d)
+  normals, span_normals, inc, dd = _pointed_extreme_rays(gens, [], d)
   full = (1 << len(gens)) - 1
   on_all = full
   for z in inc:
     on_all &= z
   if on_all:
-    rays, lin, ray_inc = _pointed_extreme_rays(normals, span_normals, d)
+    rays, lin, ray_inc, _ = _pointed_extreme_rays(normals, span_normals, d)
     facet_rays = [sum(1 << j for j, z in enumerate(ray_inc) if z >> k & 1)
                   for k in range(len(normals))]
   else:
@@ -469,9 +483,12 @@ def _convert(gens: tuple, d: int) -> Cone:
     if len(kept) < len(gens):
       facet_rays = [sum(1 << j for j, i in enumerate(kept) if z >> i & 1)
                     for z in inc]
-  return Cone(ambient_rank=d, rays=tuple(rays), lineality_basis=tuple(lin),
+  cone = Cone(ambient_rank=d, rays=tuple(rays), lineality_basis=tuple(lin),
               facet_normals=tuple(normals), facet_rays=tuple(facet_rays),
               span_normals=tuple(span_normals), _dim=d - len(span_normals))
+  if len(gens) == d and not span_normals:
+    object.__setattr__(cone, "_index", abs(dd))
+  return cone
 
 
 def dual_cone(sigma: Cone) -> Cone:
@@ -956,14 +973,48 @@ def intersect(sigma: Cone, tau: Cone) -> Cone:
 
 
 def is_smooth(sigma: Cone) -> bool:
-  """Whether the rays extend to a basis of the ambient lattice.
+  """Whether the rays extend to a basis of the ambient lattice: whether
+  sigma is simplicial, as many rays as its dimension, of index 1.
 
-  Decided by one Hermite pass over the transposed ray matrix
-  (_extends_to_basis): the rays extend exactly when each gets a pivot and
-  every pivot is 1, the pivots' product being the gcd of the maximal
-  minors.  Dependent rays, and more rays than the rank, leave a ray
-  without a pivot.  The zero cone has no rays and is smooth.
+  The index of a simplicial cone is [L : ZR], the index of the group of
+  its rays R in its span lattice L, the integer points of its linear span.
+  L is saturated, so a basis of L extends to one of Z^d, and the rays do
+  iff ZR = L.  More rays than the dimension are dependent and never
+  extend.  The zero cone has no rays and is smooth.
+
+  The index is kept on the cone (Cone._index).  A conversion of d
+  generators into a full-dimensional cone keeps it from its start
+  adjugate (_convert).  Any other simplicial cone, lower-dimensional, with
+  redundant generators, or a face built by the face walk (whose span
+  normals its first read fills, Cone._fill), takes it on its first call as
+  |det[S; R]| / det(S S^T), by two _det_rows, with S the span normals, a
+  basis of the integer vectors orthogonal to the span.
+
+  Proof.  Let W be the orthogonal complement of the span and K = ZS, the
+  saturated lattice of the integer points of W; S and R are d independent
+  rows, so |det[S; R]| = [Z^d : K + ZR] = [Z^d : K + L] [L : ZR].  The
+  orthogonal projection p onto W maps Z^d onto the dual lattice K* of K
+  in W: into it, as <p x, s> = <x, s> is an integer for s in K; onto it,
+  as the saturated K is a direct summand of Z^d, so every integer form on
+  K is <x, -> for some x in Z^d.  The kernel of p on Z^d is L and p fixes
+  K, so [Z^d : K + L] = [K* : K] = det(S S^T), the Gram determinant of
+  K.  For a full-dimensional cone S is empty and the divisor is 1.
+
+  Raises:
+    ValueError: if the cone has lineality.
+    RuntimeError: if the quotient is not exact, which the proof excludes.
   """
   if not sigma.is_strictly_convex:
     raise ValueError("smoothness is defined here for strictly convex cones")
-  return _extends_to_basis(sigma.rays, sigma.ambient_rank)
+  if len(sigma.rays) != sigma.dim:
+    return False
+  index = sigma._index
+  if index is None:
+    s = sigma.span_normals
+    index, rem = divmod(abs(_det_rows(s + sigma.rays)),
+                        _det_rows([[_dot(a, b) for b in s] for a in s]))
+    if rem:
+      raise RuntimeError("the index of the cone on %s is not an integer"
+                         % (sigma.rays,))
+    object.__setattr__(sigma, "_index", index)
+  return index == 1

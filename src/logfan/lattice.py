@@ -7,17 +7,15 @@ anywhere in this package.
 
 Each elimination exists once, on row lists, and the other modules call it
 directly: _hermite (one Hermite pass), _snf_rows (the Smith form),
-_det_rows (the forward Bareiss elimination, behind det and
-is_unimodular), _adjugate (the same elimination carried on to the
-adjugate), _kernel_rows (the Hermite kernel) and _echelon_coords
+_det_rows (the forward Bareiss elimination, behind det, is_unimodular and
+the index of a simplicial cone), _adjugate (the same elimination carried
+on to the adjugate), _kernel_rows (the Hermite kernel) and _echelon_coords
 (back-substitution against echelon rows).  The public functions wrap them,
 and only they build an IntMatrix.  A question that reads no transform runs
-_hermite alone: rank and row_lattice_basis on the rows, and
-_extends_to_basis (is_smooth) on their transpose, whose pivots multiply to
-the gcd of the maximal minors.  Only the Hermite form (_hnf_rows, behind
-hnf), the kernel and the Smith form carry their transforms beside the
-matrix in augmented rows, and each row step on them is one _row_op_gcd;
-the Hermite form and the kernel share _hermite.
+_hermite alone: rank and row_lattice_basis.  Only the Hermite form
+(_hnf_rows, behind hnf), the kernel and the Smith form carry their
+transforms beside the matrix in augmented rows, and each row step on them
+is one _row_op_gcd; the Hermite form and the kernel share _hermite.
 """
 
 from __future__ import annotations
@@ -427,23 +425,6 @@ def det(A: IntMatrix) -> int:
   if A.rows != A.cols:
     raise ValueError("determinant of non-square matrix")
   return _det_rows(A.row_list())
-
-
-def _extends_to_basis(rows, n: int) -> bool:
-  """Whether the rows, vectors of length n, extend to a basis of Z^n.
-
-  They do iff the gcd of the k x k minors of the k x n row matrix A is 1.
-  That gcd is unchanged by unimodular row steps on A^T, and the Hermite
-  form of A^T is upper triangular on its first k rows and zero below, with
-  one nonzero k x k minor: the product of its pivots, or none when a column
-  gets no pivot (Newman, Integral Matrices, 1972, Ch. II).  So one Hermite
-  pass (_hermite) over A^T decides it: every one of the k columns must get
-  a pivot, and every pivot must be 1.  The empty row list (k = 0)
-  extends.
-  """
-  k = len(rows)
-  t = [[r[j] for r in rows] for j in range(n)]
-  return _hermite(t, range(k)) == k and all(t[i][i] == 1 for i in range(k))
 
 
 def is_unimodular(A: IntMatrix) -> bool:

@@ -225,7 +225,7 @@ def reference_from_inequalities(ineqs, eqs, d: int) -> Cone:
         raise ValueError("%s %s does not have length %d"
                          % (kind, tuple(row), d))
   _cone_from_gens.cache_clear()
-  rays, lin, _ = _pointed_extreme_rays(ineqs, eqs, d)
+  rays, lin, _, _ = _pointed_extreme_rays(ineqs, eqs, d)
   return Cone.from_rays(_generators(rays, lin), d)
 
 

@@ -21,12 +21,18 @@ the echelon rows they are: it takes a Hermite form with its transform of
 the basis on every call and carries the coefficients back through it.
 The tests and oracles that solve against an arbitrary independent basis
 use it.
+
+_extends_to_basis is how logfan decided smoothness before a simplicial
+cone kept its index: one Hermite pass over the transposed ray matrix, whose
+pivots multiply to the gcd of the maximal minors.  It takes raw row lists,
+so the tests run it on dependent, repeated and non-primitive rows too.
 """
 
 from logfan.cone import Cone, _dot, _neg, hilbert_basis
 from logfan.lattice import (
     IntMatrix,
     _echelon_coords,
+    _hermite,
     _hnf_rows,
     _xgcd,
     hnf,
@@ -35,6 +41,23 @@ from logfan.lattice import (
     row_lattice_basis,
 )
 from logfan.monoid import MAX_AMBIENT_RANK, AffineMonoid, _gp_basis, membership
+
+
+def _extends_to_basis(rows, n: int) -> bool:
+  """Whether the rows, vectors of length n, extend to a basis of Z^n.
+
+  They do iff the gcd of the k x k minors of the k x n row matrix A is 1.
+  That gcd is unchanged by unimodular row steps on A^T, and the Hermite
+  form of A^T is upper triangular on its first k rows and zero below, with
+  one nonzero k x k minor: the product of its pivots, or none when a column
+  gets no pivot (Newman, Integral Matrices, 1972, Ch. II).  So one Hermite
+  pass (_hermite) over A^T decides it: every one of the k columns must get
+  a pivot, and every pivot must be 1.  The empty row list (k = 0)
+  extends.
+  """
+  k = len(rows)
+  t = [[r[j] for r in rows] for j in range(n)]
+  return _hermite(t, range(k)) == k and all(t[i][i] == 1 for i in range(k))
 
 
 def _pair_row_op_gcd(rows, urows, r0, r1, c):

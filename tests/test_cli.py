@@ -59,6 +59,58 @@ def test_invalid_documents_are_rejected(path):
   assert "error:" in err
 
 
+# the exact message of each parse error, which the commands print after
+# "error: " and the file name; the field names in them are built only when
+# the error is raised
+INVALID_MESSAGES = {
+    "bool-rank": "field rank: expected an integer, got True",
+    "float-entry": "floating point number 1.5 is not allowed",
+    "missing-rank": "field rank: missing",
+    "string-ray": "field max_cones[0][0][1]: expected an integer, got '0'",
+    "truncated": "line 2 column 1: Expecting property name enclosed in "
+                 "double quotes",
+    "unknown-field": "unknown field 'colour'",
+}
+
+DEEP_MESSAGES = [
+    ('{"rank": 3, "max_cones": [[[1, 0, 0]], [[0, 1, 0], [0, 0, 1], 7]]}',
+     "field max_cones[1][2]: expected a ray (list of integers)"),
+    ('{"rank": 3, "max_cones": [[[1, 0, 0]], [[0, 1, 0], [0, 0, 1], [1, 1]]]}',
+     "field max_cones[1][2]: ray length 2 does not match rank 3"),
+    ('{"rank": 3, "max_cones": [[[1, 0, 0]], [[0, 1, 0], [0, 0, 1], '
+     '[1, 1, null]]]}',
+     "field max_cones[1][2][2]: expected an integer, got None"),
+    ('{"rank": 3, "max_cones": [[[1, 0, 0]], [[0, 1, 0], [0, 0, 1], '
+     '[1, true, 2]]]}',
+     "field max_cones[1][2][1]: expected an integer, got True"),
+    ('{"rank": 2, "max_cones": [], "boundary_rays": [[1, 0], "x"]}',
+     "field boundary_rays[1]: expected a ray (list of integers)"),
+    ('{"rank": 2, "max_cones": [], "boundary_rays": [[1, 0], [0, 1], '
+     '[1, 2, 3]]}',
+     "field boundary_rays[2]: ray length 3 does not match rank 2"),
+    ('{"rank": 2, "max_cones": [], "boundary_rays": [[1, 0], [0, 1], '
+     '[1, "2"]]}',
+     "field boundary_rays[2][1]: expected an integer, got '2'"),
+]
+
+
+@pytest.mark.parametrize("path", INVALID, ids=lambda p: p.stem)
+def test_invalid_documents_give_their_exact_message(path):
+  with pytest.raises(CliError) as err:
+    parse_document(path.read_text(encoding="utf-8"))
+  assert str(err.value) == INVALID_MESSAGES[path.stem]
+  code, out, text = run(["check", str(path)])
+  assert (code, out) == (2, "")
+  assert text == "error: %s: %s\n" % (path, INVALID_MESSAGES[path.stem])
+
+
+@pytest.mark.parametrize("text, message", DEEP_MESSAGES)
+def test_a_bad_ray_deep_in_a_document_gives_its_exact_message(text, message):
+  with pytest.raises(CliError) as err:
+    parse_document(text)
+  assert str(err.value) == message
+
+
 def test_parse_rejects_non_object():
   with pytest.raises(CliError, match="JSON object"):
     parse_document("[1, 2]")

@@ -116,7 +116,7 @@ def test_conversion_matches_exhaustive_reference(d):
   rng = random.Random(100 + d)
   for n in range(60):
     rows, eqs = _random_system(rng, d, KINDS[n % len(KINDS)])
-    rays, lin, inc = _pointed_extreme_rays(rows, eqs, d)
+    rays, lin, inc, _ = _pointed_extreme_rays(rows, eqs, d)
     assert (rays, lin) == reference_pointed_extreme_rays(rows, eqs, d), (rows, eqs)
     assert inc == [sum(1 << i for i, a in enumerate(rows) if _dot(a, r) == 0)
                    for r in rays], (rows, eqs)
@@ -124,10 +124,10 @@ def test_conversion_matches_exhaustive_reference(d):
 
 def test_conversion_of_the_zero_cone_and_of_no_constraints():
   for d in (1, 3, 5):
-    rays, lin, inc = _pointed_extreme_rays([], [], d)
+    rays, lin, inc, _ = _pointed_extreme_rays([], [], d)
     assert (rays, lin) == reference_pointed_extreme_rays([], [], d) and inc == []
     rows, _ = _random_system(random.Random(d), d, "zero")
-    assert _pointed_extreme_rays(rows, [], d) == ([], [], [])
+    assert _pointed_extreme_rays(rows, [], d)[:3] == ([], [], [])
 
 
 def _random_gens(rng, d):

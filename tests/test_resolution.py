@@ -1,11 +1,16 @@
 """Smoothness and rank-2 resolution against the code they replaced.
 
-is_smooth (one Hermite pass over the transposed ray matrix) is compared
-with the rank check plus Smith normal form and with the gcd of maximal
-minors kept in resolution_reference, on seeded ray sets of ranks 1 to 6
-with as many rays as the rank or more, among them dependent and
-non-primitive rows, and of ranks 7 and 8 with fewer rays than the rank.
-A call count guards against a second Hermite pass coming back.
+is_smooth (a simplicial cone's index, kept on it) is compared with the
+rank check plus Smith normal form and with the gcd of maximal minors kept
+in resolution_reference, and with the Hermite pass over the transposed ray
+matrix kept in lattice_reference, on the cones of seeded ray sets of ranks
+1 to 6 with as many rays as the rank or more, among them dependent and
+non-primitive rows, and of ranks 7 and 8 with fewer rays than the rank;
+the Hermite pass is compared with the other two on the raw rows, and the
+kept index with the gcd of the maximal minors.  Call counts guard the
+index: a converted full-dimensional simplicial cone computes nothing for
+it, any other simplicial cone two determinants once, and a cone with more
+rays than its dimension none.
 is_unimodular is compared with the cofactor determinant of cone_reference.
 resolve_2d (one Hirzebruch-Jung chain per singular cone, the fan built
 once) is compared with the loop that inserted one ray at a time and
@@ -14,16 +19,20 @@ criterion 11, and call counts guard against the re-tests, the per-step
 chains and the per-step Fan.make coming back.
 """
 
+import itertools
+import math
 import random
 
 import pytest
 
+import logfan.cone
 import logfan.fan
 import logfan.lattice
-from logfan.cone import Cone, _chain, is_smooth
+from logfan.cone import Cone, _chain, _cone_from_gens, faces, is_smooth
 from logfan.fan import Fan, resolve_2d, support_query
-from logfan.lattice import IntMatrix, is_unimodular
+from logfan.lattice import IntMatrix, is_unimodular, primitive
 from cone_reference import reference_det
+from lattice_reference import _extends_to_basis
 from resolution_reference import (
     criterion_11_fans,
     reference_is_smooth,
@@ -87,7 +96,7 @@ def _ray_sets(rng):
 
 
 def _raw_cone(d, rows):
-  """A Cone built directly, so the rows reach is_smooth as drawn:
+  """A Cone built directly, so the rows reach the references as drawn:
   repeated, zero, non-primitive or dependent, and more rows than the rank."""
   return Cone(ambient_rank=d, rays=tuple(tuple(r) for r in rows),
               lineality_basis=(), facet_normals=(), facet_rays=(),
@@ -98,7 +107,7 @@ def test_is_smooth_agrees_with_smith_form_on_ray_matrices():
   seen = set()
   for d, rows, kind in _ray_sets(random.Random(6)):
     sigma = _raw_cone(d, rows)
-    got = is_smooth(sigma)
+    got = _extends_to_basis(rows, d)
     assert got == reference_is_smooth(sigma), (d, rows)
     assert got == reference_is_smooth_by_minors(sigma), (d, rows)
     seen.add((kind, got, len(rows) > d, d > 6))
@@ -109,20 +118,53 @@ def test_is_smooth_agrees_with_smith_form_on_ray_matrices():
           ("non-primitive", False, False, True)} <= seen
 
 
-def test_is_smooth_takes_one_hermite_pass(monkeypatch):
-  calls = []
-  hermite = logfan.lattice._hermite
+def test_is_smooth_reads_the_kept_index(monkeypatch):
+  calls = {"_hermite": 0, "_det_rows": 0}
 
-  def counted(rows, cols, top=0):
-    calls.append(len(rows))
-    return hermite(rows, cols, top)
+  def counted(module, name):
+    run = getattr(module, name)
 
-  monkeypatch.setattr(logfan.lattice, "_hermite", counted)
-  n = 0
+    def wrapper(*args):
+      calls[name] += 1
+      return run(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+  def work(sigma):
+    for name in calls:
+      calls[name] = 0
+    is_smooth(sigma)
+    return calls["_hermite"], calls["_det_rows"]
+
+  counted(logfan.lattice, "_hermite")
+  counted(logfan.cone, "_det_rows")
+  kinds = set()
   for d, rows, _ in _ray_sets(random.Random(9)):
-    is_smooth(_raw_cone(d, rows))
-    n += 1
-    assert len(calls) == n, (d, rows)
+    _cone_from_gens.cache_clear()
+    sigma = Cone.from_rays(rows, d)
+    if not sigma.is_strictly_convex:
+      continue
+    if len(sigma.rays) > sigma.dim:
+      assert work(sigma) == (0, 0), (d, rows)
+      kinds.add("more rays")
+      continue
+    gens = {primitive(r) for r in rows if any(r)}
+    if sigma.dim == d and len(gens) == d:
+      assert work(sigma) == (0, 0), (d, rows)
+      kinds.add("converted")
+      continue
+    hermite, dets = work(sigma)
+    assert hermite == 0 and dets <= 2, (d, rows)
+    assert work(sigma) == (0, 0), (d, rows)
+    kinds.add("lower" if sigma.dim < d else "redundant")
+    # the proper faces that the face walk builds have no span normals
+    # until their first read fills them
+    for face in faces(sigma)[:-1]:
+      if face._span_normals is None:
+        kinds.add("walked")
+        assert work(face)[1] <= 2, (d, rows, face)
+        assert work(face) == (0, 0), (d, rows, face)
+  assert kinds == {"more rays", "converted", "lower", "redundant", "walked"}
 
 
 def _square_matrices(rng):
@@ -157,17 +199,34 @@ def test_is_unimodular_is_false_off_square():
   assert not is_unimodular(IntMatrix(2, 0, ()))
 
 
+def _minors_gcd(rays, d):
+  """The gcd of the maximal minors of the ray matrix: the index of the
+  rays in their span lattice when they are independent."""
+  g = 0
+  for cols in itertools.combinations(range(d), len(rays)):
+    g = math.gcd(g, reference_det([[r[c] for c in cols] for r in rays]))
+  return g
+
+
 def test_is_smooth_agrees_with_smith_form_on_canonical_cones():
   seen = set()
   for d, rows, _ in _ray_sets(random.Random(7)):
-    if d > 4 or len(rows) > d + 1:
-      continue
     sigma = Cone.from_rays(rows, d)
     got = _outcome(is_smooth, sigma)
     assert got == _outcome(reference_is_smooth, sigma), (d, rows)
     assert got == _outcome(reference_is_smooth_by_minors, sigma), (d, rows)
-    seen.add(got)
-  assert seen == {True, False, "lineality"}
+    if got == "lineality":
+      seen.add(got)
+      continue
+    assert got == _extends_to_basis(sigma.rays, d), (d, rows)
+    if len(sigma.rays) == sigma.dim:
+      assert sigma._index == _minors_gcd(sigma.rays, d), (d, rows)
+    seen.add(("full" if sigma.dim == d else "lower", got))
+    if len({primitive(r) for r in rows if any(r)}) > len(sigma.rays):
+      seen.add(("redundant", got))
+  assert seen == {"lineality"} | {(kind, got)
+                                  for kind in ("full", "lower", "redundant")
+                                  for got in (True, False)}
 
 
 def test_resolve_2d_agrees_with_the_full_retest_loop():

@@ -61,8 +61,7 @@ class FanDocument:
   metadata: str = ""
 
   def fan(self) -> Fan:
-    cones = [Cone.from_rays([list(r) for r in c], self.rank)
-             for c in self.max_cones]
+    cones = [Cone.from_rays(c, self.rank) for c in self.max_cones]
     return Fan.make(cones, self.rank)
 
 

@@ -6,7 +6,7 @@ normals and span normals that cut the cone out of its linear span, and the
 ray-facet incidence facet_rays: for each facet, the int bitset of the rays
 on it.  All computations are integer-exact, and each enumeration makes only
 the objects of its answer: rays and facets convert into each other by one
-double description, started from one adjugate; a pointed cone's rays are
+double description, started from one elimination; a pointed cone's rays are
 read from the incidences of its generators with its facets, so only a cone
 with lineality converts a second time.  Conversions go through one bounded
 least-recently-used cache (functools.lru_cache on _cone_from_gens), keyed
@@ -32,14 +32,14 @@ the basis is computed once per cone and kept on it.  The lattice work is
 only what the answer needs: a Hermite kernel (_kernel_rows, one Hermite
 pass, for span normals or lineality) is taken only when the rank shows the
 kernel is not {0}, so a face that faces builds takes one only in the
-conversion of its first read; the conversion's start gets its adjugate
-from one fraction-free elimination (_adjugate), and each simplicial piece its
-determinant from the forward half of it (_det_rows), the adjugate being
-taken only for the pieces of index above 1, the only ones with box
-points.  Smoothness reads a simplicial cone's index, kept on it
-(Cone._index): a full-dimensional cone on d generators has it from its
-start adjugate, and any other takes it once, from two determinants
-(_det_rows), not from a Hermite pass or a loop over maximal minors.
+conversion of its first read; one fraction-free elimination (_bareiss)
+picks the conversion's start rows and gives their adjugate, and each
+simplicial piece its determinant (_det_rows), its adjugate (_adjugate)
+only for the pieces of index above 1, the only ones with box points.
+Smoothness reads a simplicial cone's index, kept on it (Cone._index): a
+full-dimensional cone on d generators has it from its start elimination,
+and any other takes it once, from two determinants (_det_rows), not from
+a Hermite pass or a loop over maximal minors.
 These, and the back-substitution of _span_coordinates (_echelon_coords),
 are lattice.py's, on row lists.
 Hilbert bases have one work budget, MAX_HILBERT_INDEX, which caps a
@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import le, mul
 
-from .lattice import (_adjugate, _det_rows, _echelon_coords, _kernel_rows,
-                      _xgcd, primitive)
+from .lattice import (_adjugate, _bareiss, _det_rows, _echelon_coords,
+                      _int_tuple, _kernel_rows, _xgcd, primitive)
 
 # hilbert_basis refuses a 2-dimensional cone whose chain would have more
 # than this plus one elements, and any other cone whose simplicial pieces
@@ -119,26 +119,6 @@ def _pick(rays, bits) -> tuple:
   return tuple(out)
 
 
-def _independent(echelon, row) -> bool:
-  """Add row to the echelon rows when it is independent of them, and return
-  whether it was added.
-
-  echelon is a list of (pivot column, row), each row zero at the pivot
-  columns of the rows before it; reducing in that order leaves a new row
-  zero at every pivot column, so it is independent iff something remains.
-  """
-  row = list(row)
-  for c, p in echelon:
-    x = row[c]
-    if x:
-      row = [a * p[c] - b * x for a, b in zip(row, p)]
-  for c, x in enumerate(row):
-    if x:
-      echelon.append((c, row))
-      return True
-  return False
-
-
 def _pointed_extreme_rays(ineqs, eqs, d):
   """Extreme rays and lineality of {x : ineqs.x >= 0, eqs.x == 0}.
 
@@ -146,50 +126,45 @@ def _pointed_extreme_rays(ineqs, eqs, d):
   primitive extreme rays of the cone intersected with the orthogonal
   complement of its lineality space, sorted; the lineality basis is the
   Hermite basis of the saturated lineality lattice; incidence[j] is the int
-  bitset of the inequalities that vanish on rays[j]; dd is the determinant
-  of the start matrix M below, or 1 when there are no start rows and no M
-  is formed.  The lineality is the kernel of all the rows, so it is {0}
-  when the echelon of the equations and the inequalities reaches rank d,
-  and only otherwise is it computed as a Hermite kernel (_kernel_rows).
+  bitset of the inequalities that vanish on rays[j]; dd is +-det M for the
+  start matrix M below, or 1 when there are no start rows and no M is
+  formed.  The lineality is the kernel of all the rows, so it is {0} when
+  the kept rows reach rank d, and only otherwise is it computed as a
+  Hermite kernel (_kernel_rows).
 
   Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  Inside
   W = {x : eqs.x == 0, x orthogonal to the lineality}, of dimension m, the
-  inequalities have rank m.  The first m independent ones cut out a
-  simplicial cone, whose rays are m columns of one adjugate (_adjugate) of
-  the square matrix of the independent equations, the lineality basis and
-  these m rows.  Every other inequality a then keeps the rays with a.x >= 0
-  and adds primitive((a.p) q - (a.q) p) for each adjacent pair with
-  a.p > 0 > a.q.  Each ray carries its zero set over the rows processed so
-  far as an int bitset; p and q are adjacent iff their common zero set Z has
-  at least m - 2 rows and lies in the zero set of no third ray, since Z cuts
-  out the smallest face holding both.
+  inequalities have rank m.  One fraction-free elimination (_bareiss)
+  keeps the independent equations, then inequalities (the start rows)
+  until d rows are kept, then the lineality basis: M, in that order.  The
+  start rows cut out a simplicial cone whose rays are m columns of dd M^-1,
+  read from the same elimination.  Every other inequality a then keeps the
+  rays with a.x >= 0 and adds primitive((a.p) q - (a.q) p) for each
+  adjacent pair with a.p > 0 > a.q.  Each ray carries its zero set over the
+  rows processed so far as an int bitset; p and q are adjacent iff their
+  common zero set Z has at least m - 2 rows and lies in the zero set of no
+  third ray, since Z cuts out the smallest face holding both.
   """
-  ineqs = list(ineqs)
+  ineqs, e = list(ineqs), len(eqs)
   echelon = []
-  kept = [e for e in eqs if _independent(echelon, e)]
-  start = []
-  for i, a in enumerate(ineqs):
-    if len(echelon) == d:
-      break
-    if _independent(echelon, a):
-      start.append(i)
-  # The lineality is orthogonal to every row, so adding it to the echelon
-  # first would select the same start rows: its span meets the rows' span
-  # only in 0.
-  lin = [] if len(echelon) == d else _kernel_rows(ineqs + list(eqs), d)
+  kept = [i for i, a in enumerate(list(eqs) + ineqs)
+          if len(echelon) < d and _bareiss(echelon, a, d)]
+  k = sum(i < e for i in kept)
+  start = [i - e for i in kept[k:]]
+  lin = [] if len(kept) == d else _kernel_rows(ineqs + list(eqs), d)
   m = len(start)
   if m == 0:
     return [], lin, [], 1
-  # kept, lin and the start rows are d independent rows, so M is square and
-  # invertible, and column k + t of adj(M) = det(M) M^-1 is orthogonal to
-  # every row of M but start row t, on which it is det(M).
-  k = d - m
-  adj, dd = _adjugate(kept + lin + [ineqs[i] for i in start])
-  if dd == 0:
+  # M is invertible, since the lineality meets the kept rows' span in 0;
+  # column k + t of dd M^-1 is dd on start row t, 0 on M's other rows.
+  if not all(_bareiss(echelon, b, d) for b in lin):
     raise RuntimeError("start rows %s are dependent"
                        % ([ineqs[i] for i in start],))
+  dd = echelon[-1][1][echelon[-1][0]]
   sign = 1 if dd > 0 else -1
-  rays = [primitive([sign * row[k + t] for row in adj]) for t in range(m)]
+  echelon.sort()
+  rays = [primitive([sign * p[d + k + t] for _, p in echelon])
+          for t in range(m)]
   all_start = sum(1 << i for i in start)
   zeros = [all_start & ~(1 << i) for i in start]
   done = set(start)
@@ -325,11 +300,11 @@ class Cone:
 
     Redundant generators are discarded; the result carries canonical extreme
     rays, facet normals, and (if the generators span lines both ways) a
-    lineality basis.
+    lineality basis.  A non-integer entry raises TypeError (_int_tuple).
     """
     gens = set()
     for g in generators:
-      g = tuple(int(x) for x in g)
+      g = _int_tuple(g, "generator")
       if len(g) != ambient_rank:
         raise ValueError("generator %s does not have length %d" % (g, ambient_rank))
       if any(g):
@@ -346,14 +321,16 @@ class Cone:
     scaling of its rows, or by zero rows, returns that cone.
 
     Raises:
+      TypeError: if an entry is not an integer (_int_tuple).
       ValueError: if a row does not have length ambient_rank.
     """
-    ineqs, eqs = list(ineqs), list(eqs)
+    ineqs = [_int_tuple(r, "inequality") for r in ineqs]
+    eqs = [_int_tuple(r, "equation") for r in eqs]
     for kind, rows in (("inequality", ineqs), ("equation", eqs)):
       for row in rows:
         if len(row) != ambient_rank:
           raise ValueError("%s %s does not have length %d"
-                           % (kind, tuple(row), ambient_rank))
+                           % (kind, row, ambient_rank))
     return _cone_from_gens(*_system_key(ineqs, eqs, ambient_rank))
 
   @property
@@ -452,11 +429,10 @@ def _convert(gens: tuple, d: int) -> Cone:
   generators to the kept rays; for a cone with lineality the rays' facet
   bitsets of the second conversion, transposed.
 
-  d generators of a full-dimensional cone are independent, so the cone is
-  simplicial on them, every one is a start row of the conversion, and its
-  start matrix is the generators themselves: the index of the cone
-  (is_smooth) is |det| of that matrix, which the conversion returns, and
-  it is kept on the cone (Cone._index) at no cost.
+  d generators of a full-dimensional cone are independent, so each is a
+  start row and the start matrix is the generators: the index of the cone
+  (is_smooth), |det| of that matrix, comes with the conversion and is kept
+  on the cone (Cone._index) at no cost.
   """
   normals, span_normals, inc, dd = _pointed_extreme_rays(gens, [], d)
   full = (1 << len(gens)) - 1
@@ -984,7 +960,7 @@ def is_smooth(sigma: Cone) -> bool:
 
   The index is kept on the cone (Cone._index).  A conversion of d
   generators into a full-dimensional cone keeps it from its start
-  adjugate (_convert).  Any other simplicial cone, lower-dimensional, with
+  elimination (_convert).  Any other simplicial cone, lower-dimensional, with
   redundant generators, or a face built by the face walk (whose span
   normals its first read fills, Cone._fill), takes it on its first call as
   |det[S; R]| / det(S S^T), by two _det_rows, with S the span normals, a

@@ -8,21 +8,22 @@ anywhere in this package.
 Each elimination exists once, on row lists, and the other modules call it
 directly: _hermite (one Hermite pass), _snf_rows (the Smith form),
 _det_rows (the forward Bareiss elimination, behind det, is_unimodular and
-the index of a simplicial cone), _adjugate (the same elimination carried
-on to the adjugate), _kernel_rows (the Hermite kernel) and _echelon_coords
-(back-substitution against echelon rows).  The public functions wrap them,
-and only they build an IntMatrix.  A question that reads no transform runs
-_hermite alone: rank and row_lattice_basis.  Only the Hermite form
-(_hnf_rows, behind hnf), the kernel and the Smith form carry their
-transforms beside the matrix in augmented rows, and each row step on them
-is one _row_op_gcd; the Hermite form and the kernel share _hermite.
+the index of a simplicial cone), _bareiss (fraction-free Gauss-Jordan,
+behind a conversion's start and _adjugate), _kernel_rows (the Hermite
+kernel) and _echelon_coords (back-substitution against echelon rows).  The
+public functions wrap them, and only they build an IntMatrix.  A question
+that reads no transform runs _hermite alone: rank and row_lattice_basis.
+Only the Hermite form (_hnf_rows, behind hnf), the kernel and the Smith
+form carry their transforms beside the matrix in augmented rows, and each
+row step on them is one _row_op_gcd; the Hermite form and the kernel share
+_hermite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,12 @@ class IntMatrix:
 
   @staticmethod
   def from_rows(rows: list) -> "IntMatrix":
-    rows = [list(r) for r in rows]
+    rows = [_int_tuple(r, "row") for r in rows]
     m = len(rows)
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
       raise ValueError("ragged rows")
-    return IntMatrix(m, n, tuple(int(x) for r in rows for x in r))
+    return IntMatrix(m, n, tuple(x for r in rows for x in r))
 
   @staticmethod
   def identity(n: int) -> "IntMatrix":
@@ -117,6 +118,14 @@ class AbelianQuotient:
   @property
   def is_trivial(self) -> bool:
     return self.free_rank == 0 and not self.invariant_factors
+
+
+def _int_tuple(v, what: str) -> tuple[int, ...]:
+  """v's entries as ints by operator.index, which refuses a float."""
+  try:
+    return tuple(map(index, v))
+  except TypeError:
+    raise TypeError("%s %r has a non-integer entry" % (what, v)) from None
 
 
 def _row_op_gcd(rows, r0, r1, c):
@@ -357,11 +366,11 @@ def cokernel(A: IntMatrix) -> AbelianQuotient:
 def _det_rows(rows) -> int:
   """Determinant of a square integer matrix given as rows.
 
-  The forward half of _adjugate's fraction-free elimination (Bareiss 1968),
-  with no identity block: each step clears the column below its pivot, the
-  division by the previous pivot is exact, and the last pivot is det(PR)
-  for the row permutation P of the swaps.  A column with no nonzero pivot
-  means det = 0.  The 0 x 0 matrix has determinant 1.
+  The forward-only fraction-free elimination (Bareiss 1968), with no
+  identity block, unlike _bareiss: each step clears the column below its
+  pivot, the division by the previous pivot is exact, and the last pivot
+  is det(PR) for the row permutation P of the swaps.  A column with no
+  nonzero pivot means det = 0.  The 0 x 0 matrix has determinant 1.
   """
   k = len(rows)
   w = [list(r) for r in rows]
@@ -383,40 +392,54 @@ def _det_rows(rows) -> int:
   return sign * prev
 
 
+def _bareiss(echelon, row, n: int) -> bool:
+  """Keep row, of length n, if it is independent of the rows kept in
+  echelon, and return whether it was kept: one row of fraction-free
+  Gauss-Jordan elimination (Bareiss 1968).
+
+  echelon holds (pivot column, kept row), the k-th row kept entering as
+  [row | e_k], e_k in Z^n.  Each kept row is D times its reduced echelon
+  row, D at its own pivot column and 0 at the others, D the latest pivot:
+  det of the kept rows A on the pivot columns in their order.  With n rows
+  kept, D is det A up to sign and the identity blocks, sorted by pivot
+  column, are D A^-1.  Each division by D is exact, and each entry is a
+  minor of [A | I], within A's Hadamard bound.
+  """
+  dd = echelon[-1][1][echelon[-1][0]] if echelon else 1
+  v = [dd * x for x in row] + [0] * n
+  v[n + len(echelon)] = dd
+  for c, p in echelon:
+    x = row[c]
+    if x:
+      v = [a - x * b for a, b in zip(v, p)]
+  c = next((j for j in range(n) if v[j]), None)
+  if c is None:
+    return False
+  a = v[c]
+  for i, (ci, p) in enumerate(echelon):
+    b = p[c]
+    echelon[i] = ci, [(a * x - b * y) // dd for x, y in zip(p, v)]
+  echelon.append((c, v))
+  return True
+
+
 def _adjugate(rows):
   """Adjugate and determinant of a square integer matrix given as rows.
 
   Returns (adj, det), adj as a list of rows, or (None, 0) for a singular
-  matrix.  The fraction-free elimination of _det_rows, carried on as
-  Gauss-Jordan on [R | I]: at the end the left block is det(PR) I and the
-  right block adj(PR) = det(PR) (PR)^-1 for the row permutation P of the
-  pivot swaps; folding P's sign into both gives det(R) and adj(R).  Callers
-  that need only the determinant take _det_rows, which carries no identity
-  block.
+  matrix, from _bareiss: sorted by pivot column, its identity blocks are
+  D R^-1, D being det R times the sign of the pivot columns' permutation.
+  Callers that need only the determinant take _det_rows.
   """
   k = len(rows)
-  w = [list(r) + [0] * k for r in rows]
-  for i in range(k):
-    w[i][k + i] = 1
-  sign = 1
-  prev = 1
-  for c in range(k):
-    if not w[c][c]:
-      piv = next((i for i in range(c + 1, k) if w[i][c]), None)
-      if piv is None:
-        return None, 0
-      w[c], w[piv] = w[piv], w[c]
-      sign = -sign
-    p = w[c]
-    a = p[c]
-    for i in range(k):
-      if i != c:
-        b = w[i][c]
-        w[i] = [(x * a - y * b) // prev for x, y in zip(w[i], p)]
-    prev = a
-  if sign < 0:
-    return [[-x for x in row[k:]] for row in w], -prev
-  return [row[k:] for row in w], prev
+  echelon = []
+  if not all(_bareiss(echelon, r, k) for r in rows):
+    return None, 0
+  cols = [c for c, _ in echelon]
+  sign = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+  dd = sign * echelon[-1][1][cols[-1]] if k else 1
+  echelon.sort()
+  return [[sign * x for x in p[k:]] for _, p in echelon], dd
 
 
 def det(A: IntMatrix) -> int:

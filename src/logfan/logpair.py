@@ -19,7 +19,7 @@ from .fan import (
     subdivision_predicates,
     support_query,
 )
-from .lattice import IntMatrix
+from .lattice import IntMatrix, _int_tuple
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ToricLogPair:
 
 def make_pair(fan: Fan, boundary) -> ToricLogPair:
   """Validated pair; boundary is any iterable of ray tuples."""
-  rays = tuple(sorted({tuple(int(x) for x in b) for b in boundary}))
+  rays = tuple(sorted({_int_tuple(b, "boundary ray") for b in boundary}))
   return ToricLogPair(fan, rays)
 
 

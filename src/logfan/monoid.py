@@ -28,6 +28,7 @@ from .cone import faces as cone_faces
 from .lattice import (
     IntMatrix,
     _echelon_coords,
+    _int_tuple,
     _kernel_rows,
     _snf_rows,
     complement_projection,
@@ -81,7 +82,7 @@ class AffineMonoid:
   def make(generators, ambient_rank: int) -> "AffineMonoid":
     gens = set()
     for g in generators:
-      g = tuple(int(x) for x in g)
+      g = _int_tuple(g, "generator")
       if len(g) != ambient_rank:
         raise ValueError("generator %s does not have length %d" % (g, ambient_rank))
       if any(g):
@@ -247,7 +248,7 @@ def membership(P: AffineMonoid, x) -> bool:
   if len(x) != P.ambient_rank:
     raise ValueError("vector length %d does not match ambient rank %d"
                      % (len(x), P.ambient_rank))
-  return _member(P, tuple(int(c) for c in x))
+  return _member(P, _int_tuple(x, "vector"))
 
 
 def group_completion(P: AffineMonoid) -> list:

@@ -1,7 +1,7 @@
 """Test-only reference code for the cone enumerations of logfan.cone.
 
 The library converts between rays and facets by one double description
-started from one adjugate, reads a pointed cone's rays from the incidences
+started from one elimination, reads a pointed cone's rays from the incidences
 of that conversion, lists faces by closing the facets' ray sets under
 intersection, and finds the lattice points of a simplicial parallelepiped
 by enumerating the group of the lattice modulo the rays.  This module keeps
@@ -20,6 +20,8 @@ the earlier code as a differential oracle:
 - Hilbert bases reduced by a recursive search for a way to write each
   candidate as a sum of basis elements;
 - adjugates by one cofactor (a minor's determinant) per entry;
+- the choice of independent rows by the echelon that never divides, which
+  picked a conversion's start rows before _bareiss did;
 - the triangulation by building one cone per facet and recursing on it;
 - the face test by building the smallest face holding a cone as a cone;
 - an inequality system's cone by its own double description on every call,
@@ -138,12 +140,34 @@ def reference_simplicial_cone(gens: tuple, d: int) -> Cone:
 
 def reference_det(rows):
   """Determinant by cofactor expansion along the first row: independent of
-  the Bareiss elimination of _det_rows (behind det and is_unimodular) and
-  of its Gauss-Jordan continuation in _adjugate."""
+  the forward Bareiss elimination of _det_rows (behind det and
+  is_unimodular) and of the Gauss-Jordan one of _bareiss (behind a
+  conversion's start and _adjugate)."""
   if not rows:
     return 1
   return sum((-1) ** j * x * reference_det([r[:j] + r[j + 1:] for r in rows[1:]])
              for j, x in enumerate(rows[0]) if x)
+
+
+def reference_independent(echelon, row) -> bool:
+  """Add row to the echelon rows when it is independent of them, and return
+  whether it was added.
+
+  echelon is a list of (pivot column, row), each row zero at the pivot
+  columns of the rows before it; reducing in that order leaves a new row
+  zero at every pivot column, so it is independent iff something remains.
+  Nothing is divided, so the entries double in bit length with each row.
+  """
+  row = list(row)
+  for c, p in echelon:
+    x = row[c]
+    if x:
+      row = [a * p[c] - b * x for a, b in zip(row, p)]
+  for c, x in enumerate(row):
+    if x:
+      echelon.append((c, row))
+      return True
+  return False
 
 
 def reference_adjugate(rows):

@@ -1,16 +1,17 @@
 """The output-sensitive cone enumerations against their exhaustive oracles.
 
-Conversion (double description from one adjugate, and a pointed cone's rays
-read from its incidences), faces (incidence closure), parallelepiped points
-(group enumeration), adjugates (one fraction-free elimination), the
-triangulation and the face test (incidence bitsets) are compared with the
-earlier code kept in cone_reference.py, on seeded inputs, and the incidence
-each cone keeps (facet_rays) with the zero sets of dot products.  Work-count
-guards check, without timing, that each enumeration makes only the objects
-of its answer, that a pointed cone takes one conversion, that faces and the
-triangulation make no dot product, and that no Hermite kernel is taken
-where the rank shows it is {0}, and that the Hilbert-basis reduction makes
-no containment test.  Hilbert bases in ranks 7 and 8 and near the budget,
+Conversion (double description started from one fraction-free elimination,
+and a pointed cone's rays read from its incidences), faces (incidence
+closure), parallelepiped points (group enumeration), adjugates (the same
+elimination, _bareiss), the triangulation and the face test (incidence
+bitsets) are compared with the earlier code kept in cone_reference.py, on
+seeded inputs, and the incidence each cone keeps (facet_rays) with the zero
+sets of dot products.  Work-count guards check, without timing, that each
+enumeration makes only the objects of its answer, that a pointed cone
+takes one conversion and a conversion one elimination that keeps d rows
+and takes no adjugate, that faces and the triangulation make no dot
+product, and that no Hermite kernel is taken where the rank shows it is
+{0}, and that the Hilbert-basis reduction makes no containment test.  Hilbert bases in ranks 7 and 8 and near the budget,
 and duals in ranks 5 to 8, are checked where the earlier code refused them
 or took seconds; the Hilbert-basis budget and the behaviour under python -O
 are checked last.
@@ -403,23 +404,38 @@ def _count_calls(monkeypatch, owner, name, static=False):
 
 @pytest.mark.parametrize("rays", [REACH_13_RAYS, CYCLIC_8],
                          ids=["13-ray-40-facet", "cyclic-8"])
-def test_one_conversion_takes_one_adjugate(monkeypatch, rays):
+def test_one_conversion_takes_one_elimination(monkeypatch, rays):
+  # one fraction-free elimination picks the start rows and gives their
+  # adjugate: it keeps the independent equations, the m start rows and the
+  # lineality, d rows in all when m > 0; with m = 0 it keeps only the
+  # equations, and no adjugate is taken either way
   sigma = Cone.from_rays(rays, 5)
   adjugates = _count_calls(monkeypatch, cone_module, "_adjugate")
+  accepted = []
+  orig = cone_module._bareiss
+
+  def counted(echelon, row, n):
+    kept = orig(echelon, row, n)
+    accepted.append(kept)
+    return kept
+
+  monkeypatch.setattr(cone_module, "_bareiss", counted)
   systems = [(rays, [], 5), (sigma.facet_normals, sigma.span_normals, 5),
              ([], [], 3), ([(1, 0, 0)], [(2, 0, 0)], 3)]
   rng = random.Random(7)
   for n in range(30):
     d = 2 + n % 4
     systems.append(_random_system(rng, d, KINDS[n % len(KINDS)]) + (d,))
-  started = 0
+  started = unstarted = 0
   for ineqs, eqs, d in systems:
-    del adjugates[:]
+    del accepted[:]
     _pointed_extreme_rays(ineqs, eqs, d)
     m = _rank_small(list(eqs) + list(ineqs), d) - _rank_small(eqs, d)
-    assert len(adjugates) == (1 if m else 0), (ineqs, eqs)
+    assert sum(accepted) == (d if m else _rank_small(eqs, d)), (ineqs, eqs)
     started += m > 0
-  assert started > 10
+    unstarted += m == 0
+  assert adjugates == []
+  assert started > 10 and unstarted >= 2
 
 
 @pytest.mark.parametrize("gens, conversions", [

@@ -1,9 +1,10 @@
 """The determinant pass and the enumeration it leads.
 
-_det_rows is the forward half of _adjugate's fraction-free elimination,
-with no identity block; det and is_unimodular read it, and
-_enumerated_basis takes each simplicial piece's index from it, taking an
-adjugate only for a piece of index above 1.  It is compared with the
+_det_rows is the forward-only fraction-free elimination, with no identity
+block, beside the Gauss-Jordan one of _bareiss that _adjugate wraps; det
+and is_unimodular read it, and _enumerated_basis takes each simplicial
+piece's index from it, taking an adjugate only for a piece of index
+above 1.  It is compared with the
 cofactor expansion of cone_reference on seeded square matrices of sizes 0
 to 6, singular ones, ones whose leading pivot is 0, negative determinants
 and entries up to 10^30 among them.  A cone whose pieces are all

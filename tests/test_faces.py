@@ -16,7 +16,7 @@ lineality, facet normals in their order, the incidence facet_rays, span
 normals and dimension.  So must the faces of Fan.all_cones, for fans whose
 cones share faces.  The work guards count calls: faces and all_cones make
 no conversion, no conversion cache lookup, no Cone.from_rays call, no
-adjugate and no Hermite kernel, and build each face, shared or not, once;
+adjugate, no elimination step (_bareiss) and no Hermite kernel, and build each face, shared or not, once;
 a walked face's first read of its facet data makes one cache lookup, and a
 second read none, and the walk leaves nothing in the cache.  A walked face
 keeps its equality, dimension and filled fields through copy, deepcopy
@@ -156,8 +156,10 @@ def test_faces_make_no_conversion_and_one_kernel_per_face(monkeypatch, gens):
   lookups = _count_calls(monkeypatch, cone_module, "_cone_from_gens")
   kernels = _count_calls(monkeypatch, cone_module, "_kernel_rows")
   adjugates = _count_calls(monkeypatch, cone_module, "_adjugate")
+  eliminations = _count_calls(monkeypatch, cone_module, "_bareiss")
   out = faces(sigma)
   assert conversions == from_rays == lookups == kernels == adjugates == []
+  assert eliminations == []
   walked = [f for f in out if f is not sigma]
   assert len(walked) == len(out) - 1
   # the cache is empty, so each first read converts once; the conversion
@@ -293,9 +295,10 @@ def test_all_cones_builds_each_shared_face_once(monkeypatch, name):
   lookups = _count_calls(monkeypatch, cone_module, "_cone_from_gens")
   kernels = _count_calls(monkeypatch, cone_module, "_kernel_rows")
   adjugates = _count_calls(monkeypatch, cone_module, "_adjugate")
+  eliminations = _count_calls(monkeypatch, cone_module, "_bareiss")
   all_cones = fan.all_cones
   monkeypatch.undo()
-  assert conversions == lookups == kernels == adjugates == []
+  assert conversions == lookups == kernels == adjugates == eliminations == []
   # every face but the maximal cones is built, once, however many maximal
   # cones share it
   assert len(built) == len(all_cones) - len(fan.max_cones)

@@ -16,7 +16,8 @@ resolve_2d (one Hirzebruch-Jung chain per singular cone, the fan built
 once) is compared with the loop that inserted one ray at a time and
 re-tested the whole fan after every ray, on the fans of acceptance
 criterion 11, and call counts guard against the re-tests, the per-step
-chains and the per-step Fan.make coming back.
+chains and the per-step Fan.make coming back, and pin each chain link's
+conversion to one elimination of its two rays with no Hermite pass.
 """
 
 import itertools
@@ -287,6 +288,46 @@ def test_resolve_2d_takes_one_hilbert_basis_per_singular_cone(monkeypatch):
   # is maximal
   for got in resolved:
     assert Fan.make(got.max_cones, 2).max_cones == got.max_cones
+
+
+def test_resolve_2d_converts_each_chain_link_by_one_two_row_elimination(
+    monkeypatch):
+  # from an empty cache, each link of a chain is one conversion, whose
+  # elimination keeps its two rays and which takes no Hermite pass
+  fans = criterion_11_fans(random.Random(14), 20)
+  conversions = []
+  accepted = []
+  convert = logfan.cone._pointed_extreme_rays
+  bareiss = logfan.cone._bareiss
+
+  def counted_conversion(*args):
+    conversions.append(args)
+    return convert(*args)
+
+  def counted_bareiss(echelon, row, n):
+    kept = bareiss(echelon, row, n)
+    accepted.append(kept)
+    return kept
+
+  def refuse(*args):
+    raise AssertionError("a chain link took a Hermite pass")
+
+  monkeypatch.setattr(logfan.cone, "_pointed_extreme_rays", counted_conversion)
+  monkeypatch.setattr(logfan.cone, "_bareiss", counted_bareiss)
+  monkeypatch.setattr(logfan.cone, "_kernel_rows", refuse)
+  monkeypatch.setattr(logfan.lattice, "_hermite", refuse)
+  most = 0
+  for fan in fans:
+    singular = [c for c in fan.max_cones if c.dim == 2 and not is_smooth(c)]
+    links = sum(len(_chain(c)) - 1 for c in singular)
+    _cone_from_gens.cache_clear()
+    conversions.clear()
+    accepted.clear()
+    resolve_2d(fan)
+    assert len(conversions) == links
+    assert accepted == [True] * (2 * links)
+    most = max(most, links)
+  assert most >= 4
 
 
 def test_resolve_2d_reports_lineality():
